@@ -135,7 +135,9 @@ def _sparse_stage_pairs():
         for dataflow, saf in codesign.ALL_COMBINATIONS:
             design = codesign.build_design(dataflow, saf)
             mapping = design.mapping_for(workload)
-            dense = evaluator._dense_analysis(design, workload, mapping)
+            dense, _key = evaluator._dense_analysis_keyed(
+                design, workload, mapping
+            )
             pairs.append((dense, design.safs))
     return pairs
 
@@ -168,7 +170,7 @@ def _bench_sparse_postprocess() -> dict:
     fast = None
     for _ in range(SPARSE_ROUNDS):
         for dense, safs in pairs:
-            fast = evaluator._sparse_analysis(dense, safs)
+            fast, _key = evaluator._sparse_analysis_keyed(dense, safs)
     fast_seconds = time.perf_counter() - t0
 
     # The fast path must agree bit-for-bit with the oracle (spot check
@@ -190,7 +192,7 @@ def _bench_sparse_postprocess() -> dict:
         "sparse_evaluations": evals,
         "sparse_seconds": round(fast_seconds, 4),
         "sparse_cache_hit_rate": round(
-            evaluator.sparse_cache.hit_rate, 4
+            evaluator.cache.sparse.hit_rate, 4
         ),
     }
 
@@ -204,7 +206,7 @@ def test_perf_engine_smoke():
     evals = sum(_codesign_sweep(evaluator) for _ in range(SWEEP_ROUNDS))
     sweep_seconds = time.perf_counter() - t0
     evals_per_sec = evals / sweep_seconds
-    cache_stats = evaluator.dense_cache.stats()
+    cache_stats = evaluator.cache.dense.stats()
 
     # --- mapspace-search throughput (DSE pattern) ---
     search_evaluator = Evaluator(search_budget=SEARCH_BUDGET)
@@ -549,7 +551,7 @@ def test_search_cold_smoke():
             result.energy_pj,
             result.dense.mapping.cache_key(),
         )
-        return seconds, winner, evaluator.dense_cache.stats()
+        return seconds, winner, evaluator.cache.dense.stats()
 
     def measure():
         fast_seconds = oracle_seconds = float("inf")

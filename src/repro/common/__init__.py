@@ -2,7 +2,6 @@
 
 from repro.common.cache import (
     AnalysisCache,
-    DenseAnalysisCache,
     PersistentCache,
     StageCache,
     global_cache,
@@ -26,7 +25,6 @@ __all__ = [
     "MappingError",
     "ValidationError",
     "AnalysisCache",
-    "DenseAnalysisCache",
     "PersistentCache",
     "StageCache",
     "global_cache",

@@ -15,9 +15,6 @@ ad-hoc per-module caches it grew out of:
 * :class:`StageCache` — one bounded, content-addressed LRU map with
   hit/miss accounting. Values are treated as **read-only** by
   convention: a hit returns the stored object itself.
-* :class:`DenseAnalysisCache` — the dense-stage specialisation
-  (formerly in :mod:`repro.model.engine`): keys exclude tensor
-  densities, and hits rebind the caller's workload.
 * :class:`AnalysisCache` — a registry of named stages. The evaluation
   engine owns one (stages ``"dense"``, ``"sparse"``, and the
   micro-model stages ``"validity"``/``"latency"``/``"energy"``); the
@@ -230,65 +227,11 @@ class StageCache:
         return count
 
 
-class DenseAnalysisCache(StageCache):
-    """Content-addressed LRU cache of dense dataflow analyses.
-
-    Keys are :func:`~repro.dataflow.nest_analysis.dense_analysis_key`
-    triples — (einsum, architecture, mapping) content keys — which
-    deliberately exclude tensor densities: the dense step never reads
-    them, so one analysis serves every SAF/density variant of a
-    mapping. On a hit for a *different* workload object the cached
-    :class:`~repro.dataflow.nest_analysis.DenseTraffic` is rebound to
-    the new workload (a shallow copy sharing the immutable traffic
-    records).
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_STAGE_SIZES["dense"]):
-        super().__init__(maxsize=maxsize, name="dense")
-
-    def get_or_compute(self, workload, arch, mapping):  # type: ignore[override]
-        return self.get_or_compute_keyed(workload, arch, mapping)[0]
-
-    def get_or_compute_keyed(self, workload, arch, mapping):
-        """Like :meth:`get_or_compute` but returns ``(dense, key)`` so
-        callers can derive downstream stage keys without recomputing
-        the (einsum, arch, mapping) content hashes. The returned key is
-        a :class:`CachedHashKey` — the stage is consulted up to three
-        times per evaluation (and the key is re-embedded in every
-        downstream stage key), so its deep-tuple hash is paid once."""
-        from dataclasses import replace
-
-        from repro.dataflow.nest_analysis import (
-            analyze_dataflow,
-            dense_analysis_key,
-        )
-
-        key = CachedHashKey(dense_analysis_key(workload, arch, mapping))
-        cached = self.get(key)
-        if cached is not None:
-            return replace(cached, workload=workload), key
-        dense = analyze_dataflow(workload, arch, mapping)
-        # Store with the workload stripped: the key ignores densities,
-        # so keeping the first-seen workload would pin its density
-        # models (potentially whole ActualDataDensity tensors) far
-        # beyond their lifetime. Hits always rebind the caller's.
-        self.put(key, replace(dense, workload=None))
-        return dense, key
-
-
-#: Stage names whose entries the dense-specific machinery builds.
-_STAGE_CLASSES: dict[str, type[StageCache]] = {
-    "dense": DenseAnalysisCache,
-}
-
-
 class AnalysisCache:
     """A registry of named :class:`StageCache` stages.
 
     Stages are created lazily on first access, sized by
     :data:`DEFAULT_STAGE_SIZES` unless overridden via ``stage_sizes``.
-    The ``"dense"`` stage instantiates :class:`DenseAnalysisCache`; all
-    other stages are plain :class:`StageCache` tables.
     """
 
     def __init__(self, stage_sizes: dict[str, int] | None = None):
@@ -314,16 +257,12 @@ class AnalysisCache:
             size = self._stage_sizes.get(name)
         if size is None:
             size = DEFAULT_STAGE_SIZES.get(name, DEFAULT_STAGE_SIZE)
-        cls = _STAGE_CLASSES.get(name)
-        stage = cls(maxsize=size) if cls else StageCache(size, name=name)
-        self._stages[name] = stage
+        stage = self._stages[name] = StageCache(size, name=name)
         return stage
 
     @property
-    def dense(self) -> DenseAnalysisCache:
-        stage = self.stage("dense")
-        assert isinstance(stage, DenseAnalysisCache)
-        return stage
+    def dense(self) -> StageCache:
+        return self.stage("dense")
 
     @property
     def sparse(self) -> StageCache:

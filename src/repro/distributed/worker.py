@@ -172,7 +172,7 @@ def run_shard(
     blocked = prefilter and evaluator.prefilter_vectorized and mapper is not None
 
     frontier = ParetoFrontier(axes=objective.axes)
-    memo: dict | None = {} if evaluator.dense_vectorized else None
+    memos: dict = {}
     best = None
     position = 0
     index = -1
@@ -275,7 +275,7 @@ def run_shard(
         if len(block) >= batch_size or (block and position >= stop):
             best = evaluator._evaluate_block(
                 design, workload, block, objective, best,
-                memo=memo, frontier=frontier,
+                memos=memos, frontier=frontier,
             )
             evaluated += len(block)
             block = []
@@ -284,7 +284,7 @@ def run_shard(
     if block:  # pragma: no cover - flushed above when position >= stop
         best = evaluator._evaluate_block(
             design, workload, block, objective, best,
-            memo=memo, frontier=frontier,
+            memos=memos, frontier=frontier,
         )
         evaluated += len(block)
         _report()

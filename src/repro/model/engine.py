@@ -19,9 +19,9 @@ and over with different SAF configurations:
 
 * unified analysis cache — every :class:`Evaluator` owns an
   :class:`~repro.common.cache.AnalysisCache` whose named stages memoise
-  whole pipeline steps by content key: the ``"dense"`` stage
-  (:class:`~repro.common.cache.DenseAnalysisCache`) reuses dataflow
-  analyses across SAF/density variants of a mapping, the ``"sparse"``
+  whole pipeline steps by content key: the ``"dense"`` stage reuses
+  dataflow analyses across SAF/density variants of a mapping (keys
+  exclude densities; hits rebind the caller's workload), the ``"sparse"``
   stage reuses entire :class:`~repro.sparse.traffic.SparseTraffic`
   results across repeated evaluations of one (mapping, SAF, density)
   point — e.g. SAF sweeps that revisit density levels, or network
@@ -56,6 +56,13 @@ and over with different SAF configurations:
   sparse, and the process-global tile-format stage) through the pool
   initializer. Parallel mode requires picklable designs/workloads/
   objectives (module-level functions, not lambdas).
+* one batched path — :meth:`Evaluator._evaluate_batch` runs a list of
+  jobs stage by stage: one stacked dense pass, one stacked sparse flush
+  per walk context, then the micro tail per job, with per-job results,
+  errors, and cache statistics identical to the serial loop. The
+  serving daemon's micro-batches and every mapspace-search block
+  (:meth:`Evaluator._evaluate_block`) go through it; single evaluations
+  take the per-call path (:meth:`Evaluator._evaluate`).
 """
 
 from __future__ import annotations
@@ -77,8 +84,8 @@ from repro.common.cache import (
     DEFAULT_EXPORT_LIMIT,
     AnalysisCache,
     CachedHashKey,
-    DenseAnalysisCache,
     PersistentCache,
+    StageCache,
     global_cache,
 )
 from repro.common.errors import (
@@ -122,6 +129,7 @@ from repro.sparse.postprocess import (
     VECTORIZED_DEFAULT,
     analyze_sparse,
     analyze_sparse_batch,
+    density_keys,
     ensure_output_density,
     sparse_analysis_key,
 )
@@ -131,7 +139,6 @@ from repro.workload.spec import Workload
 
 __all__ = [
     "Design",
-    "DenseAnalysisCache",
     "Evaluator",
     "OverflowReason",
     "PersistentCache",
@@ -342,11 +349,9 @@ class Evaluator:
     ``cache``: the :class:`~repro.common.cache.AnalysisCache` memoising
     pipeline stages across evaluations (``None`` disables caching; a
     shared instance pools hits across evaluators). Each evaluator gets
-    its own cache by default. Breaking change from the PR 1 API: the
-    ``dense_cache=`` constructor argument is gone — pass ``cache=``
-    (``Evaluator(cache=None)`` to disable, a shared ``AnalysisCache``
-    to pool) — while the ``dense_cache`` *accessor* remains for
-    stats/inspection of the dense stage.
+    its own cache by default. Inspect a stage through the cache itself
+    (``evaluator.cache.dense``, ``evaluator.cache.sparse``, or
+    ``evaluator.cache.stats()``).
     ``prefilter_capacity``: in ``search_mappings``, cheaply reject
     candidates whose optimistic tile footprint already overflows a
     finite storage level, skipping the full pipeline — and feed the
@@ -359,13 +364,13 @@ class Evaluator:
     ``REPRO_SCALAR_SPARSE`` environment variable forced the scalar
     oracle process-wide) or the scalar oracle path; both are
     bit-identical (see :mod:`repro.sparse.postprocess`).
-    ``dense_vectorized``: run the dense nest analysis of each search
-    block through the stacked backend
+    ``dense_vectorized``: run the dense nest analysis of each batch
+    (search block or submitted batch) through the stacked backend
     (:func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`)
-    instead of one scalar walk per candidate, and share the
-    sparse-walk memo (leader keeps, format scalings) across the
-    candidates of one search. Default follows ``REPRO_SCALAR_DENSE``;
-    both backends are bit-identical.
+    instead of one scalar walk per job, and share the sparse-walk memo
+    (leader keeps, format scalings) across jobs with the same walk
+    context — for a search, across all of its blocks. Default follows
+    ``REPRO_SCALAR_DENSE``; both backends are bit-identical.
     ``prefilter_vectorized``: run the capacity prefilter of the
     batched search strategy as one stacked numpy reduction per memory
     level and block instead of the scalar per-candidate scan
@@ -379,9 +384,9 @@ class Evaluator:
     drives the search in candidate blocks — prefilter each candidate
     as it is drawn (feeding overflow witnesses straight back to the
     mapper, so generation between blocks is already pruned), then push
-    every survivor of a block through **one stacked sparse evaluation**
-    (:func:`~repro.sparse.postprocess.analyze_sparse_batch`) instead of
-    one numpy pass per candidate — and, on the sampled path, replays
+    every survivor of a block through **one batched evaluation**
+    (:meth:`_evaluate_batch`: stacked dense and sparse passes) instead
+    of one pipeline pass per candidate — and, on the sampled path, replays
     the candidate stream from the ``"candidates"`` cache stage instead
     of re-drawing it. ``"serial"`` is the per-candidate oracle (the
     exact historical scan); both strategies return a bit-identical
@@ -440,16 +445,6 @@ class Evaluator:
     search_batch_size: int = 32
     evolution: EvolutionConfig | None = field(default=None, repr=False)
 
-    @property
-    def dense_cache(self) -> DenseAnalysisCache | None:
-        """The dense analysis stage (legacy accessor)."""
-        return self.cache.dense if self.cache is not None else None
-
-    @property
-    def sparse_cache(self):
-        """The sparse analysis stage, or ``None`` when disabled."""
-        return self.cache.sparse if self.cache is not None else None
-
     def evaluate(
         self,
         design: Design,
@@ -493,28 +488,33 @@ class Evaluator:
             return result
         return self._evaluate_mapping(design, workload, mapping)
 
-    def _dense_analysis(
-        self, design: Design, workload: Workload, mapping: Mapping
-    ) -> DenseTraffic:
-        return self._dense_analysis_keyed(design, workload, mapping)[0]
-
     def _dense_analysis_keyed(
         self, design: Design, workload: Workload, mapping: Mapping
-    ) -> tuple[DenseTraffic, tuple | None]:
+    ) -> tuple[DenseTraffic, CachedHashKey | None]:
+        """Dense analysis through the ``"dense"`` cache stage, returning
+        ``(dense, key)``.
+
+        The key is :func:`~repro.dataflow.nest_analysis.
+        dense_analysis_key` — (einsum, architecture, mapping) content,
+        deliberately without densities, so one analysis serves every
+        SAF/density variant of a mapping. It comes back wrapped in a
+        :class:`CachedHashKey` because it is re-embedded in every
+        downstream stage key, so its deep-tuple hash is paid once.
+        Entries are stored with the workload stripped: keeping the
+        first-seen workload would pin its density models (potentially
+        whole ``ActualDataDensity`` tensors) far beyond their lifetime.
+        Hits rebind the caller's workload.
+        """
         if self.cache is None:
             return analyze_dataflow(workload, design.arch, mapping), None
-        return self.cache.dense.get_or_compute_keyed(
-            workload, design.arch, mapping
-        )
-
-    def _sparse_analysis(
-        self,
-        dense: DenseTraffic,
-        safs: SAFSpec,
-        dense_key: tuple | None = None,
-    ) -> SparseTraffic:
-        """Sparse post-processing through the ``"sparse"`` cache stage."""
-        return self._sparse_analysis_keyed(dense, safs, dense_key)[0]
+        stage = self.cache.dense
+        key = CachedHashKey(dense_analysis_key(workload, design.arch, mapping))
+        cached = stage.get(key)
+        if cached is not None:
+            return replace(cached, workload=workload), key
+        dense = analyze_dataflow(workload, design.arch, mapping)
+        stage.put(key, replace(dense, workload=None))
+        return dense, key
 
     def _sparse_analysis_keyed(
         self,
@@ -638,8 +638,8 @@ class Evaluator:
         sparse_key: CachedHashKey | None,
     ) -> EvaluationResult:
         """The micro-model tail shared by every evaluation path (the
-        serial pipeline, the batched block scan, and its fallback), so
-        the bit-identical contract hangs on one implementation."""
+        per-call pipeline and the batched one), so the bit-identical
+        contract hangs on one implementation."""
         usage = self._staged_validity(design, sparse, sparse_key)
         latency = self._staged_latency(design, dense, sparse, sparse_key)
         energy = self._staged_energy(design, sparse, sparse_key)
@@ -1191,8 +1191,8 @@ class Evaluator:
         *immediately* (so generation of later candidates, including the
         next block's, is already pruned) — but evaluation of prefilter
         survivors is deferred: each full block runs through one stacked
-        sparse evaluation (:meth:`_sparse_analysis_many`) instead of
-        one numpy pass per candidate. Deferral is sound because
+        batch (:meth:`_evaluate_block`) instead of one pipeline pass per
+        candidate. Deferral is sound because
         evaluation never feeds anything back to the stream; scores are
         bit-identical because the stacked arithmetic is elementwise and
         the in-order ``score < best`` comparison reproduces the serial
@@ -1284,10 +1284,8 @@ class Evaluator:
         )
         # One sparse-walk memo spans the whole search: every candidate
         # shares (design, workload), so leader-keep probabilities and
-        # per-tile format scalings recur across blocks. Gated with the
-        # vectorized dense backend so the scalar-oracle configuration
-        # stays the plain per-candidate pipeline.
-        memo: dict | None = {} if self.dense_vectorized else None
+        # per-tile format scalings recur across blocks.
+        memos: dict = {}
         best: tuple[float, int, EvaluationResult] | None = None
         block: list[tuple[int, Mapping]] = []
         evaluated = 0
@@ -1310,7 +1308,7 @@ class Evaluator:
             block.append((index, mapping))
             if len(block) >= batch_size:
                 best = self._evaluate_block(
-                    design, workload, block, objective, best, memo=memo,
+                    design, workload, block, objective, best, memos=memos,
                     frontier=frontier,
                 )
                 evaluated += len(block)
@@ -1318,7 +1316,7 @@ class Evaluator:
                 _report()
         if block:
             best = self._evaluate_block(
-                design, workload, block, objective, best, memo=memo,
+                design, workload, block, objective, best, memos=memos,
                 frontier=frontier,
             )
             evaluated += len(block)
@@ -1332,76 +1330,36 @@ class Evaluator:
         block: list[tuple[int, Mapping]],
         objective: Objective,
         best: tuple[float, int, EvaluationResult] | None,
-        memo: dict | None = None,
+        memos: dict | None = None,
         frontier: ParetoFrontier | None = None,
         collect: list | None = None,
     ) -> tuple[float, int, EvaluationResult] | None:
-        """Evaluate one block of prefilter survivors through the
-        stacked dense + sparse pipeline and fold them into ``best``.
+        """Evaluate one block of ``(index, mapping)`` prefilter
+        survivors as one :meth:`_evaluate_batch` and fold the outcomes
+        into ``best``.
 
         A ``frontier`` is maintained in place when given, and
         ``collect`` (when given) receives an ``(index, score)`` pair
         per successfully evaluated candidate — the evolutionary
-        strategy's fitness feed.
-
-        Candidates whose evaluation raises an expected modeling error
-        (capacity overflow under the full validity check, mapping
-        rejection) are skipped, exactly as in the serial scan. Should
-        a stacked pass itself fail, the block falls back to the serial
-        per-candidate oracle — with the stage accounting of the
-        aborted attempt rolled back first — so the failure is
-        attributed to the one candidate that caused it; results and
-        cache statistics are identical to the serial scan either way.
-        ``memo`` is the search-wide sparse-walk memo (see
-        :func:`~repro.sparse.postprocess.analyze_sparse_batch`).
+        strategy's fitness feed. Candidates whose evaluation raised an
+        expected modeling error (capacity overflow under the full
+        validity check, mapping rejection) are skipped, exactly as in
+        the serial scan; any other error propagates. ``memos`` is the
+        search-wide walk-memo dict (see :meth:`_sparse_analysis_batch`).
         """
-        dense_entries = self._dense_analysis_many(
-            design, workload, [mapping for _, mapping in block]
+        outcomes = self._evaluate_batch(
+            [(design, workload, mapping) for _, mapping in block],
+            memos=memos,
         )
-        prepared: list[tuple[int, Mapping, DenseTraffic, tuple | None]] = []
-        for (index, mapping), entry in zip(block, dense_entries):
-            if entry is None:
-                continue
-            dense, dense_key = entry
-            prepared.append((index, mapping, dense, dense_key))
-        if not prepared:
-            return best
-        stage = self.cache.sparse if self.cache is not None else None
-        counters = (stage.hits, stage.misses) if stage is not None else None
-        try:
-            analyses = self._sparse_analysis_many(
-                [(dense, key) for _, _, dense, key in prepared],
-                design.safs,
-                memo=memo,
-            )
-        except (ValidationError, MappingError):
-            if stage is not None:
-                # The aborted stacked attempt already counted its
-                # lookups; the serial fallback recounts every one.
-                stage.hits, stage.misses = counters
-            analyses = None
-        if analyses is None:
-            analyses = []
-            for _index, _mapping, dense, dense_key in prepared:
-                try:
-                    analyses.append(
-                        self._sparse_analysis_keyed(
-                            dense, design.safs, dense_key
-                        )
-                    )
-                except (ValidationError, MappingError):
-                    analyses.append(None)
-        for (index, _mapping, dense, _key), analysis in zip(
-            prepared, analyses
-        ):
-            if analysis is None:
-                continue
-            sparse, sparse_key = analysis
-            try:
-                result = self._finish_evaluation(
-                    design, workload, dense, sparse, sparse_key
-                )
-            except (ValidationError, MappingError):
+        for (index, _mapping), (result, error) in zip(block, outcomes):
+            if error is not None:
+                if not isinstance(error, (ValidationError, MappingError)):
+                    raise error
+                # The traceback reaches this frame through f_back, and
+                # this frame holds ``outcomes``: dropping it breaks the
+                # cycle that would keep the whole cache alive until a
+                # full GC.
+                error.__traceback__ = None
                 continue
             score = objective.score(result)
             if collect is not None:
@@ -1469,7 +1427,7 @@ class Evaluator:
             generation.append(genome)
         # One sparse-walk memo spans the whole search, as in the
         # batched scan: every candidate shares (design, workload).
-        memo: dict | None = {} if self.dense_vectorized else None
+        memos: dict = {}
         best: tuple[float, int, EvaluationResult] | None = None
         scored: list[tuple[float, int, dict]] = []
         proposals = 0
@@ -1505,13 +1463,13 @@ class Evaluator:
                 if len(block) >= batch_size:
                     best = self._evaluate_block(
                         design, workload, block, objective, best,
-                        memo=memo, frontier=frontier, collect=collect,
+                        memos=memos, frontier=frontier, collect=collect,
                     )
                     block = []
             if block:
                 best = self._evaluate_block(
                     design, workload, block, objective, best,
-                    memo=memo, frontier=frontier, collect=collect,
+                    memos=memos, frontier=frontier, collect=collect,
                 )
             for got_index, score in collect:
                 scored.append((score, got_index, genomes_by_index[got_index]))
@@ -1527,196 +1485,6 @@ class Evaluator:
                 min(pop_size, budget - proposals), seen, config,
             )
         return best
-
-    def _dense_analysis_many(
-        self,
-        design: Design,
-        workload: Workload,
-        mappings: Sequence[Mapping],
-    ) -> list[tuple[DenseTraffic, tuple | None] | None]:
-        """:meth:`_dense_analysis_keyed` over one block of candidates.
-
-        Cache hits are served as usual; misses run through **one**
-        :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
-        call (deduped by content key, so a repeated sampled draw is
-        computed once and the follower served as the hit the serial
-        scan would have seen) and are installed into the ``"dense"``
-        stage. A candidate whose analysis fails with an expected
-        modeling error yields ``None``; should the stacked pass fail,
-        the stage accounting of the aborted attempt is rolled back and
-        the block recounts through the serial per-candidate oracle.
-        Results and cache statistics match the serial loop exactly.
-        """
-        count = len(mappings)
-        out: list[tuple[DenseTraffic, tuple | None] | None] = [None] * count
-        keys: list[tuple | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[tuple, int] = {}
-        stage = self.cache.dense if self.cache is not None else None
-        counters = (stage.hits, stage.misses) if stage is not None else None
-        for position, mapping in enumerate(mappings):
-            if stage is not None:
-                key = CachedHashKey(
-                    dense_analysis_key(workload, design.arch, mapping)
-                )
-                keys[position] = key
-                if key in stage:  # peek: accounting handled per branch
-                    cached = stage.get(key)  # counts the hit
-                    out[position] = (replace(cached, workload=workload), key)
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: the first occurrence computes
-                    # and installs before the scan reaches this
-                    # duplicate — a hit, not a miss.
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        if compute_positions:
-            try:
-                computed = analyze_dataflow_batch(
-                    [
-                        (workload, design.arch, mappings[i])
-                        for i in compute_positions
-                    ],
-                    vectorized=self.dense_vectorized,
-                )
-            except (ValidationError, MappingError):
-                if stage is not None:
-                    # The aborted stacked attempt already counted its
-                    # lookups; the serial fallback recounts every one.
-                    stage.hits, stage.misses = counters
-                return self._dense_analysis_many_fallback(
-                    design, workload, mappings
-                )
-            for position, dense in zip(compute_positions, computed):
-                key = keys[position]
-                if stage is not None and key is not None:
-                    # Store with the workload stripped, exactly as
-                    # DenseAnalysisCache.get_or_compute_keyed does.
-                    stage.put(key, replace(dense, workload=None))
-                out[position] = (dense, key)
-                for follower in followers.get(position, ()):
-                    # The follower's serial hit would have returned the
-                    # stored copy rebound to its workload.
-                    out[follower] = (
-                        replace(dense, workload=workload),
-                        keys[follower],
-                    )
-        return out
-
-    def _dense_analysis_many_fallback(
-        self,
-        design: Design,
-        workload: Workload,
-        mappings: Sequence[Mapping],
-    ) -> list[tuple[DenseTraffic, tuple | None] | None]:
-        """Per-candidate dense analysis with per-candidate error
-        isolation — the serial oracle the stacked pass falls back to."""
-        out: list[tuple[DenseTraffic, tuple | None] | None] = []
-        for mapping in mappings:
-            try:
-                out.append(
-                    self._dense_analysis_keyed(design, workload, mapping)
-                )
-            except (ValidationError, MappingError):
-                out.append(None)
-        return out
-
-    def _sparse_analysis_many(
-        self,
-        items: Sequence[tuple[DenseTraffic, tuple | None]],
-        safs: SAFSpec,
-        memo: dict | None = None,
-    ) -> list[tuple[SparseTraffic, CachedHashKey | None]]:
-        """:meth:`_sparse_analysis_keyed` over many candidates at once.
-
-        Cache hits are served as usual; the misses are computed in
-        **one** stacked numpy pass (deduped by content key, so a
-        repeated sampled draw is computed once and shared, exactly as
-        the serial scan's compute-then-hit sequence would) and
-        installed into the sparse stage. Per-candidate results are
-        bit-identical to calling the serial helper in a loop.
-        """
-        count = len(items)
-        sparses: list[SparseTraffic | None] = [None] * count
-        keys: list[CachedHashKey | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[CachedHashKey, int] = {}
-        # The block shares one workload and one SAF spec, so of the
-        # sparse key triple (dense key, SAF key, density keys) only the
-        # dense component varies per candidate: derive the invariant
-        # parts once and assemble per-candidate keys inline — the same
-        # tuples sparse_analysis_key would build.
-        invariant: tuple | None = None
-        if self.cache is not None and items:
-            workload = next(
-                (d.workload for d, _k in items if d is not None), None
-            )
-            if workload is not None:
-                ensure_output_density(workload)
-                density_keys = []
-                for tensor in workload.einsum.tensors:
-                    density_key = workload.density_of(tensor.name).cache_key()
-                    if density_key is None:
-                        density_keys = None
-                        break
-                    density_keys.append((tensor.name, density_key))
-                if density_keys is not None:
-                    invariant = (safs.cache_key(), tuple(density_keys))
-        for position, (dense, dense_key) in enumerate(items):
-            key: CachedHashKey | None = None
-            if self.cache is not None:
-                if (
-                    invariant is not None
-                    and dense_key is not None
-                    and dense.workload is workload
-                ):
-                    if not isinstance(dense_key, CachedHashKey):
-                        dense_key = CachedHashKey(dense_key)
-                    key = CachedHashKey((dense_key, *invariant))
-                else:
-                    raw = sparse_analysis_key(dense, safs, dense_key)
-                    if raw is not None:
-                        key = CachedHashKey(raw)
-            keys[position] = key
-            if key is not None:
-                stage = self.cache.sparse
-                if key in stage:  # peek: accounting handled per branch
-                    sparses[position] = stage.get(key)  # counts the hit
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: by the time the scan reached
-                    # this duplicate, the first occurrence had computed
-                    # and installed the entry — a hit, not a miss. (The
-                    # LRU refresh the serial hit would do is subsumed
-                    # by the upcoming put of the first occurrence.)
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        if compute_positions:
-            computed = analyze_sparse_batch(
-                [(items[i][0], safs) for i in compute_positions],
-                vectorized=self.sparse_vectorized,
-                memo=memo,
-            )
-            for position, sparse in zip(compute_positions, computed):
-                sparses[position] = sparse
-                key = keys[position]
-                if key is not None:
-                    self.cache.sparse.put(key, sparse)
-                for follower in followers.get(position, ()):
-                    sparses[follower] = sparse
-        return list(zip(sparses, keys))
 
     def _search_parallel(
         self,
@@ -1794,194 +1562,166 @@ class Evaluator:
         self._absorb_result(design, workload, winner.result)
         return winner.result
 
-    def _dense_analysis_mixed(
+    def _dense_analysis_batch(
         self,
         items: Sequence[tuple[Design, Workload, Mapping]],
-    ) -> list[tuple[DenseTraffic, tuple | None] | ReproError]:
-        """:meth:`_dense_analysis_keyed` over many *heterogeneous*
-        ``(design, workload, mapping)`` triples at once.
+    ) -> list[tuple[DenseTraffic, CachedHashKey | None] | ReproError]:
+        """:meth:`_dense_analysis_keyed` over many ``(design, workload,
+        mapping)`` triples at once.
 
-        The block variant (:meth:`_dense_analysis_many`) serves one
-        search block's candidates; this one serves the
-        batched-submission/serving path, where every triple may carry
-        a different design and workload
-        (:func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
-        groups compatible structures internally). Cache hits are
-        served as usual; misses run through one stacked call. A
-        triple whose analysis fails with an expected modeling error
-        gets that error in its slot; should the stacked pass itself
-        fail, the stage accounting of the aborted attempt is rolled
-        back and every triple recounts through the serial oracle so
-        the error lands on exactly the job(s) that caused it. Results
-        and cache statistics match the serial loop exactly.
+        Cache hits are served as usual; the misses, deduped by content
+        key, run through one
+        :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
+        call (which groups compatible structures internally) and are
+        installed into the ``"dense"`` stage. Should the stacked pass
+        fail, its lookups are rolled back and every triple recounts
+        through the serial oracle, so the error lands on exactly the
+        triple(s) that caused it. Returns one ``(dense, key)`` pair or
+        :class:`~repro.common.errors.ReproError` per triple; values and
+        cache statistics match the serial loop exactly.
         """
-        count = len(items)
-        out: list[tuple[DenseTraffic, tuple | None] | ReproError | None] = (
-            [None] * count
-        )
-        keys: list[CachedHashKey | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[CachedHashKey, int] = {}
         stage = self.cache.dense if self.cache is not None else None
         counters = (stage.hits, stage.misses) if stage is not None else None
-        for position, (design, workload, mapping) in enumerate(items):
+        keys = [
+            None
+            if stage is None
+            else CachedHashKey(
+                dense_analysis_key(workload, design.arch, mapping)
+            )
+            for design, workload, mapping in items
+        ]
+        hits, misses, followers = _serial_lookups(stage, keys)
+        try:
+            computed = analyze_dataflow_batch(
+                [(items[i][1], items[i][0].arch, items[i][2]) for i in misses],
+                vectorized=self.dense_vectorized,
+            ) if misses else []
+        except ReproError:
+            computed = None
+        if computed is None:
             if stage is not None:
-                key = CachedHashKey(
-                    dense_analysis_key(workload, design.arch, mapping)
+                stage.hits, stage.misses = counters
+            return [
+                _outcome(self._dense_analysis_keyed, *item) for item in items
+            ]
+        out: list = [None] * len(items)
+        for position, cached in hits.items():
+            out[position] = (
+                replace(cached, workload=items[position][1]),
+                keys[position],
+            )
+        for position, dense in zip(misses, computed):
+            key = keys[position]
+            if key is not None:
+                stage.put(key, replace(dense, workload=None))
+            out[position] = (dense, key)
+            for follower in followers.get(position, ()):
+                # The follower's serial hit would have returned the
+                # stored copy rebound to its own workload.
+                out[follower] = (
+                    replace(dense, workload=items[follower][1]),
+                    keys[follower],
                 )
-                keys[position] = key
-                if key in stage:  # peek: accounting handled per branch
-                    cached = stage.get(key)  # counts the hit
-                    out[position] = (replace(cached, workload=workload), key)
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: the first occurrence computes
-                    # and installs before the scan reaches this
-                    # duplicate — a hit, not a miss.
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        if compute_positions:
-            try:
-                computed = analyze_dataflow_batch(
-                    [
-                        (items[i][1], items[i][0].arch, items[i][2])
-                        for i in compute_positions
-                    ],
-                    vectorized=self.dense_vectorized,
-                )
-            except ReproError:
-                if stage is not None:
-                    # The aborted stacked attempt already counted its
-                    # lookups; the serial fallback recounts every one.
-                    stage.hits, stage.misses = counters
-                fallback: list[
-                    tuple[DenseTraffic, tuple | None] | ReproError
-                ] = []
-                for design, workload, mapping in items:
-                    try:
-                        fallback.append(
-                            self._dense_analysis_keyed(
-                                design, workload, mapping
-                            )
-                        )
-                    except ReproError as exc:
-                        fallback.append(exc)
-                return fallback
-            for position, dense in zip(compute_positions, computed):
-                key = keys[position]
-                if stage is not None and key is not None:
-                    # Store with the workload stripped, exactly as
-                    # DenseAnalysisCache.get_or_compute_keyed does.
-                    stage.put(key, replace(dense, workload=None))
-                out[position] = (dense, key)
-                for follower in followers.get(position, ()):
-                    # The follower's serial hit would have returned
-                    # the stored copy rebound to its own workload.
-                    out[follower] = (
-                        replace(dense, workload=items[follower][1]),
-                        keys[follower],
-                    )
         return out
 
-    def _sparse_analysis_mixed(
+    def _sparse_analysis_batch(
         self,
-        entries: Sequence[tuple[DenseTraffic, SAFSpec, tuple | None]],
-    ) -> list[tuple[SparseTraffic, CachedHashKey | None]]:
-        """:meth:`_sparse_analysis_keyed` over many *heterogeneous*
-        analyses at once.
+        entries: Sequence[tuple[DenseTraffic, SAFSpec, CachedHashKey | None]],
+        memos: dict | None = None,
+    ) -> list[tuple[SparseTraffic, CachedHashKey | None] | ReproError]:
+        """:meth:`_sparse_analysis_keyed` over many ``(dense, safs,
+        dense_key)`` entries at once (dense keys as the dense stage
+        returns them).
 
-        The block variant (:meth:`_sparse_analysis_many`) stacks the
-        candidates of one search block, which share a workload and one
-        SAF spec; this one serves the batched-submission/serving path,
-        where every entry may carry a different design and workload.
-        Cache hits are served as usual; the misses are deduped by
-        content key and computed in stacked numpy passes
-        (:func:`~repro.sparse.postprocess.analyze_sparse_batch` takes
-        per-item SAF specs), so jobs from many clients share the
-        vectorized kernels. Misses whose sparse-walk *context* matches
-        — same workload content (einsum and densities), SAF spec, and
-        architecture; only the mapping differs — additionally share
-        one walk memo per flush, exactly as the candidates of one
-        search block do. Per-entry results — values, cache accounting,
-        and shared-object identity for duplicates — are bit-identical
-        to calling the serial helper in a loop.
+        Keys are the :func:`~repro.sparse.postprocess.
+        sparse_analysis_key` triples, with the SAF and density parts
+        derived once per (workload, SAF spec) pair of the call. Cache
+        hits are served as usual; the misses, deduped by content key,
+        are grouped by sparse-walk *context* — einsum, architecture,
+        SAF spec, and densities, so only the mapping differs within a
+        group — and each group flushes as one stacked
+        :func:`~repro.sparse.postprocess.analyze_sparse_batch` pass
+        sharing one walk memo. ``memos`` maps contexts to their memos;
+        a caller that passes the same dict to every call (a search
+        does, for all of its blocks) keeps the memos across calls. The
+        walk memo is on exactly when ``dense_vectorized`` is, so the
+        scalar-oracle configuration walks unmemoised. Keyless entries
+        (caching disabled, uncacheable densities) have no content
+        identity to group on and flush together without a memo.
+
+        Should a stacked pass fail, nothing is installed, its lookups
+        are rolled back, and every entry recounts through the serial
+        oracle, so the error lands on exactly the entry that caused it.
+        Returns one ``(sparse, key)`` pair or
+        :class:`~repro.common.errors.ReproError` per entry; values,
+        cache statistics, and shared-object identity for duplicates
+        match the serial loop exactly.
         """
-        count = len(entries)
-        sparses: list[SparseTraffic | None] = [None] * count
-        keys: list[CachedHashKey | None] = [None] * count
-        compute_positions: list[int] = []
-        followers: dict[int, list[int]] = {}
-        first_by_key: dict[CachedHashKey, int] = {}
-        for position, (dense, safs, dense_key) in enumerate(entries):
-            key: CachedHashKey | None = None
-            if self.cache is not None:
-                raw = sparse_analysis_key(dense, safs, dense_key)
-                if raw is not None:
-                    key = CachedHashKey(raw)
-            keys[position] = key
-            if key is not None:
-                stage = self.cache.sparse
-                if key in stage:  # peek: accounting handled per branch
-                    sparses[position] = stage.get(key)  # counts the hit
-                    continue
-                first = first_by_key.get(key)
-                if first is not None:
-                    # Serial accounting: by the time the scan reached
-                    # this duplicate, the first occurrence had computed
-                    # and installed the entry — a hit, not a miss.
-                    stage.hits += 1
-                    followers.setdefault(first, []).append(position)
-                    continue
-                first_by_key[key] = position
-                stage.misses += 1  # the serial get-before-compute miss
-            compute_positions.append(position)
-        # Group the misses by sparse-walk context: the sparse key is
-        # (dense key = (einsum, arch, mapping), SAF key, density keys),
-        # so dropping the mapping component leaves exactly the context
-        # the walk memo is pure over (see analyze_sparse_batch). Each
-        # group flushes as one stacked pass with a fresh shared memo;
-        # keyless entries (uncacheable densities) have no content
-        # identity to group on and flush together without one.
-        groups: dict[object, list[int]] = {}
-        for position in compute_positions:
-            key = keys[position]
-            context: object = None
-            if key is not None:
-                dense_component, safs_key, density_keys = key.key
-                dense_parts = dense_component.key
-                if isinstance(dense_parts, tuple) and len(dense_parts) == 3:
-                    context = (
-                        dense_parts[0],  # einsum content
-                        dense_parts[1],  # architecture content
-                        safs_key,
-                        density_keys,
+        stage = self.cache.sparse if self.cache is not None else None
+        counters = (stage.hits, stage.misses) if stage is not None else None
+        if memos is None:
+            memos = {}
+        parts_of: dict[tuple[int, int], tuple | None] = {}
+        keys: list[CachedHashKey | None] = []
+        contexts: list[tuple | None] = []
+        for dense, safs, dense_key in entries:
+            key = context = None
+            if stage is not None:
+                pair = (id(dense.workload), id(safs))
+                if pair not in parts_of:
+                    densities = density_keys(dense.workload)
+                    parts_of[pair] = (
+                        None
+                        if densities is None
+                        else (safs.cache_key(), densities)
                     )
-                else:  # unrecognised dense-key shape: no cross-entry memo
-                    context = key
-            groups.setdefault(context, []).append(position)
-        for context, positions in groups.items():
-            computed = analyze_sparse_batch(
-                [(entries[i][0], entries[i][1]) for i in positions],
-                vectorized=self.sparse_vectorized,
-                memo={} if context is not None else None,
-            )
-            for position, sparse in zip(positions, computed):
-                sparses[position] = sparse
-                key = keys[position]
-                if key is not None:
-                    self.cache.sparse.put(key, sparse)
-                for follower in followers.get(position, ()):
-                    sparses[follower] = sparse
-        return list(zip(sparses, keys))
+                parts = parts_of[pair]
+                if parts is not None:
+                    key = CachedHashKey((dense_key, *parts))
+                    # The dense key is (einsum, arch, mapping): without
+                    # the mapping it names the walk context.
+                    context = (*dense_key.key[:2], *parts)
+            keys.append(key)
+            contexts.append(context)
+        hits, misses, followers = _serial_lookups(stage, keys)
+        groups: dict[tuple | None, list[int]] = {}
+        for position in misses:
+            groups.setdefault(contexts[position], []).append(position)
+        computed: dict[int, SparseTraffic] | None = {}
+        try:
+            for context, positions in groups.items():
+                memo = None
+                if context is not None and self.dense_vectorized:
+                    memo = memos.setdefault(context, {})
+                flushed = analyze_sparse_batch(
+                    [(entries[i][0], entries[i][1]) for i in positions],
+                    vectorized=self.sparse_vectorized,
+                    memo=memo,
+                )
+                computed.update(zip(positions, flushed))
+        except ReproError:
+            computed = None
+        if computed is None:
+            if stage is not None:
+                stage.hits, stage.misses = counters
+            return [
+                _outcome(self._sparse_analysis_keyed, *entry)
+                for entry in entries
+            ]
+        out: list = [None] * len(entries)
+        for position, sparse in hits.items():
+            out[position] = (sparse, keys[position])
+        for position, sparse in computed.items():
+            key = keys[position]
+            if key is not None:
+                stage.put(key, sparse)
+            out[position] = (sparse, key)
+            for follower in followers.get(position, ()):
+                out[follower] = (sparse, keys[follower])
+        return out
 
     def _evaluate_batch(
-        self, jobs: Sequence[tuple]
+        self, jobs: Sequence[tuple], memos: dict | None = None
     ) -> list[tuple[EvaluationResult | None, ReproError | None]]:
         """Evaluate a batch of jobs in one stacked pass, capturing
         expected failures per job.
@@ -1990,21 +1730,21 @@ class Evaluator:
         :meth:`_evaluate` signature. The pipeline runs stage by stage
         across the whole batch: mappings resolve first
         (constraints-only designs fall back to the ordinary search
-        path), the dense misses of the batch stack through one
-        :meth:`_dense_analysis_mixed` pass, the sparse misses through
-        one :meth:`_sparse_analysis_mixed` pass, and the micro tail
-        finishes each job. Every per-job outcome — including
+        path), the dense misses stack through one
+        :meth:`_dense_analysis_batch` pass, the sparse misses through
+        :meth:`_sparse_analysis_batch` (one flush per walk context;
+        ``memos`` is passed through), and the micro tail finishes each
+        job. Every per-job outcome — including
         :class:`~repro.common.errors.ReproError` failures such as
         capacity overflows — matches a serial :meth:`_evaluate` call
-        bit for bit; only the grouping of the numpy arithmetic
-        changes, and the stacked backends are the proven-bit-identical
-        :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
-        and :func:`~repro.sparse.postprocess.analyze_sparse_batch`.
+        bit for bit, and so do the cache statistics; only the grouping
+        of the numpy arithmetic changes.
 
         Returns one ``(result, error)`` pair per job, in job order
-        (exactly one side is non-``None``). This is the micro-batching
-        core of the serving daemon: N concurrent clients' evaluate
-        jobs resolve through one call.
+        (exactly one side is non-``None``). This is the engine's one
+        batched path: the serving daemon micro-batches concurrent
+        clients' evaluate jobs through it, and every search block runs
+        through it as a homogeneous batch (:meth:`_evaluate_block`).
         """
         jobs = list(jobs)
         outcomes: list[tuple | None] = [None] * len(jobs)
@@ -2024,52 +1764,32 @@ class Evaluator:
                 continue
             staged.append((index, design, workload, mapping))
 
-        dense_entries: list[tuple] = []
-        dense_outcomes = self._dense_analysis_mixed(
+        denses = self._dense_analysis_batch(
             [(design, workload, mapping) for _i, design, workload, mapping
              in staged]
         )
-        for (index, design, workload, _mapping), dense_outcome in zip(
-            staged, dense_outcomes
+        analysed: list[tuple] = []
+        for (index, design, workload, _mapping), dense in zip(staged, denses):
+            if isinstance(dense, ReproError):
+                outcomes[index] = (None, dense)
+            else:
+                analysed.append((index, design, workload, *dense))
+        sparses = self._sparse_analysis_batch(
+            [
+                (dense, design.safs, dense_key)
+                for _i, design, _w, dense, dense_key in analysed
+            ],
+            memos=memos,
+        )
+        for (index, design, workload, dense, _key), sparse in zip(
+            analysed, sparses
         ):
-            if isinstance(dense_outcome, ReproError):
-                outcomes[index] = (None, dense_outcome)
+            if isinstance(sparse, ReproError):
+                outcomes[index] = (None, sparse)
                 continue
-            dense, dense_key = dense_outcome
-            dense_entries.append((index, design, workload, dense, dense_key))
-
-        analyses: list
-        try:
-            analyses = self._sparse_analysis_mixed(
-                [
-                    (dense, design.safs, dense_key)
-                    for _i, design, _w, dense, dense_key in dense_entries
-                ]
-            )
-        except ReproError:
-            # A failure inside the stacked flush cannot be attributed
-            # to one job; re-run the sparse stage serially so the error
-            # lands on exactly the job(s) that caused it.
-            analyses = []
-            for _i, design, _w, dense, dense_key in dense_entries:
-                try:
-                    analyses.append(
-                        self._sparse_analysis_keyed(
-                            dense, design.safs, dense_key
-                        )
-                    )
-                except ReproError as exc:
-                    analyses.append(exc)
-
-        for entry, analysis in zip(dense_entries, analyses):
-            index, design, workload, dense, _dense_key = entry
-            if isinstance(analysis, ReproError):
-                outcomes[index] = (None, analysis)
-                continue
-            sparse, sparse_key = analysis
             try:
                 result = self._finish_evaluation(
-                    design, workload, dense, sparse, sparse_key
+                    design, workload, dense, *sparse
                 )
             except ReproError as exc:
                 outcomes[index] = (None, exc)
@@ -2468,8 +2188,6 @@ class Evaluator:
         dense = result.dense
         if dense is None or dense.mapping is None:
             return
-        from repro.dataflow.nest_analysis import dense_analysis_key
-
         dense_key = CachedHashKey(
             dense_analysis_key(workload, design.arch, dense.mapping)
         )
@@ -2668,14 +2386,10 @@ def _workload_content_key(workload: Workload) -> tuple | None:
     """Content key of one workload — einsum plus every tensor's density
     model — or ``None`` when any density model is uncacheable. Used to
     dedupe identical network layers before fan-out."""
-    ensure_output_density(workload)
-    density_keys = []
-    for tensor in workload.einsum.tensors:
-        key = workload.density_of(tensor.name).cache_key()
-        if key is None:
-            return None
-        density_keys.append((tensor.name, key))
-    return (workload.einsum.cache_key(), tuple(density_keys))
+    densities = density_keys(workload)
+    if densities is None:
+        return None
+    return (workload.einsum.cache_key(), densities)
 
 
 def persistent_state_key(design: Design, workloads: Sequence[Workload]) -> str | None:
@@ -2783,6 +2497,48 @@ def _contiguous_chunks(items: list, parts: int) -> list[list]:
     return chunks
 
 
+def _serial_lookups(
+    stage: StageCache | None, keys: Sequence
+) -> tuple[dict[int, object], list[int], dict[int, list[int]]]:
+    """Look a batch of ``keys`` up in ``stage`` with the accounting a
+    serial get-or-compute loop would produce (``stage`` is ``None``
+    only when every key is).
+
+    Returns ``(hits, misses, followers)``: ``hits`` maps positions to
+    cached values; ``misses`` lists the positions to compute — keyless
+    ones and the first occurrence of each missing key; ``followers``
+    maps such a first occurrence to the later positions sharing its
+    key, which count as hits because the serial loop would have
+    installed the first occurrence by then. (The LRU refresh of those
+    hits is subsumed by the caller's put of the first occurrence.)
+    """
+    hits: dict[int, object] = {}
+    misses: list[int] = []
+    followers: dict[int, list[int]] = {}
+    first_by_key: dict = {}
+    for position, key in enumerate(keys):
+        if key is None:
+            misses.append(position)
+        elif key in stage:  # peek: accounting handled per branch
+            hits[position] = stage.get(key)  # counts the hit
+        elif key in first_by_key:
+            stage.hits += 1
+            followers.setdefault(first_by_key[key], []).append(position)
+        else:
+            first_by_key[key] = position
+            stage.misses += 1  # the serial get-before-compute miss
+            misses.append(position)
+    return hits, misses, followers
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the :class:`ReproError` it raised."""
+    try:
+        return fn(*args)
+    except ReproError as exc:
+        return exc
+
+
 def _search_range_worker(payload):
     """Search one candidate index range against the installed
     fan-out state (:data:`_WORKER_SHARED`).
@@ -2816,26 +2572,3 @@ def _evaluate_range_worker(payload):
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
     return [evaluator._evaluate(*job) for job in shared["jobs"][start:stop]]
-
-
-def _search_chunk_worker(payload):
-    """Legacy self-contained chunk worker (state rides in the payload);
-    kept for external callers — the engine now ships
-    :func:`_search_range_worker` payloads instead."""
-    evaluator, design, workload, chunk, objective, offset = payload
-    evaluator = _bind_worker_cache(evaluator)
-    if evaluator.search_strategy == "batched":
-        return evaluator._search_candidates_batched(
-            design, workload, chunk, objective, offset=offset
-        )
-    return evaluator._search_candidates(
-        design, workload, chunk, objective, offset=offset
-    )
-
-
-def _evaluate_chunk_worker(payload):
-    """Legacy self-contained chunk worker; see
-    :func:`_search_chunk_worker`."""
-    evaluator, jobs = payload
-    evaluator = _bind_worker_cache(evaluator)
-    return [evaluator._evaluate(*job) for job in jobs]

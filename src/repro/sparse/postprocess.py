@@ -96,6 +96,21 @@ def ensure_output_density(workload: Workload) -> None:
     )
 
 
+def density_keys(workload: Workload) -> tuple | None:
+    """``(tensor name, density content key)`` for every tensor of the
+    workload, or ``None`` when any density model is uncacheable.
+    Derives the output density first (idempotent) so it participates.
+    """
+    ensure_output_density(workload)
+    keys = []
+    for tensor in workload.einsum.tensors:
+        key = workload.density_of(tensor.name).cache_key()
+        if key is None:
+            return None
+        keys.append((tensor.name, key))
+    return tuple(keys)
+
+
 def sparse_analysis_key(
     dense: DenseTraffic, safs: SAFSpec, dense_key: tuple | None = None
 ) -> tuple | None:
@@ -105,22 +120,16 @@ def sparse_analysis_key(
     content (einsum, architecture, mapping), the SAF specification, and
     every tensor's density model, so the key is the triple of their
     content keys. Returns ``None`` — uncacheable — when any density
-    model does not expose a content key. Derives the output density
-    first (idempotent) so it participates in the key. Callers that
-    already hold the dense content key (the engine's dense stage
-    returns it) pass it as ``dense_key`` to skip recomputing it.
+    model does not expose a content key. Callers that already hold the
+    dense content key (the engine's dense stage returns it) pass it as
+    ``dense_key`` to skip recomputing it.
     """
-    workload = dense.workload
-    ensure_output_density(workload)
-    density_keys = []
-    for tensor in workload.einsum.tensors:
-        key = workload.density_of(tensor.name).cache_key()
-        if key is None:
-            return None
-        density_keys.append((tensor.name, key))
+    densities = density_keys(dense.workload)
+    if densities is None:
+        return None
     if dense_key is None:
         dense_key = CachedHashKey(
-            dense_analysis_key(workload, dense.arch, dense.mapping)
+            dense_analysis_key(dense.workload, dense.arch, dense.mapping)
         )
     elif not isinstance(dense_key, CachedHashKey):
         dense_key = CachedHashKey(dense_key)
@@ -129,7 +138,7 @@ def sparse_analysis_key(
     # every one of those hashes then reuses the dense key's cached
     # digest instead of re-walking the deep (einsum, arch, mapping)
     # triple.
-    return (dense_key, safs.cache_key(), tuple(density_keys))
+    return (dense_key, safs.cache_key(), densities)
 
 
 class _LevelFormatInfo:

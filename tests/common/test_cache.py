@@ -10,7 +10,6 @@ from repro.common.cache import (
     DEFAULT_STAGE_SIZES,
     PERSISTENT_SCHEMA_VERSION,
     AnalysisCache,
-    DenseAnalysisCache,
     PersistentCache,
     StageCache,
     global_cache,
@@ -87,10 +86,11 @@ class TestAnalysisCache:
         assert cache.stage("sparse") is sparse  # same instance
         assert cache.stage("custom").maxsize > 0
 
-    def test_dense_stage_is_specialised(self):
+    def test_dense_stage_is_a_plain_stage(self):
         cache = AnalysisCache()
-        assert isinstance(cache.dense, DenseAnalysisCache)
+        assert type(cache.dense) is StageCache
         assert cache.dense is cache.stage("dense")
+        assert cache.dense.name == "dense"
 
     def test_stage_size_overrides(self):
         cache = AnalysisCache(stage_sizes={"dense": 2, "sparse": 3})

@@ -11,6 +11,9 @@ search blocks.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Design, SAFSpec, Session, Workload, matmul
@@ -521,3 +524,22 @@ class TestSessionKnobs:
                 SearchJob(design, workload, strategy="annealing")
             )
             assert isinstance(handle.exception(), SpecError)
+
+
+class TestSearchMemory:
+    def test_search_cache_is_freed_by_refcount(self):
+        """A finished search leaves no reference cycle through the
+        cache. With the prefilter off, block candidates fail the full
+        validity check, and their captured errors must not tie the
+        Session's cache to the search's frames."""
+        design, workload = _exhaustive_case()
+        gc.disable()
+        try:
+            session = Session(prefilter_capacity=False)
+            result = session.search(design, workload, budget=BUDGET)
+            assert result.best_or_raise() is not None
+            cache = weakref.ref(session.cache)
+            del session, result
+            assert cache() is None
+        finally:
+            gc.enable()

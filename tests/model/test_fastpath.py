@@ -13,12 +13,11 @@ import pytest
 
 from repro import Design, Evaluator, SAFSpec, Workload, matmul
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
-from repro.common.cache import AnalysisCache
+from repro.common.cache import AnalysisCache, StageCache
 from repro.common.errors import ValidationError
 from repro.dataflow.nest_analysis import dense_analysis_key
 from repro.designs import codesign
 from repro.mapping.mapspace import Mapper, MapspaceConstraints
-from repro.model.engine import DenseAnalysisCache
 from repro.sparse.formats import CoordinatePayload, FormatRank, FormatSpec
 from repro.sparse.saf import SAFKind, double_sided, gate_compute, skip_compute
 
@@ -73,10 +72,10 @@ def assert_results_equal(a, b) -> None:
         assert record.writes == other.writes
 
 
-class TestDenseAnalysisCache:
+class TestDenseStageCache:
     def test_hit_reuses_analysis_across_saf_variants(self):
         evaluator = Evaluator(search_budget=12)
-        cache = evaluator.dense_cache
+        cache = evaluator.cache.dense
         workload = dse_workload()
         arch = dse_arch()
         mapping = None
@@ -105,7 +104,7 @@ class TestDenseAnalysisCache:
             second = warm.search_mappings(design, Workload.uniform(
                 matmul(64, 64, 64), {"A": 0.2, "B": 0.2}
             ))
-            assert warm.dense_cache.hits > 0
+            assert warm.cache.dense.hits > 0
             assert_results_equal(uncached, first)
             assert_results_equal(uncached, second)
 
@@ -122,7 +121,7 @@ class TestDenseAnalysisCache:
         )
         first = evaluator.evaluate(design, sparse_wl)
         second = evaluator.evaluate(design, dense_wl)
-        assert evaluator.dense_cache.hits >= 1
+        assert evaluator.cache.dense.hits >= 1
         cold = Evaluator(cache=None)
         assert_results_equal(second, cold.evaluate(design, dense_wl))
         # Sparser workload must do strictly less effectual compute.
@@ -141,7 +140,7 @@ class TestDenseAnalysisCache:
 
     def test_rejects_bad_maxsize(self):
         with pytest.raises(ValueError):
-            DenseAnalysisCache(maxsize=0)
+            StageCache(maxsize=0, name="dense")
 
 
 class TestCapacityPrefilter:

@@ -203,7 +203,7 @@ class TestSparseStageCache:
         evaluator = Evaluator()
         first = evaluator.evaluate(design, workload)
         second = evaluator.evaluate(design, workload)
-        assert evaluator.sparse_cache.hits >= 1
+        assert evaluator.cache.sparse.hits >= 1
         # The cached SparseTraffic is returned as-is.
         assert first.sparse is second.sparse
         cold = Evaluator(cache=None).evaluate(design, workload)
@@ -225,7 +225,7 @@ class TestSparseStageCache:
                         codesign.build_design(dataflow, saf),
                         workload_for(density),
                     )
-        stats = evaluator.sparse_cache.stats()
+        stats = evaluator.cache.sparse.stats()
         assert stats["hits"] >= stats["misses"]
 
 
