@@ -49,7 +49,7 @@ from repro.common.errors import (
     ValidationError,
     WorkerLostError,
 )
-from repro.mapping.mapspace import Mapper, sampled_candidates_key
+from repro.mapping.mapspace import sampled_candidates_key
 from repro.model.engine import SearchOutcome
 from repro.search.frontier import ParetoFrontier
 from repro.search.objective import resolve_objective
@@ -83,11 +83,13 @@ class SearchPlan:
 def plan_search(evaluator, job: SearchJob) -> SearchPlan:
     """Materialise the search's full unpruned candidate stream.
 
-    Exactly the single-host planning rules: explicit candidates pass
-    through; an exhaustively enumerable mapspace (``size <= budget *
-    4``) scans the full factorization enumeration; anything else scans
-    the seeded sample stream (via the ``"candidates"`` memo stage when
-    caching is on, so a warm coordinator plans without re-sampling).
+    Exactly the single-host planning rules (the engine's
+    ``Evaluator._search_mode``): explicit candidates pass through; an
+    exhaustively enumerable mapspace
+    (:func:`~repro.model.engine.exhaustive_mapspace`) scans the full
+    factorization enumeration; anything else scans the seeded sample
+    stream (via the ``"candidates"`` memo stage when caching is on, so
+    a warm coordinator plans without re-sampling).
     The evaluator's ``search_budget`` / ``search_seed`` are taken as
     already effective — the Session folds per-job overrides in before
     calling.
@@ -100,43 +102,31 @@ def plan_search(evaluator, job: SearchJob) -> SearchPlan:
     spaces are fine: evolution degenerates to the batched scan there,
     matching the engine).
     """
-    strategy = job.strategy or evaluator.search_strategy
-    if strategy not in ("serial", "batched", "evolutionary"):
-        raise SpecError(
-            f"unknown search strategy {strategy!r}; "
-            "expected 'serial', 'batched', or 'evolutionary'"
-        )
+    strategy, mode, mapper = evaluator._search_mode(
+        job.design, job.workload, job.candidates, job.strategy
+    )
     budget = evaluator.search_budget
     seed = evaluator.search_seed
-    if job.candidates is not None:
-        if strategy == "evolutionary":
-            raise SpecError(
-                "strategy='evolutionary' breeds candidates from the "
-                "design's mapspace constraints; explicit candidates fix "
-                "the population — scan them with 'serial' or 'batched'"
-            )
-        return SearchPlan(list(job.candidates), "explicit", budget, seed)
-    mapper = Mapper(
-        job.workload.einsum, job.design.arch, job.design.constraints
-    )
-    space = mapper.mapspace_size_estimate()
-    if space <= budget * 4:
+    if mode == "explicit":
+        stream = job.candidates
+    elif mode == "exhaustive":
         # A fresh mapper holds no witnesses, so this enumeration is the
         # unpruned stream every shard replays.
-        return SearchPlan(
-            list(mapper.enumerate_mappings()), "exhaustive", budget, seed
-        )
-    if strategy == "evolutionary":
+        stream = mapper.enumerate_mappings()
+    elif strategy == "evolutionary":
         raise SpecError(
             "strategy='evolutionary' cannot shard: breeding is a "
             "sequential feedback loop over generations, not a "
             "deterministic candidate stream — run it single-host, or "
             "shard the 'batched' scan"
         )
-    stream = evaluator._sampled_candidates(job.design, job.workload, mapper)
-    if stream is None:
-        stream = list(mapper.sample_mappings(budget, seed=seed))
-    return SearchPlan(list(stream), "sampled", budget, seed)
+    else:
+        stream = evaluator._sampled_candidates(
+            job.design, job.workload, mapper
+        )
+        if stream is None:
+            stream = mapper.sample_mappings(budget, seed=seed)
+    return SearchPlan(list(stream), mode, budget, seed)
 
 
 def _stream_key(job: SearchJob, plan: SearchPlan) -> str:

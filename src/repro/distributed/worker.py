@@ -1,13 +1,14 @@
 """Worker-side shard scan for distributed search.
 
-:func:`run_shard` executes one :class:`~repro.api.jobs.SearchShardJob`:
-it rebuilds the search's deterministic unpruned candidate stream,
-*replays* the prefix ``[0, start)`` through the exact bookkeeping of
-the single-host batched scan — witness-withheld candidates consume no
-stream index, prefilter-rejected candidates do, monotone overflows
-register witnesses — without evaluating anything, then scans ``[start,
-stop)`` with the same bookkeeping plus block evaluation of prefilter
-survivors through the engine's stacked pipeline.
+:func:`run_shard` executes one :class:`~repro.api.jobs.SearchShardJob`
+with the engine's blocked scan (:meth:`Evaluator._scan
+<repro.model.engine.Evaluator._scan>`) — the very loop the single-host
+batched strategy runs: it rebuilds the search's deterministic unpruned
+candidate stream, *replays* the prefix ``[0, start)`` with the scan's
+bookkeeping only — witness-withheld candidates consume no stream index,
+prefilter-rejected candidates do, monotone overflows register
+witnesses — then scans ``[start, stop)`` with the same bookkeeping plus
+block evaluation of prefilter survivors.
 
 Why this is bit-identical to the single-host scan (the proof the
 tests enforce):
@@ -40,7 +41,8 @@ tests enforce):
 Witness exchange is therefore purely an accelerator: it lets shard
 ``k`` skip replaying work shards ``< k`` already did, and lets a
 reassigned shard resume from the dead worker's last reported state,
-with the merged result provably unchanged either way.
+with the merged result provably unchanged either way. The engine's
+process-pool search runs the same scan per shard without a board.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from repro.mapping.mapspace import (
     Mapper,
     sampled_candidates_key,
 )
+from repro.model.engine import ScanState, exhaustive_mapspace
 from repro.model.result import SearchShardResult
-from repro.search.frontier import ParetoFrontier
-from repro.search.objective import resolve_objective
 
 from .plan import WitnessBoard, WitnessSnapshot
 from .store import StreamStore, stream_store_for
@@ -102,14 +103,13 @@ def resolve_stream(
 
     design, workload = job.design, job.workload
     mapper = Mapper(workload.einsum, design.arch, design.constraints)
-    space = mapper.mapspace_size_estimate()
-    exhaustive = space <= job.budget * 4
+    exhaustive = exhaustive_mapspace(mapper, job.budget)
     if exhaustive != (job.mode == "exhaustive"):
         raise SpecError(
             f"shard job declares mode={job.mode!r} but this worker's "
-            f"mapspace estimate ({space}) vs budget ({job.budget}) "
-            "implies the opposite — coordinator/worker config or "
-            "version skew"
+            f"mapspace estimate ({mapper.mapspace_size_estimate()}) vs "
+            f"budget ({job.budget}) implies the opposite — "
+            "coordinator/worker config or version skew"
         )
 
     stream = None
@@ -155,8 +155,10 @@ def run_shard(
     incremental state dicts (position, snapshot, best-so-far) after
     every chunk; the serve daemon turns these into progress envelopes
     and the coordinator forwards the embedded snapshots to the other
-    workers. ``store`` defaults to the evaluator's persistent tier's
-    stream sibling.
+    workers. Snapshots are only built when one of the two is given.
+    ``store`` defaults to the evaluator's persistent tier's stream
+    sibling. The gating (``check_capacity``, ``prefilter``) comes from
+    the job.
     """
     if not 0 <= job.start <= job.stop <= job.total:
         raise SpecError(
@@ -165,51 +167,25 @@ def run_shard(
         )
     if store is None:
         store = stream_store_for(evaluator.persistent)
-    objective = resolve_objective(job.objective)
     stream, mapper = resolve_stream(evaluator, job, store=store)
-    batch_size = max(1, job.batch_size or evaluator.search_batch_size)
-    prefilter = job.prefilter and job.check_capacity
-    blocked = prefilter and evaluator.prefilter_vectorized and mapper is not None
+    seeds = (
+        [] if job.snapshot is None
+        else [WitnessSnapshot.from_dict(job.snapshot)]
+    )
 
-    frontier = ParetoFrontier(axes=objective.axes)
-    memos: dict = {}
-    best = None
-    position = 0
-    index = -1
-    if mapper is None:
-        # Explicit candidate streams have no witness bookkeeping: every
-        # drawn candidate takes an index whether or not the prefilter
-        # rejects it, so the prefix state is closed-form — jump to it.
-        position = job.start
-        index = job.start - 1
-    evaluated = withheld = rejected = 0
-    fast_forwards = 0
-    block: list = []
+    def _fast_forward(position: int) -> WitnessSnapshot | None:
+        if seeds:  # the coordinator's seed snapshot comes first
+            return seeds.pop()
+        if board is None:
+            return None
+        return board.best_before(job.start, after=position)
 
-    def _apply(snapshot: WitnessSnapshot) -> None:
-        nonlocal position, index, fast_forwards
-        position = snapshot.position
-        index = snapshot.index
-        mapper.import_witnesses(snapshot.witnesses)
-        fast_forwards += 1
-
-    if (
-        mapper is not None
-        and job.snapshot is not None
-    ):
-        seed_snap = WitnessSnapshot.from_dict(job.snapshot)
-        if 0 < seed_snap.position <= job.start:
-            _apply(seed_snap)
-
-    def _state() -> WitnessSnapshot:
-        return WitnessSnapshot(
-            position=position,
-            index=index,
+    def _report(state: ScanState) -> None:
+        snapshot = WitnessSnapshot(
+            position=state.position,
+            index=state.index,
             witnesses=mapper.export_witnesses() if mapper else {},
         )
-
-    def _report() -> None:
-        snapshot = _state()
         if board is not None:
             board.post(snapshot)
         if progress is not None:
@@ -218,91 +194,41 @@ def run_shard(
                     "search": job.search_id,
                     "shard": job.shard_id,
                     "snapshot": snapshot.to_dict(),
-                    "evaluated": evaluated,
-                    "withheld": withheld,
-                    "rejected": rejected,
-                    "best_score": None if best is None else best[0],
-                    "best_index": None if best is None else best[1],
-                    "frontier_size": len(frontier),
+                    "withheld": state.withheld,
+                    "rejected": state.rejected,
+                    **state.summary(),
                 }
             )
 
-    design, workload = job.design, job.workload
-    stop = job.stop
-    while position < stop:
-        if board is not None and mapper is not None and position < job.start:
-            jump = board.best_before(job.start, after=position)
-            if jump is not None:
-                _apply(jump)
-                continue
-        chunk_end = min(position + batch_size, stop)
-        drawn = stream[position:chunk_end]
-        rejects = (
-            evaluator._prefilter_block(design, workload, drawn)
-            if blocked
-            else None
-        )
-        for offset, mapping in enumerate(drawn):
-            if mapper is not None and mapper.mapping_dominated(mapping):
-                mapper.pruned_candidates += 1
-                withheld += 1
-                continue
-            index += 1
-            if prefilter:
-                if rejects is not None:
-                    reject = rejects[offset]
-                    if reject is not None:
-                        rejected += 1
-                        if mapper is not None and reject.monotone:
-                            mapper.register_overflow(
-                                reject.level, reject.witness_extents()
-                            )
-                        continue
-                else:
-                    overflow = evaluator._capacity_overflow(
-                        design, workload, mapping
-                    )
-                    if overflow is not None:
-                        rejected += 1
-                        if mapper is not None and overflow.monotone:
-                            mapper.register_overflow(
-                                overflow.level, overflow.dim_extents
-                            )
-                        continue
-            if position + offset >= job.start:
-                block.append((index, mapping))
-        position = chunk_end
-        if len(block) >= batch_size or (block and position >= stop):
-            best = evaluator._evaluate_block(
-                design, workload, block, objective, best,
-                memos=memos, frontier=frontier,
-            )
-            evaluated += len(block)
-            block = []
-        _report()
-
-    if block:  # pragma: no cover - flushed above when position >= stop
-        best = evaluator._evaluate_block(
-            design, workload, block, objective, best,
-            memos=memos, frontier=frontier,
-        )
-        evaluated += len(block)
-        _report()
-
+    state = evaluator._scan(
+        job.design,
+        job.workload,
+        stream,
+        job.objective,
+        mapper=mapper,
+        batch_size=job.batch_size or evaluator.search_batch_size,
+        prefilter=job.prefilter and job.check_capacity,
+        start=job.start,
+        stop=job.stop,
+        fast_forward=_fast_forward,
+        on_chunk=(
+            _report if board is not None or progress is not None else None
+        ),
+    )
     return SearchShardResult(
         shard_id=job.shard_id,
         start=job.start,
         stop=job.stop,
-        position_end=position,
-        index_end=index,
-        evaluated=evaluated,
-        withheld=withheld,
-        rejected=rejected,
-        frontier=frontier,
+        position_end=state.position,
+        index_end=state.index,
+        evaluated=state.evaluated,
+        withheld=state.withheld,
+        rejected=state.rejected,
+        frontier=state.frontier,
         witnesses=mapper.export_witnesses() if mapper is not None else {},
         results={
             point.index: point.result
-            for point in frontier
+            for point in state.frontier
             if point.result is not None
         },
     )

@@ -48,14 +48,18 @@ and over with different SAF configurations:
   (``register_overflow``) so whole factorization subtrees dominated by
   the failing tile shape are pruned instead of being rejected one by
   one.
-* batch/parallel APIs — :meth:`Evaluator.evaluate_many` and
-  ``search_mappings(..., parallel=N)`` fan work out over a process
-  pool in deterministic contiguous chunks; results (including search
-  tie-breaking) are identical to the serial order. Worker processes
-  start *warm*: the parent ships its hottest cache entries (dense,
-  sparse, and the process-global tile-format stage) through the pool
-  initializer. Parallel mode requires picklable designs/workloads/
-  objectives (module-level functions, not lambdas).
+* batch/parallel APIs — :meth:`Evaluator.evaluate_many` fans jobs
+  out over a process pool in deterministic contiguous ranges
+  (:func:`repro.distributed.plan_shards`), and a batched search with
+  ``parallel=N`` becomes ``N`` shards of its candidate stream, each
+  scanned in a pool worker by the one blocked scan
+  (:meth:`Evaluator._scan`) with a fresh mapper replaying the shard's
+  prefix — the distributed shard protocol run locally. Results
+  (including search tie-breaking) are identical to the serial order.
+  Worker processes start *warm*: the parent ships its hottest cache
+  entries (dense, sparse, and the process-global tile-format stage)
+  through the pool initializer. Parallel mode requires picklable
+  designs/workloads/objectives (module-level functions, not lambdas).
 * one batched path — :meth:`Evaluator._evaluate_batch` runs a list of
   jobs stage by stage: one stacked dense pass, one stacked sparse flush
   per walk context, then the micro tail per job, with per-job results,
@@ -226,6 +230,10 @@ class OverflowReason:
     capacity_words: float
     monotone: bool = False
 
+    def witness_extents(self) -> dict[str, int]:
+        """The witness accessor :class:`_PrefilterReject` shares."""
+        return self.dim_extents
+
 
 class _PrefilterReject:
     """One block-prefilter rejection, with the witness held *lazily*.
@@ -234,13 +242,15 @@ class _PrefilterReject:
     in stacked arrays; most rejects never register a witness (the
     mapper already dominates them, or the overflow is not monotone), so
     the per-dimension extents dict is only materialised from the block
-    arrays on demand. ``reason()`` upgrades to a full
-    :class:`OverflowReason` — bit-identical to the scalar oracle's.
+    arrays on demand. Shares ``level`` / ``monotone`` /
+    ``witness_extents()`` with :class:`OverflowReason`, and
+    ``reason()`` upgrades to one — bit-identical to the scalar
+    oracle's.
     """
 
     __slots__ = (
         "level", "monotone", "used_words", "capacity_words",
-        "_extent_cols", "_col", "_dims", "_reason",
+        "_extent_cols", "_col", "_dims",
     )
 
     def __init__(
@@ -249,10 +259,9 @@ class _PrefilterReject:
         monotone: bool,
         used_words: float,
         capacity_words: float,
-        extent_cols: dict | None = None,
-        col: int = 0,
-        dims: tuple[str, ...] = (),
-        reason: OverflowReason | None = None,
+        extent_cols: dict,
+        col: int,
+        dims: tuple[str, ...],
     ):
         self.level = level
         self.monotone = monotone
@@ -261,31 +270,21 @@ class _PrefilterReject:
         self._extent_cols = extent_cols
         self._col = col
         self._dims = dims
-        self._reason = reason
 
     def witness_extents(self) -> dict[str, int]:
         """Per-dimension tile extents at the overflowing level."""
-        if self._reason is not None:
-            return self._reason.dim_extents
         cols = self._extent_cols
         return {d: int(cols[d][self._col]) for d in self._dims}
 
     def reason(self) -> OverflowReason:
         """The full scalar-oracle-equivalent :class:`OverflowReason`."""
-        if self._reason is None:
-            self._reason = OverflowReason(
-                level=self.level,
-                dim_extents=self.witness_extents(),
-                used_words=self.used_words,
-                capacity_words=self.capacity_words,
-                monotone=self.monotone,
-            )
-        return self._reason
-
-
-def _edp_objective(result: EvaluationResult) -> float:
-    """Default search objective (module-level so it pickles)."""
-    return result.edp
+        return OverflowReason(
+            level=self.level,
+            dim_extents=self.witness_extents(),
+            used_words=self.used_words,
+            capacity_words=self.capacity_words,
+            monotone=self.monotone,
+        )
 
 
 @dataclass
@@ -317,6 +316,44 @@ class SearchOutcome:
     @property
     def best_index(self) -> int | None:
         return self.best[1] if self.best is not None else None
+
+
+@dataclass
+class ScanState:
+    """Where a blocked mapspace scan (:meth:`Evaluator._scan`) stands.
+
+    ``position`` counts raw stream draws consumed, withheld and
+    prefilter-rejected ones included; ``index`` is the stream index of
+    the last candidate not withheld (``-1`` before any). Together with
+    the mapper's witness set they are the fold state a shard replays.
+    ``best`` is the ``(score, index, result)`` winner so far, always a
+    point of ``frontier``.
+    """
+
+    frontier: ParetoFrontier
+    position: int = 0
+    index: int = -1
+    evaluated: int = 0
+    withheld: int = 0
+    rejected: int = 0
+    best: tuple[float, int, EvaluationResult] | None = None
+
+    def summary(self) -> dict:
+        """The progress-frame fields every scan reports."""
+        best = self.best
+        return {
+            "evaluated": self.evaluated,
+            "best_score": None if best is None else best[0],
+            "best_index": None if best is None else best[1],
+            "frontier_size": len(self.frontier),
+        }
+
+
+def exhaustive_mapspace(mapper: Mapper, budget: int) -> bool:
+    """The search planning rule: a mapspace whose size estimate is
+    within ``4 * budget`` is enumerated outright; larger ones are
+    sampled."""
+    return mapper.mapspace_size_estimate() <= budget * 4
 
 
 #: Per-architecture Accelergy backends. The backend is immutable after
@@ -381,14 +418,15 @@ class Evaluator:
     actually registered.
     ``search_strategy`` / ``search_batch_size``: how the serial
     mapspace scan evaluates candidates. ``"batched"`` (the default)
-    drives the search in candidate blocks — prefilter each candidate
-    as it is drawn (feeding overflow witnesses straight back to the
-    mapper, so generation between blocks is already pruned), then push
-    every survivor of a block through **one batched evaluation**
-    (:meth:`_evaluate_batch`: stacked dense and sparse passes) instead
-    of one pipeline pass per candidate — and, on the sampled path, replays
-    the candidate stream from the ``"candidates"`` cache stage instead
-    of re-drawing it. ``"serial"`` is the per-candidate oracle (the
+    drives the search in candidate blocks (:meth:`_scan`) — draw and
+    prefilter ``search_batch_size`` candidates at a time (feeding
+    overflow witnesses straight back to the mapper, so later draws are
+    already pruned), then push every block of survivors through **one
+    batched evaluation** (:meth:`_evaluate_batch`: stacked dense and
+    sparse passes) instead of one pipeline pass per candidate — and,
+    on the sampled path, replays the candidate stream from the
+    ``"candidates"`` cache stage instead of re-drawing it.
+    ``"serial"`` is the per-candidate oracle (the
     exact historical scan); both strategies return a bit-identical
     winner — same score, same stream index, same result — because the
     stacked arithmetic is elementwise and the scan preserves candidate
@@ -417,10 +455,11 @@ class Evaluator:
     explicit key (set automatically by the first keyed call).
 
     Batch evaluation: :meth:`evaluate_many` evaluates a list of jobs,
-    and it, :meth:`search_mappings`, and :meth:`evaluate_network`
-    accept ``parallel=N`` to fan out over ``N`` worker processes in
-    deterministic contiguous chunks (results identical to serial).
-    Workers are pre-warmed with the parent's cache entries.
+    and it, :meth:`search_mappings` (batched strategy), and
+    :meth:`evaluate_network` accept ``parallel=N`` to fan out over
+    ``N`` worker processes in deterministic contiguous ranges (results
+    identical to serial). Workers are pre-warmed with the parent's
+    cache entries.
     """
 
     check_capacity: bool = True
@@ -749,27 +788,29 @@ class Evaluator:
                 for mapping in mappings
             ]
         return [
-            None if reject is None else reject.reason()
+            reject.reason() if isinstance(reject, _PrefilterReject)
+            else reject
             for reject in self._prefilter_block(design, workload, mappings)
         ]
 
     def _prefilter_block(
         self, design: Design, workload: Workload, mappings: Sequence[Mapping]
-    ) -> list["_PrefilterReject | None"]:
+    ) -> list[_PrefilterReject | OverflowReason | None]:
         """Vectorized capacity prefilter over one block of candidates.
 
-        Returns one :class:`_PrefilterReject` (``None`` = survivor) per
-        mapping, matching :meth:`_capacity_overflow` per candidate
-        bit for bit. Candidates are grouped by keep structure (level
-        names + keep sets — uniform across any one mapper stream) so
-        each group's occupancy bounds evaluate as stacked numpy
-        reductions; groups the stacked path cannot handle exactly
-        (single candidates, extents near the int64 range, capacities
-        beyond float64 integer precision) fall back to the scalar
-        oracle, whose Python-int arithmetic is exact.
+        Returns one reject (``None`` = survivor) per mapping, matching
+        :meth:`_capacity_overflow` per candidate bit for bit.
+        Candidates are grouped by keep structure (level names + keep
+        sets — uniform across any one mapper stream) so each group's
+        occupancy bounds evaluate as stacked numpy reductions; groups
+        the stacked path cannot handle exactly (single candidates,
+        extents near the int64 range, capacities beyond float64 integer
+        precision) fall back to the scalar oracle, whose Python-int
+        arithmetic is exact and whose :class:`OverflowReason` serves as
+        the reject.
         """
         ensure_output_density(workload)
-        results: list[_PrefilterReject | None] = [None] * len(mappings)
+        results: list = [None] * len(mappings)
         groups: dict[tuple, list[int]] = {}
         for i, mapping in enumerate(mappings):
             key = tuple(
@@ -785,21 +826,12 @@ class Evaluator:
                 design, workload, [mappings[i] for i in indices]
             )
             if rejects is None:
-                for i in indices:
-                    reason = self._capacity_overflow(
-                        design, workload, mappings[i]
-                    )
-                    if reason is not None:
-                        results[i] = _PrefilterReject(
-                            level=reason.level,
-                            monotone=reason.monotone,
-                            used_words=reason.used_words,
-                            capacity_words=reason.capacity_words,
-                            reason=reason,
-                        )
-            else:
-                for i, reject in zip(indices, rejects):
-                    results[i] = reject
+                rejects = [
+                    self._capacity_overflow(design, workload, mappings[i])
+                    for i in indices
+                ]
+            for i, reject in zip(indices, rejects):
+                results[i] = reject
         return results
 
     def _prefilter_group(
@@ -979,110 +1011,76 @@ class Evaluator:
         tie-break exactly.
 
         Uses the design's constraints with the built-in mapper unless
-        explicit ``candidates`` are supplied. ``parallel=N``
-        distributes the candidate list over ``N`` worker processes
-        (deterministic: winner and frontier match the serial scan;
-        requires picklable design/workload/objective).
-
+        explicit ``candidates`` are supplied (:meth:`_search_mode`).
         ``strategy`` / ``batch_size`` override the evaluator's
         ``search_strategy`` / ``search_batch_size`` for this search
-        (see the class docstring); the serial and batched strategies
-        return bit-identical winners, and ``"evolutionary"`` breeds
-        candidates from the design's mapspace (see
-        :meth:`_search_evolutionary`; explicit ``candidates`` are
-        rejected there, and generations run in-process, so
-        ``parallel`` does not apply).
+        (see the class docstring). ``parallel=N`` applies to the
+        batched strategy only: :meth:`_search_parallel` scans ``N``
+        shards of the stream in a process pool, with winner and
+        frontier identical to the in-process scan (requires a
+        picklable design/workload/objective).
 
-        ``progress`` (when given) is invoked after every evaluated
-        block on the in-process batched path with a dict carrying
-        ``evaluated`` / ``best_score`` / ``best_index`` /
-        ``frontier_size`` — the feed behind streaming search progress
-        (CLI ``search -v``, serve progress envelopes). Purely
-        observational: the scan never reads anything back from it.
-
-        In the mapper-driven path, capacity-prefilter overflows are fed
-        back to the mapper as dominance witnesses, pruning factorization
-        subtrees while the candidate stream is being generated — the
-        batched strategy prefilters each candidate as it is drawn, so
-        witnesses registered inside a block already prune the
-        generation of the next block. (The parallel path materialises
-        candidates up front, so feedback does not apply there.)
+        ``progress`` (when given) is invoked after every drawn chunk of
+        the in-process batched scan with :meth:`ScanState.summary` —
+        the feed behind streaming search progress (CLI ``search -v``,
+        serve progress envelopes). Purely observational: the scan never
+        reads anything back from it.
         """
         objective = resolve_objective(objective)
-        strategy = strategy or self.search_strategy
-        if strategy not in ("serial", "batched", "evolutionary"):
-            raise SpecError(
-                f"unknown search strategy {strategy!r}; "
-                "expected 'serial', 'batched', or 'evolutionary'"
-            )
+        strategy, mode, mapper = self._search_mode(
+            design, workload, candidates, strategy
+        )
         if batch_size is None:
             batch_size = self.search_batch_size
-        evolutionary = strategy == "evolutionary"
-        if evolutionary and candidates is not None:
-            raise SpecError(
-                "strategy='evolutionary' breeds candidates from the "
-                "design's mapspace constraints; explicit candidates fix "
-                "the population — scan them with 'serial' or 'batched'"
-            )
         # The strategy alone decides the scan: batch_size=1 still runs
-        # the batched machinery (candidate-stream memo, witness replay)
-        # with single-candidate flushes, and the forced scalar sparse
-        # oracle only degenerates the stacked flush to per-candidate
-        # scalar arithmetic inside analyze_sparse_batch — neither
-        # silently falls back to the serial scan.
-        batched = strategy == "batched"
-        frontier = ParetoFrontier(axes=objective.axes)
-        mapper: Mapper | None = None
-        replayed = False
-        if candidates is None:
-            mapper = Mapper(workload.einsum, design.arch, design.constraints)
-            space = mapper.mapspace_size_estimate()
-            if space <= self.search_budget * 4:
-                # Exhaustively enumerable: every strategy scans the
-                # whole space, so evolutionary breeding would only
-                # re-propose known genomes — it degenerates to the
-                # batched scan (which is also what makes the three
-                # strategies' frontiers provably agree here).
-                candidates = mapper.enumerate_mappings()
-                if evolutionary:
-                    evolutionary = False
-                    batched = True
-            elif evolutionary:
-                pass  # the evolutionary loop seeds and breeds itself
-            else:
-                stream = (
-                    self._sampled_candidates(design, workload, mapper)
-                    if batched
-                    else None
+        # the batched scan (candidate-stream memo, witness replay) with
+        # single-candidate blocks, and the forced scalar oracles only
+        # degenerate its stacked passes to per-candidate arithmetic.
+        scan = strategy
+        if mode == "exhaustive":
+            candidates = mapper.enumerate_mappings()
+            # Every strategy scans the whole space, so breeding would
+            # only re-propose known genomes: evolution degenerates to
+            # the batched scan (which is also what makes the three
+            # strategies' frontiers provably agree here).
+            if scan == "evolutionary":
+                scan = "batched"
+        elif mode == "sampled" and scan != "evolutionary":
+            # The batched scan replays the memoised stream.
+            candidates = (
+                self._sampled_candidates(design, workload, mapper)
+                if scan == "batched"
+                else None
+            )
+            if candidates is None:
+                candidates = mapper.sample_mappings(
+                    self.search_budget, seed=self.search_seed
                 )
-                if stream is not None:
-                    candidates = stream
-                    replayed = True
-                else:
-                    candidates = mapper.sample_mappings(
-                        self.search_budget, seed=self.search_seed
-                    )
-        if evolutionary:
+        frontier = ParetoFrontier(axes=objective.axes)
+        if scan == "evolutionary":
             self._search_evolutionary(
                 design, workload, objective, mapper, frontier,
                 batch_size=batch_size,
             )
-        elif parallel > 1:
-            self._search_parallel(
-                design, workload, list(candidates), objective, parallel,
-                batch_size=batch_size, strategy=strategy,
-                frontier=frontier,
-            )
-        elif batched:
-            self._search_candidates_batched(
-                design, workload, candidates, objective,
-                mapper=mapper, batch_size=batch_size, replayed=replayed,
-                frontier=frontier, progress=progress,
-            )
-        else:
+        elif scan == "serial":
             self._search_candidates(
                 design, workload, candidates, objective, mapper=mapper,
                 frontier=frontier,
+            )
+        elif parallel > 1 and len(candidates := list(candidates)) > 1:
+            self._search_parallel(
+                design, workload, candidates, objective, parallel,
+                batch_size, mapper, frontier,
+            )
+        else:  # a stream of at most one candidate has no fan-out
+            self._scan(
+                design, workload, candidates, objective,
+                mapper=mapper, frontier=frontier, batch_size=batch_size,
+                on_chunk=(
+                    None
+                    if progress is None
+                    else lambda state: progress(state.summary())
+                ),
             )
         winner = frontier.best()
         best = (
@@ -1096,6 +1094,39 @@ class Evaluator:
             frontier=frontier,
             best=best,
         )
+
+    def _search_mode(
+        self,
+        design: Design,
+        workload: Workload,
+        candidates: Iterable[Mapping] | None,
+        strategy: str | None,
+    ) -> tuple[str, str, Mapper | None]:
+        """Validate a search request and pick its candidate stream:
+        ``(strategy, mode, mapper)``, where ``mode`` is ``"explicit"``
+        (caller's ``candidates``, no mapper), ``"exhaustive"`` or
+        ``"sampled"`` (:func:`exhaustive_mapspace`; fresh mapper). The
+        sharded planner (:func:`repro.distributed.plan_search`) plans
+        through here too."""
+        strategy = strategy or self.search_strategy
+        if strategy not in ("serial", "batched", "evolutionary"):
+            raise SpecError(
+                f"unknown search strategy {strategy!r}; "
+                "expected 'serial', 'batched', or 'evolutionary'"
+            )
+        if candidates is not None:
+            if strategy == "evolutionary":
+                raise SpecError(
+                    "strategy='evolutionary' breeds candidates from the "
+                    "design's mapspace constraints; explicit candidates "
+                    "fix the population — scan them with 'serial' or "
+                    "'batched'"
+                )
+            return strategy, "explicit", None
+        mapper = Mapper(workload.einsum, design.arch, design.constraints)
+        if exhaustive_mapspace(mapper, self.search_budget):
+            return strategy, "exhaustive", mapper
+        return strategy, "sampled", mapper
 
     def _sampled_candidates(
         self, design: Design, workload: Workload, mapper: Mapper
@@ -1169,159 +1200,130 @@ class Evaluator:
                 best = (score, offset + index, result)
         return best
 
-    def _search_candidates_batched(
+    def _scan(
         self,
         design: Design,
         workload: Workload,
         candidates: Iterable[Mapping],
         objective,
-        offset: int = 0,
+        *,
         mapper: Mapper | None = None,
-        batch_size: int | None = None,
-        replayed: bool = False,
         frontier: ParetoFrontier | None = None,
-        progress: Callable[[dict], None] | None = None,
-    ) -> tuple[float, int, EvaluationResult] | None:
-        """Blocked scan returning the same ``(score, global_index,
-        result)`` winner as :meth:`_search_candidates`.
+        batch_size: int | None = None,
+        prefilter: bool | None = None,
+        start: int = 0,
+        stop: int | None = None,
+        fast_forward: Callable[[int], object] | None = None,
+        on_chunk: Callable[[ScanState], None] | None = None,
+    ) -> ScanState:
+        """The one blocked mapspace scan: the batched strategy, the
+        pool workers of a parallel search, and every distributed shard
+        (:func:`repro.distributed.run_shard`) run it.
 
-        The scan mirrors the serial oracle step for step — candidates
-        are drawn one at a time, witness-withheld candidates never get
-        a stream index, prefilter overflows register witnesses
-        *immediately* (so generation of later candidates, including the
-        next block's, is already pruned) — but evaluation of prefilter
-        survivors is deferred: each full block runs through one stacked
-        batch (:meth:`_evaluate_block`) instead of one pipeline pass per
-        candidate. Deferral is sound because
-        evaluation never feeds anything back to the stream; scores are
-        bit-identical because the stacked arithmetic is elementwise and
-        the in-order ``score < best`` comparison reproduces the serial
-        first-strictly-better tie-break exactly.
+        ``candidates`` (a live mapper generator or a materialised
+        stream) is drawn ``batch_size`` at a time, and each chunk gets
+        the serial oracle's bookkeeping (:meth:`_search_candidates`)
+        in stream order. A draw dominated by a ``mapper`` witness is
+        withheld and takes no index (:meth:`Mapper.mapping_dominated`
+        withholds exactly what a live generator would have); every
+        other draw takes the next index and meets the capacity
+        prefilter — stacked per chunk (:meth:`_prefilter_block`) or
+        scalar per draw, as ``prefilter_vectorized`` says — whose
+        monotone rejects register witnesses at once. Survivors at
+        positions ``>= start`` are evaluated in blocks of at least
+        ``batch_size`` through :meth:`_evaluate_block`, the last at
+        the end of the stream or at ``stop``. Evaluation never feeds
+        back into the stream, so the winner, its index and the
+        frontier are bit-identical to the serial scan.
 
-        ``replayed=True`` marks ``candidates`` as a materialised stream
-        (the ``"candidates"`` memo): the generator's yield-time witness
-        check did not run for it, so this scan applies
-        :meth:`Mapper.mapping_dominated` per candidate to withhold
-        exactly what the live generator would have — keeping stream
-        indices, and therefore tie-breaks, identical.
-
-        With ``prefilter_vectorized`` the prefilter itself runs per
-        *drawn block* (:meth:`_prefilter_block`) instead of per
-        candidate. Drawing a whole block ahead of witness registration
-        would let a live generator yield candidates the serial scan's
-        yield-time witness check would have withheld — exactly those
-        dominated by witnesses registered *inside* the current block —
-        so the scan replays :meth:`Mapper.mapping_dominated` for the
-        rest of the block once any in-block witness registers. The
-        surviving (index, mapping) stream, and with it every score and
-        tie-break, is identical to the serial scan; only the mapper's
-        pruned_subtrees/pruned_candidates *split* may shift (in-block
-        subtree prunes arrive as per-candidate withholds), never their
-        effect.
+        Positions before ``start`` get the bookkeeping only, so a
+        fresh ``mapper`` reaches the whole-stream scan's state at
+        ``start`` and survivors get their global indices; with no
+        mapper every draw takes an index and the scan jumps to
+        ``start``. While replaying, ``fast_forward(position)`` may
+        return a snapshot of that state further on (``position``,
+        ``index``, ``witnesses``; at most ``start``) to adopt.
+        ``on_chunk(state)`` runs after every drawn chunk.
         """
         objective = resolve_objective(objective)
-        if batch_size is None:
-            batch_size = self.search_batch_size
-        batch_size = max(1, batch_size)
-        prefilter = self.prefilter_capacity and self.check_capacity
-
-        def _survivors_scalar() -> Iterable[tuple[int, Mapping]]:
-            # The PR 5 scan: draw one candidate at a time, scalar
-            # prefilter, witnesses registered before the next draw.
-            index = offset - 1
-            for mapping in candidates:
-                if (
-                    replayed
-                    and mapper is not None
-                    and mapper.mapping_dominated(mapping)
-                ):
-                    mapper.pruned_candidates += 1
-                    continue
-                index += 1
-                if prefilter:
-                    overflow = self._capacity_overflow(
-                        design, workload, mapping
-                    )
-                    if overflow is not None:
-                        if mapper is not None and overflow.monotone:
-                            mapper.register_overflow(
-                                overflow.level, overflow.dim_extents
-                            )
-                        continue
-                yield index, mapping
-
-        def _survivors_blocked() -> Iterable[tuple[int, Mapping]]:
-            # Draw whole blocks and prefilter them in one stacked pass.
-            index = offset - 1
-            stream = iter(candidates)
-            while True:
-                drawn = list(islice(stream, batch_size))
-                if not drawn:
-                    return
-                rejects = self._prefilter_block(design, workload, drawn)
-                registered = False
-                for mapping, reject in zip(drawn, rejects):
-                    if (
-                        mapper is not None
-                        and (replayed or registered)
-                        and mapper.mapping_dominated(mapping)
-                    ):
-                        mapper.pruned_candidates += 1
-                        continue
-                    index += 1
-                    if reject is None:
-                        yield index, mapping
-                    elif mapper is not None and reject.monotone:
-                        mapper.register_overflow(
-                            reject.level, reject.witness_extents()
-                        )
-                        registered = True
-
-        survivors = (
-            _survivors_blocked()
-            if prefilter and self.prefilter_vectorized
-            else _survivors_scalar()
+        if frontier is None:
+            frontier = ParetoFrontier(axes=objective.axes)
+        batch_size = max(
+            1, self.search_batch_size if batch_size is None else batch_size
         )
-        # One sparse-walk memo spans the whole search: every candidate
+        if prefilter is None:
+            prefilter = self.prefilter_capacity and self.check_capacity
+        stacked = prefilter and self.prefilter_vectorized
+        state = ScanState(frontier)
+        stream = iter(candidates)
+        if mapper is None:
+            state.position, state.index = start, start - 1
+            stream = islice(stream, start, None)
+        # One sparse-walk memo spans the whole scan: every candidate
         # shares (design, workload), so leader-keep probabilities and
         # per-tile format scalings recur across blocks.
         memos: dict = {}
-        best: tuple[float, int, EvaluationResult] | None = None
         block: list[tuple[int, Mapping]] = []
-        evaluated = 0
-
-        def _report() -> None:
-            if progress is None:
-                return
-            progress(
-                {
-                    "evaluated": evaluated,
-                    "best_score": None if best is None else best[0],
-                    "best_index": None if best is None else best[1],
-                    "frontier_size": (
-                        None if frontier is None else len(frontier)
-                    ),
-                }
+        while stop is None or state.position < stop:
+            # Only a scan with a mapper starts before ``start``.
+            if fast_forward is not None and state.position < start:
+                jump = fast_forward(state.position)
+                if jump is not None and (
+                    state.position < jump.position <= start
+                ):
+                    skip = jump.position - state.position
+                    next(islice(stream, skip, skip), None)
+                    state.position, state.index = jump.position, jump.index
+                    mapper.import_witnesses(jump.witnesses)
+                    continue
+            limit = batch_size
+            if stop is not None:
+                limit = min(limit, stop - state.position)
+            drawn = list(islice(stream, limit))
+            if not drawn and not block:
+                break
+            rejects = (
+                self._prefilter_block(design, workload, drawn)
+                if stacked
+                else None
             )
-
-        for index, mapping in survivors:
-            block.append((index, mapping))
-            if len(block) >= batch_size:
-                best = self._evaluate_block(
-                    design, workload, block, objective, best, memos=memos,
-                    frontier=frontier,
+            for offset, mapping in enumerate(drawn):
+                if mapper is not None and mapper.mapping_dominated(mapping):
+                    mapper.pruned_candidates += 1
+                    state.withheld += 1
+                    continue
+                state.index += 1
+                if rejects is not None:
+                    reject = rejects[offset]
+                elif prefilter:
+                    reject = self._capacity_overflow(
+                        design, workload, mapping
+                    )
+                else:
+                    reject = None
+                if reject is not None:
+                    state.rejected += 1
+                    if mapper is not None and reject.monotone:
+                        mapper.register_overflow(
+                            reject.level, reject.witness_extents()
+                        )
+                    continue
+                if state.position + offset >= start:
+                    block.append((state.index, mapping))
+            state.position += len(drawn)
+            done = len(drawn) < limit or state.position == stop
+            if len(block) >= batch_size or (done and block):
+                state.best = self._evaluate_block(
+                    design, workload, block, objective, state.best,
+                    memos=memos, frontier=frontier,
                 )
-                evaluated += len(block)
+                state.evaluated += len(block)
                 block = []
-                _report()
-        if block:
-            best = self._evaluate_block(
-                design, workload, block, objective, best, memos=memos,
-                frontier=frontier,
-            )
-            evaluated += len(block)
-            _report()
-        return best
+            if on_chunk is not None:
+                on_chunk(state)
+            if done:
+                break
+        return state
 
     def _evaluate_block(
         self,
@@ -1490,77 +1492,57 @@ class Evaluator:
         self,
         design: Design,
         workload: Workload,
-        candidates: list[Mapping],
-        objective,
+        stream: list[Mapping],
+        objective: Objective,
         parallel: int,
-        batch_size: int | None = None,
-        strategy: str | None = None,
-        frontier: ParetoFrontier | None = None,
-    ) -> EvaluationResult | None:
-        objective = resolve_objective(objective)
-        if frontier is None:
-            frontier = ParetoFrontier(axes=objective.axes)
-        if len(candidates) <= 1:
-            best = self._search_candidates(
-                design, workload, candidates, objective, frontier=frontier
-            )
-            return best[2] if best is not None else None
-        chunks = _contiguous_chunks(candidates, parallel)
-        worker = replace(
-            self,
-            cache=None,
-            search_strategy=strategy or self.search_strategy,
-            search_batch_size=(
-                batch_size if batch_size is not None
-                else self.search_batch_size
-            ),
-        )
-        # Zero-pickle fan-out: the read-only search state — evaluator,
-        # design, workload, the full candidate list, the objective —
-        # ships ONCE per worker through the pool initializer (inherited
-        # for free under fork, pickled once per worker under
-        # spawn/forkserver), and each task payload is just a candidate
-        # index range. The old protocol re-pickled the design and the
-        # chunk's mappings into every task.
+        batch_size: int,
+        mapper: Mapper | None,
+        frontier: ParetoFrontier,
+    ) -> None:
+        """The batched scan as ``parallel`` shards in a process pool.
+
+        ``stream`` is the full unpruned candidate stream; ``mapper``
+        (``None`` for explicit candidates) holds no witnesses yet. Each
+        pool worker scans one contiguous shard
+        (:func:`repro.distributed.plan_shards`) with :meth:`_scan` and
+        a fresh mapper replaying its prefix, as a distributed shard
+        does, and the partial frontiers fold in shard order.
+        """
+        # repro.distributed imports this module at its top.
+        from repro.distributed.plan import plan_shards
+
+        # Zero-pickle fan-out: the read-only search state ships ONCE
+        # per worker through the pool initializer, and each task
+        # payload is just a shard's ``(start, stop)`` range.
         shared = {
-            "evaluator": worker,
+            "evaluator": replace(
+                self, cache=None, search_batch_size=batch_size
+            ),
             "design": design,
             "workload": workload,
-            "candidates": candidates,
+            "candidates": stream,
             "objective": objective,
+            "witnesses": mapper is not None,
         }
-        payloads = []
-        offset = 0
-        for chunk in chunks:
-            payloads.append((offset, offset + len(chunk)))
-            offset += len(chunk)
-        # Search range workers receive explicit materialised candidate
-        # lists and never sample, so the (potentially large) candidates
-        # stage is dead weight in their warm-up payload. (Evaluate/
-        # network pools keep it: a constraints-only design makes their
-        # workers run whole searches, where replay pays off.)
+        # Shard workers never sample, so the candidates stage is dead
+        # weight in their warm-up payload. (Evaluate/network pools keep
+        # it: their workers may run whole searches.)
         partials = self._run_pool(
             _search_range_worker,
-            payloads,
+            [
+                (spec.start, spec.stop)
+                for spec in plan_shards(len(stream), parallel)
+            ],
             exclude_stages=(CANDIDATES_STAGE,),
             shared=shared,
         )
-        # Partial frontiers merge exactly (the non-dominated set of a
-        # union is the non-dominated set of the union of per-chunk
-        # non-dominated sets); folding them in chunk order keeps the
-        # first-index representative of every tied vector, so the
-        # frontier's (score, index) minimum reproduces the serial
-        # first-strictly-better tie-breaking exactly.
+        # Folding contiguous shards' frontiers in shard order is exact
+        # (see repro.distributed.coordinator.merge_shards).
         for partial in partials:
-            if partial is None:
-                continue
-            _partial_best, partial_frontier = partial
-            frontier.merge(partial_frontier)
+            frontier.merge(partial)
         winner = frontier.best()
-        if winner is None:
-            return None
-        self._absorb_result(design, workload, winner.result)
-        return winner.result
+        if winner is not None:
+            self._absorb_result(design, workload, winner.result)
 
     def _dense_analysis_batch(
         self,
@@ -1827,18 +1809,19 @@ class Evaluator:
         jobs = list(jobs)
         if parallel <= 1 or len(jobs) <= 1:
             return [self._evaluate(*job) for job in jobs]
-        chunks = _contiguous_chunks(jobs, parallel)
-        worker = replace(self, cache=None)
+        # repro.distributed imports this module at its top.
+        from repro.distributed.plan import plan_shards
+
         # Zero-pickle fan-out: jobs (designs + workloads) ship once per
         # worker via the initializer; task payloads are index ranges.
-        shared = {"evaluator": worker, "jobs": jobs}
-        payloads = []
-        offset = 0
-        for chunk in chunks:
-            payloads.append((offset, offset + len(chunk)))
-            offset += len(chunk)
+        shared = {"evaluator": replace(self, cache=None), "jobs": jobs}
         partials = self._run_pool(
-            _evaluate_range_worker, payloads, shared=shared
+            _evaluate_range_worker,
+            [
+                (spec.start, spec.stop)
+                for spec in plan_shards(len(jobs), parallel)
+            ],
+            shared=shared,
         )
         results = [result for chunk in partials for result in chunk]
         # Results were computed in workers; fold them back into the
@@ -2223,8 +2206,8 @@ class Evaluator:
         pass the default shipping cap; persistent spills pass ``None``
         for everything). ``exclude_stages`` drops whole stages from the
         payload — search pools use it for the ``candidates`` stage,
-        whose streams their workers can never read (chunk workers get
-        explicit materialised candidate lists). Returns ``None`` when
+        whose streams their workers can never read (shard workers get
+        the materialised candidate stream). Returns ``None`` when
         caching is disabled (``cache=None``), so workers honour the
         parent's setting instead of silently re-enabling their own
         caches.
@@ -2480,23 +2463,6 @@ def _bind_worker_cache(evaluator: Evaluator) -> Evaluator:
     return replace(evaluator, cache=_WORKER_CACHE)
 
 
-def _contiguous_chunks(items: list, parts: int) -> list[list]:
-    """Split ``items`` into at most ``parts`` contiguous, near-equal,
-    non-empty chunks (deterministic); an empty ``items`` yields no
-    chunks at all."""
-    if not items:
-        return []
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    chunks = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
-
-
 def _serial_lookups(
     stage: StageCache | None, keys: Sequence
 ) -> tuple[dict[int, object], list[int], dict[int, list[int]]]:
@@ -2540,29 +2506,23 @@ def _outcome(fn, *args):
 
 
 def _search_range_worker(payload):
-    """Search one candidate index range against the installed
-    fan-out state (:data:`_WORKER_SHARED`).
-
-    Returns ``(best, frontier)`` — the chunk's winner tuple and its
-    partial Pareto frontier. Both scans produce identical partials,
-    so the parallel merge is strategy-agnostic."""
+    """Scan one ``(start, stop)`` shard of the installed fan-out's
+    candidate stream (:data:`_WORKER_SHARED`) and return its partial
+    Pareto frontier. A fresh mapper replays the shard's prefix, so its
+    survivors get the global indices the in-process scan gives them."""
     start, stop = payload
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
-    chunk = shared["candidates"][start:stop]
-    objective = resolve_objective(shared["objective"])
-    frontier = ParetoFrontier(axes=objective.axes)
-    if evaluator.search_strategy == "batched":
-        best = evaluator._search_candidates_batched(
-            shared["design"], shared["workload"], chunk,
-            objective, offset=start, frontier=frontier,
-        )
-    else:
-        best = evaluator._search_candidates(
-            shared["design"], shared["workload"], chunk,
-            objective, offset=start, frontier=frontier,
-        )
-    return best, frontier
+    design, workload = shared["design"], shared["workload"]
+    mapper = (
+        Mapper(workload.einsum, design.arch, design.constraints)
+        if shared["witnesses"]
+        else None
+    )
+    return evaluator._scan(
+        design, workload, shared["candidates"], shared["objective"],
+        mapper=mapper, start=start, stop=stop,
+    ).frontier
 
 
 def _evaluate_range_worker(payload):

@@ -160,17 +160,14 @@ class TestBatchedEqualsSerial:
         )
         for batch_size in (2, 5, 7, 64):
             mapper = Mapper(einsum, arch, design.constraints)
-            batched = Evaluator(
-                search_budget=BUDGET
-            )._search_candidates_batched(
+            batched = Evaluator(search_budget=BUDGET)._scan(
                 design,
                 workload,
                 stream,
                 None,
                 mapper=mapper,
                 batch_size=batch_size,
-                replayed=True,
-            )
+            ).best
             assert batched is not None
             assert batched[0] == serial[0]
             assert batched[1] == serial[1]
@@ -190,16 +187,14 @@ class TestBatchedEqualsSerial:
             mapper=serial_mapper,
         )
         batched_mapper = Mapper(einsum, arch, design.constraints)
-        batched = Evaluator(
-            search_budget=BUDGET
-        )._search_candidates_batched(
+        batched = Evaluator(search_budget=BUDGET)._scan(
             design,
             workload,
             batched_mapper.enumerate_mappings(),
             None,
             mapper=batched_mapper,
             batch_size=4,
-        )
+        ).best
         assert serial is not None and batched is not None
         assert batched[:2] == serial[:2]
         assert batched[2].edp == serial[2].edp
@@ -265,6 +260,21 @@ class TestBatchedEqualsSerial:
             design, workload, "batched", parallel=2,
         )
         assert serial == parallel
+
+        # An exhaustive scan of 343 mappings with heavy witness traffic:
+        # pool shards must withhold witness-dominated candidates exactly
+        # as the in-process scan does, or stream indices shift
+        # (regression: the pool reported index 231 against 206).
+        design, workload = _exhaustive_case()
+        with Session(search_budget=256, parallel=2) as session:
+            pooled = session.search(design, workload)
+        with Session(search_budget=256) as session:
+            local = session.search(design, workload)
+            sharded = session.search(design, workload, shards=2)
+        for other in (pooled, sharded):
+            assert other.best_index == local.best_index
+            assert other.best_score == local.best_score
+            assert other.frontier.to_dict() == local.frontier.to_dict()
 
     def test_unknown_strategy_rejected(self):
         design, workload = _sampled_cases()[0]
@@ -422,14 +432,14 @@ class TestWitnessFeedbackAcrossBlocks:
     def test_witnesses_registered_and_counted_in_batched_path(self):
         design, workload = _exhaustive_case()
         mapper = Mapper(workload.einsum, design.arch, design.constraints)
-        best = Evaluator(search_budget=BUDGET)._search_candidates_batched(
+        best = Evaluator(search_budget=BUDGET)._scan(
             design,
             workload,
             mapper.enumerate_mappings(),
             None,
             mapper=mapper,
             batch_size=4,
-        )
+        ).best
         assert best is not None
         assert mapper.overflow_witness_count > 0
         assert mapper.pruned_subtrees + mapper.pruned_candidates > 0
@@ -450,10 +460,9 @@ class TestWitnessFeedbackAcrossBlocks:
 
         mapper = Mapper(workload.einsum, arch, None)
         evaluator = Evaluator(search_budget=40)
-        batched = evaluator._search_candidates_batched(
-            design, workload, stream, None,
-            mapper=mapper, batch_size=4, replayed=True,
-        )
+        batched = evaluator._scan(
+            design, workload, stream, None, mapper=mapper, batch_size=4,
+        ).best
         assert mapper.overflow_witness_count > 0
         assert mapper.pruned_candidates > 0
 
@@ -524,6 +533,24 @@ class TestSessionKnobs:
                 SearchJob(design, workload, strategy="annealing")
             )
             assert isinstance(handle.exception(), SpecError)
+
+    def test_progress_feed_tracks_the_scan(self):
+        """The single-host progress feed behind CLI ``search -v`` and
+        the serve daemon's progress envelopes: ``evaluated`` never
+        decreases, and the last frame describes the returned result."""
+        design, workload = _sampled_cases()[2]
+        frames: list[dict] = []
+        with Session(search_budget=BUDGET) as session:
+            result = session.search(
+                design, workload, batch_size=4, on_progress=frames.append
+            )
+        assert len(frames) > 1
+        counts = [frame["evaluated"] for frame in frames]
+        assert counts == sorted(counts)
+        last = frames[-1]
+        assert last["best_score"] == result.best_score
+        assert last["best_index"] == result.best_index
+        assert last["frontier_size"] == len(result.frontier)
 
 
 class TestSearchMemory:

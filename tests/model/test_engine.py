@@ -295,12 +295,6 @@ class TestPoolEdgeCases:
     def test_run_pool_rejects_nothing_on_empty_payloads(self):
         assert Evaluator()._run_pool(print, []) == []
 
-    def test_contiguous_chunks_empty(self):
-        from repro.model.engine import _contiguous_chunks
-
-        assert _contiguous_chunks([], 4) == []
-        assert _contiguous_chunks([1, 2, 3], 2) == [[1, 2], [3]]
-
     def test_pool_start_method_env_override(self, monkeypatch):
         from repro.model.engine import _pool_start_method
 
