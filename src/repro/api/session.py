@@ -723,7 +723,7 @@ class Session:
                 design_name=job.design.name,
                 layers=[
                     NetworkLayerResult(
-                        layer_name=getattr(layer, "name", str(layer)),
+                        layer_name=layer.name,
                         repeat=getattr(layer, "repeat", 1),
                         result=result,
                     )

@@ -125,6 +125,9 @@ def _analyze_tile_format(
     density: DensityModel,
 ) -> TileOccupancy:
     extents = fmt.group_extents(rank_extents)
+    # The memoised (type name, repr, flattened_ranks) entry per rank;
+    # its repr names the rank without rebuilding it on every call.
+    rank_keys = fmt.cache_key()
     dense_words = int(prod(extents))
     # Statistically-largest occupancy (Sec 5.4): capacity is sized for
     # mean + 3 sigma, not the absolute worst case.
@@ -156,7 +159,7 @@ def _analyze_tile_format(
         worst_metadata_bits += worst_bits
         per_rank.append(
             RankOccupancy(
-                format_name=repr(rank.format),
+                format_name=rank_keys[rank_index][1],
                 fiber_shape=fiber_shape,
                 stored_fibers=stored_fibers,
                 nonempty_elements=nonempty,

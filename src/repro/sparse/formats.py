@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.common.errors import SpecError
 
@@ -214,6 +215,11 @@ class FormatSpec:
     """
 
     ranks: list[FormatRank] = field(default_factory=list)
+    #: Lazily-computed content key; treat the spec as frozen once it
+    #: has been evaluated (the tile-format stage keys on this).
+    _cache_key: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.ranks:
@@ -229,14 +235,18 @@ class FormatSpec:
         return any(r.format.compressed for r in self.ranks)
 
     def cache_key(self) -> tuple:
-        """Hashable content key; format specs with equal keys produce
-        identical occupancy analyses (used to memoise the format
-        analyzer). Per-rank formats are identified by type and repr,
-        which encodes their bit-width parameters."""
-        return tuple(
-            (type(r.format).__name__, repr(r.format), r.flattened_ranks)
-            for r in self.ranks
-        )
+        """Hashable content key: one ``(type name, repr,
+        flattened_ranks)`` entry per rank. Format specs with equal keys
+        produce identical occupancy analyses (used to memoise the format
+        analyzer); the repr encodes a rank format's bit-width
+        parameters. Computed once and memoised: do not mutate a spec
+        after it has been evaluated."""
+        if self._cache_key is None:
+            self._cache_key = tuple(
+                (type(r.format).__name__, repr(r.format), r.flattened_ranks)
+                for r in self.ranks
+            )
+        return self._cache_key
 
     def group_extents(self, rank_extents: tuple[int, ...]) -> list[int]:
         """Collapse per-tensor-rank extents into per-format-rank extents.
@@ -321,6 +331,11 @@ def classic_format(name: str) -> FormatSpec:
     return FormatSpec(list(_CLASSIC_FORMATS[key]))
 
 
+@lru_cache(maxsize=None)
 def dense_format(num_ranks: int) -> FormatSpec:
-    """All-uncompressed format for a tensor with ``num_ranks`` ranks."""
+    """All-uncompressed format for a tensor with ``num_ranks`` ranks.
+
+    Returns one shared spec per rank count (the sparse walk asks for one
+    per dense (level, tensor) pair), so its memoised key is built once;
+    treat the result as read-only."""
     return FormatSpec([FormatRank(Uncompressed()) for _ in range(num_ranks)])

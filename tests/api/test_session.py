@@ -33,7 +33,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.model.result import NetworkResult, SearchResult
-from repro.workload.nets import alexnet
+from repro.workload.nets import NetLayer, alexnet
 from tests.io.test_yaml_spec import FULL_SPEC
 
 
@@ -410,6 +410,23 @@ class TestNetworkJobs:
         )
         assert isinstance(net, NetworkResult)
         assert len(net.layers) == 2
+
+    def test_network_result_names_layers_without_repr(self):
+        from repro.designs import eyeriss
+
+        class ReprRaisingLayer(NetLayer):
+            def __repr__(self):
+                raise AssertionError("network result built a layer repr")
+
+        layers = [
+            ReprRaisingLayer(layer.name, layer.spec, layer.repeat)
+            for layer in alexnet()[:2]
+        ]
+        with Session(check_capacity=False) as session:
+            net = session.evaluate_network(
+                eyeriss.eyeriss_design(), layers, _densities_for
+            )
+        assert [entry.layer_name for entry in net.layers] == ["conv1", "conv2"]
 
     def test_network_job_requires_densities(self):
         design = Design(

@@ -27,6 +27,7 @@ scipy_binom = scipy_stats.binom
 scipy_hypergeom = scipy_stats.hypergeom
 
 from repro.sparse.density import (
+    _SCALAR_SPAN_MAX,
     FixedStructuredDensity,
     UniformDensity,
     binom_distribution,
@@ -43,6 +44,44 @@ DRAW_FRACTIONS = [0.001, 0.1, 0.5, 1.0]
 
 def assert_close(mine: float, ref: float) -> None:
     assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12), (mine, ref)
+
+
+def _scalar_prob_empty(total: int, nnz: int, draws: int) -> float:
+    """The falling-factorial loop, one Python multiply per factor: the
+    oracle the empty-tile kernel must match bit for bit up to span 4096."""
+    if nnz <= 0 or draws <= 0:
+        return 1.0
+    if draws > total - nnz:
+        return 0.0
+    span = min(draws, nnz)
+    longer = max(draws, nnz)
+    p = 1.0
+    for i in range(span):
+        p *= (total - longer - i) / (total - i)
+    return p
+
+
+def assert_matches_loop(total: int, nnz: int, draws: int) -> None:
+    # ``__wrapped__`` bypasses the LRU cache, so every call computes.
+    mine = hypergeom_prob_empty.__wrapped__(total, nnz, draws)
+    assert type(mine) is float, type(mine)
+    assert mine.hex() == _scalar_prob_empty(total, nnz, draws).hex(), (
+        total,
+        nnz,
+        draws,
+    )
+
+
+@st.composite
+def _exact_products(draw):
+    """``(total, nnz, draws)`` with a span of 1..4096 factors and
+    ``total`` up to 2**40; either operand may be the shorter one."""
+    span = draw(st.integers(min_value=1, max_value=4096))
+    longer = draw(st.integers(min_value=span, max_value=2**40 - span))
+    total = draw(st.integers(min_value=span + longer, max_value=2**40))
+    if draw(st.booleans()):
+        return total, span, longer
+    return total, longer, span
 
 
 def _grid():
@@ -83,6 +122,43 @@ class TestHypergeomKernel:
         for total, nnz, draws in [(100, 30, 10), (64, 1, 64), (17, 17, 5)]:
             pairs = hypergeom_distribution(total, nnz, draws)
             assert math.isclose(sum(p for _, p in pairs), 1.0, rel_tol=1e-9)
+
+    @given(_exact_products())
+    @settings(max_examples=200, deadline=None)
+    def test_prob_empty_matches_scalar_loop_bit_for_bit(self, case):
+        assert_matches_loop(*case)
+
+    @pytest.mark.parametrize(
+        "span", [_SCALAR_SPAN_MAX - 1, _SCALAR_SPAN_MAX, _SCALAR_SPAN_MAX + 1, 4096]
+    )
+    @pytest.mark.parametrize("total", [2 * 4096 + 1, 10**6, 2**40])
+    def test_prob_empty_at_regime_edges(self, span, total):
+        for longer in (span, total // 2, total - span):
+            assert_matches_loop(total, span, longer)
+            assert_matches_loop(total, longer, span)
+
+    @pytest.mark.parametrize("total", [2 * 4097, 10**6, 2**40])
+    def test_prob_empty_past_exact_span_is_log_gamma(self, total):
+        for nnz, draws in [(4097, 4097), (4097, total // 2), (total // 2, 4097)]:
+            mine = hypergeom_prob_empty.__wrapped__(total, nnz, draws)
+            assert type(mine) is float
+            assert mine == hypergeom_pmf(0, total, nnz, draws)
+
+    @pytest.mark.parametrize(
+        "total,nnz,draws,expected",
+        [
+            (100, 0, 10, 1.0),
+            (100, -1, 10, 1.0),
+            (100, 10, 0, 1.0),
+            (100, 10, -3, 1.0),
+            (100, 10, 91, 0.0),
+            (2**40, 2**39, 2**39 + 1, 0.0),
+        ],
+    )
+    def test_prob_empty_early_returns(self, total, nnz, draws, expected):
+        mine = hypergeom_prob_empty.__wrapped__(total, nnz, draws)
+        assert type(mine) is float
+        assert mine == expected
 
     @given(
         total=st.integers(min_value=1, max_value=2000),

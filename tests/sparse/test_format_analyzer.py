@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from repro.common.cache import global_cache
 from repro.sparse.density import ActualDataDensity, UniformDensity
-from repro.sparse.format_analyzer import analyze_tile_format
+from repro.sparse.format_analyzer import (
+    TILE_FORMAT_STAGE,
+    analyze_tile_format,
+    clear_tile_format_cache,
+)
 from repro.sparse.formats import (
     Bitmask,
     CoordinatePayload,
     FormatRank,
     FormatSpec,
     RunLengthEncoding,
+    UncompressedOffsetPairs,
     classic_format,
     dense_format,
 )
@@ -53,6 +59,7 @@ class TestCSR:
         # Payload = expected nonzeros.
         assert math.isclose(occ.payload_words, 16.0)
         # UOP row pointers + CP column ids for each nonzero.
+        assert [r.format_name for r in occ.per_rank] == ["UOP", "CP"]
         uop, cp = occ.per_rank
         assert uop.format_name == "UOP"
         assert uop.metadata_bits >= 9  # (8+1) offsets
@@ -103,3 +110,26 @@ class TestActualDataAgreement:
             classic_format("CSR"), (4, 4), ActualDataDensity(data)
         )
         assert occ.metadata_bits_per_element() == occ.metadata_bits / 16
+
+
+class TestTileFormatMemo:
+    def test_equal_specs_built_apart_share_one_entry(self):
+        def csr_3b() -> FormatSpec:
+            return FormatSpec(
+                [
+                    FormatRank(UncompressedOffsetPairs()),
+                    FormatRank(CoordinatePayload(coord_bits=3)),
+                ]
+            )
+
+        first_spec, second_spec = csr_3b(), csr_3b()
+        assert first_spec is not second_spec and first_spec == second_spec
+        density = UniformDensity(0.3, 256)
+        clear_tile_format_cache()
+        stage = global_cache().stage(TILE_FORMAT_STAGE)
+        first = analyze_tile_format(first_spec, (16, 16), density)
+        assert (stage.hits, stage.misses) == (0, 1)
+        second = analyze_tile_format(second_spec, (16, 16), density)
+        assert (stage.hits, stage.misses) == (1, 1)
+        assert second is first
+        assert [r.format_name for r in second.per_rank] == ["UOP", "CP(3b)"]
