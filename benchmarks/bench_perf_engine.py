@@ -117,7 +117,7 @@ def _dse_search(evaluator: Evaluator) -> int:
     designs, workload = _dse_designs()
     candidates = 0
     for design in designs:
-        result = evaluator._search_mappings(design, workload)
+        result = evaluator._search_full(design, workload).best_result
         assert result is not None
         candidates += SEARCH_BUDGET
     return candidates
@@ -285,7 +285,7 @@ def test_search_batched_smoke():
     designs, workload = _dse_designs()
     warmup = Evaluator(search_budget=SEARCH_BUDGET)
     for design in designs:
-        warmup._search_mappings(design, workload, strategy="serial")
+        warmup._search_full(design, workload, strategy="serial")
 
     def timed(strategy):
         evaluator = Evaluator(search_budget=SEARCH_BUDGET)
@@ -293,9 +293,9 @@ def test_search_batched_smoke():
         t0 = time.perf_counter()
         for _ in range(1 + BATCHED_SEARCH_ROUNDS):
             for design in designs:
-                result = evaluator._search_mappings(
+                result = evaluator._search_full(
                     design, workload, strategy=strategy
-                )
+                ).best_result
                 winners.append(
                     (
                         result.cycles,
@@ -542,9 +542,9 @@ def test_search_cold_smoke():
         )
         evaluator = Evaluator(search_budget=COLD_SEARCH_BUDGET, **kwargs)
         t0 = time.perf_counter()
-        result = evaluator._search_mappings(
+        result = evaluator._search_full(
             design, workload, batch_size=COLD_SEARCH_BUDGET
-        )
+        ).best_result
         seconds = time.perf_counter() - t0
         winner = (
             result.cycles,

@@ -63,7 +63,7 @@ from repro.sparse.saf import SAFSpec
 from repro.workload.einsum import conv2d, matmul
 from repro.workload.spec import Workload
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # Evaluation façade
@@ -99,7 +99,7 @@ __all__ = [
     "MultiObjective",
     "ParetoFrontier",
     "resolve_objective",
-    # Engine (legacy entry points) and results
+    # The engine behind Session, and results
     "Evaluator",
     "EvaluationResult",
     "SearchResult",

@@ -33,6 +33,7 @@ import base64
 import pickle
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import warnings
 
@@ -168,6 +169,21 @@ def _job_envelope(data: dict, kind: str, build):
         raise SpecError(f"malformed serialized {kind}: {exc!r}") from exc
 
 
+def _wire_int(kind: str, name: str, value, *, optional: bool = True):
+    """Decode one integer knob of a ``kind`` envelope: a JSON integer
+    that is not a bool, or ``null`` where the field is ``optional``.
+    Anything else — ``"8"`` would seed a different random stream than
+    ``8`` — is a :class:`SpecError` naming the job kind and field."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        expected = "an integer or null" if optional else "an integer"
+        raise SpecError(
+            f"{kind} field {name!r} must be {expected}, got {value!r}"
+        )
+    return value
+
+
 @dataclass
 class EvaluateJob:
     """Evaluate one design on one workload.
@@ -301,6 +317,7 @@ class SearchJob:
     @classmethod
     def from_dict(cls, data: dict) -> "SearchJob":
         def build() -> "SearchJob":
+            num = partial(_wire_int, "search-job")
             candidates = data["candidates"]
             return cls(
                 design=_unpack(data["design"]),
@@ -311,12 +328,12 @@ class SearchJob:
                     if candidates is None
                     else [Mapping.from_spec(spec) for spec in candidates]
                 ),
-                parallel=data["parallel"],
-                batch_size=data["batch_size"],
+                parallel=num("parallel", data["parallel"]),
+                batch_size=num("batch_size", data["batch_size"]),
                 strategy=data["strategy"],
-                budget=data.get("budget"),
-                seed=data.get("seed"),
-                shards=data.get("shards"),
+                budget=num("budget", data.get("budget")),
+                seed=num("seed", data.get("seed")),
+                shards=num("shards", data.get("shards")),
             )
 
         return _job_envelope(data, "search-job", build)
@@ -399,20 +416,23 @@ class SearchShardJob:
     @classmethod
     def from_dict(cls, data: dict) -> "SearchShardJob":
         def build() -> "SearchShardJob":
+            num = partial(_wire_int, "search-shard-job", optional=False)
             candidates = data["candidates"]
             return cls(
                 design=_unpack(data["design"]),
                 workload=_unpack(data["workload"]),
                 objective=_objective_from_wire(data["objective"]),
                 search_id=data["search_id"],
-                shard_id=data["shard"],
-                start=data["start"],
-                stop=data["stop"],
-                total=data["total"],
+                shard_id=num("shard", data["shard"]),
+                start=num("start", data["start"]),
+                stop=num("stop", data["stop"]),
+                total=num("total", data["total"]),
                 mode=data["mode"],
-                budget=data["budget"],
-                seed=data["seed"],
-                batch_size=data["batch_size"],
+                budget=num("budget", data["budget"]),
+                seed=num("seed", data["seed"]),
+                batch_size=num(
+                    "batch_size", data["batch_size"], optional=True
+                ),
                 check_capacity=data["check_capacity"],
                 prefilter=data["prefilter"],
                 candidates=(
@@ -459,11 +479,12 @@ class NetworkJob:
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkJob":
         def build() -> "NetworkJob":
+            num = partial(_wire_int, "network-job")
             return cls(
                 design=_unpack(data["design"]),
                 layers=_unpack(data["layers"]) or [],
                 densities_for=_unpack(data["densities_for"]),
-                parallel=data["parallel"],
+                parallel=num("parallel", data["parallel"]),
             )
 
         return _job_envelope(data, "network-job", build)
@@ -503,6 +524,7 @@ class FusedJob:
     @classmethod
     def from_dict(cls, data: dict) -> "FusedJob":
         def build() -> "FusedJob":
+            num = partial(_wire_int, "fused-job")
             fused = data.get("fused")
             return cls(
                 design=_unpack(data["design"]),
@@ -511,7 +533,7 @@ class FusedJob:
                 fused=(
                     None if fused is None else FusedMapping.from_spec(fused)
                 ),
-                parallel=data.get("parallel"),
+                parallel=num("parallel", data.get("parallel")),
             )
 
         return _job_envelope(data, "fused-job", build)

@@ -64,18 +64,39 @@ from repro.model.result import (
 )
 from repro.workload.spec import Workload
 
-__all__ = ["Session", "coerce_job", "evaluate_network"]
+__all__ = [
+    "Session",
+    "coerce_job",
+    "evaluate_job",
+    "evaluate_network",
+    "search_job",
+]
 
 _UNSET = object()
+
+#: Job objects :meth:`Session.submit` runs as given.
+_JOB_TYPES = (EvaluateJob, SearchJob, NetworkJob, SearchShardJob, FusedJob)
 
 
 def coerce_job(spec, *, search: bool = False):
     """Turn any accepted spec form into a job object — the rules of
     :meth:`Session.submit`, shared with the remote client so local and
     remote submissions spell jobs identically."""
-    if isinstance(
-        spec, (EvaluateJob, SearchJob, NetworkJob, SearchShardJob, FusedJob)
+    job = _as_job(spec, search)
+    if (
+        isinstance(job, (EvaluateJob, SearchJob, SearchShardJob))
+        and job.workload is None
     ):
+        raise SpecError(
+            f"{type(job).__name__} needs a workload (a spec string/"
+            "dict/path carries its own; Python-object jobs take it "
+            "explicitly)"
+        )
+    return job
+
+
+def _as_job(spec, search: bool):
+    if isinstance(spec, _JOB_TYPES):
         if search and not isinstance(spec, SearchJob):
             raise SpecError(
                 f"search=True cannot convert a {type(spec).__name__}; "
@@ -112,6 +133,48 @@ def coerce_job(spec, *, search: bool = False):
         "job object, a (design, workload[, mapping]) tuple, or a "
         "dict / YAML string / YAML path spec"
     )
+
+
+def evaluate_job(design, workload=None, mapping=None):
+    """The job :meth:`Session.evaluate` runs for its arguments, shared
+    with the remote client like :func:`coerce_job`."""
+    if workload is not None or isinstance(design, Design):
+        return EvaluateJob(design, workload, mapping)
+    if mapping is None:
+        return coerce_job(design)
+    if isinstance(design, (dict, str, Path)):
+        # A mapping override on a spec form must not be lost: load the
+        # spec and evaluate it under the override.
+        spec_design, spec_workload = load_design(design)
+        return EvaluateJob(spec_design, spec_workload, mapping)
+    raise SpecError(
+        "a mapping override needs a Design + workload or a "
+        "dict / YAML string / YAML path spec"
+    )
+
+
+def search_job(design, workload=None, **overrides):
+    """The job :meth:`Session.search` runs for its arguments, shared
+    with the remote client like :func:`coerce_job`.
+
+    ``overrides`` are :class:`SearchJob` fields; ``None`` values keep
+    the job's own. A caller's job object is never mutated.
+    """
+    if isinstance(design, SearchJob):
+        job = design
+    elif isinstance(design, _JOB_TYPES):
+        raise SpecError(
+            f"search() cannot run a {type(design).__name__}; pass a "
+            "SearchJob, a Design + workload, or a design spec"
+        )
+    elif workload is None and not isinstance(design, Design):
+        job = coerce_job(design, search=True)
+    else:
+        job = SearchJob(design, workload)
+    overrides = {
+        name: value for name, value in overrides.items() if value is not None
+    }
+    return replace(job, **overrides) if overrides else job
 
 
 class Session:
@@ -281,16 +344,7 @@ class Session:
         results. Jobs run lazily, in bulk, on the first
         ``handle.result()`` call (or at :meth:`close`).
         """
-        job = self._coerce_job(spec, search=search)
-        if (
-            isinstance(job, (EvaluateJob, SearchJob, SearchShardJob))
-            and job.workload is None
-        ):
-            raise SpecError(
-                f"{type(job).__name__} needs a workload (a spec string/"
-                "dict/path carries its own; Python-object jobs take it "
-                "explicitly)"
-            )
+        job = coerce_job(spec, search=search)
         with self._lock:
             if self._closed:
                 raise SpecError("cannot submit to a closed Session")
@@ -302,9 +356,6 @@ class Session:
         """Queue a batch of jobs; the whole batch resolves in one
         (optionally process-pooled) pass."""
         return [self.submit(spec, search=search) for spec in specs]
-
-    def _coerce_job(self, spec, *, search: bool):
-        return coerce_job(spec, search=search)
 
     # ------------------------------------------------------------------
     # Direct (submit + resolve) conveniences
@@ -322,24 +373,7 @@ class Session:
         searched; the winning evaluation is returned (or
         :class:`MappingError` raised when nothing valid was found).
         """
-        if workload is None and not isinstance(design, Design):
-            if mapping is None:
-                handle = self.submit(design)
-            elif isinstance(design, (dict, str, Path)):
-                # A mapping override on a spec form must not be lost:
-                # load the spec and evaluate it under the override.
-                spec_design, spec_workload = load_design(design)
-                handle = self.submit(
-                    EvaluateJob(spec_design, spec_workload, mapping)
-                )
-            else:
-                raise SpecError(
-                    "a mapping override needs a Design + workload or a "
-                    "dict / YAML string / YAML path spec"
-                )
-        else:
-            handle = self.submit(EvaluateJob(design, workload, mapping))
-        result = handle.result()
+        result = self.submit(evaluate_job(design, workload, mapping)).result()
         if isinstance(result, SearchResult):
             return result.best_or_raise()
         return result
@@ -382,35 +416,19 @@ class Session:
         :class:`repro.search.Objective`, or a legacy callable; see
         ``docs/search.md``.
         """
-        if isinstance(design, SearchJob):
-            job = design
-        elif isinstance(design, (EvaluateJob, NetworkJob, FusedJob)):
-            raise SpecError(
-                f"search() cannot run a {type(design).__name__}; pass a "
-                "SearchJob, a Design + workload, or a design spec"
-            )
-        elif workload is None and not isinstance(design, Design):
-            job = self._coerce_job(design, search=True)
-        else:
-            job = SearchJob(design, workload)
-        overrides = {
-            name: value
-            for name, value in (
-                ("objective", objective),
-                ("candidates", candidates),
-                ("parallel", parallel),
-                ("batch_size", batch_size),
-                ("strategy", strategy),
-                ("budget", budget),
-                ("seed", seed),
-                ("shards", shards),
-                ("progress", on_progress),
-            )
-            if value is not None
-        }
-        if overrides:
-            # Never mutate a caller's job object; override on a copy.
-            job = replace(job, **overrides)
+        job = search_job(
+            design,
+            workload,
+            objective=objective,
+            candidates=candidates,
+            parallel=parallel,
+            batch_size=batch_size,
+            strategy=strategy,
+            budget=budget,
+            seed=seed,
+            shards=shards,
+            progress=on_progress,
+        )
         return self.submit(job).result()
 
     def evaluate_network(

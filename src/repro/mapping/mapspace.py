@@ -6,7 +6,7 @@ fixed mapping and searches the space they allow. This module provides
 the combinatorial machinery: per-dimension factorization across levels,
 permutation handling, and exhaustive or random enumeration. Picking the
 best candidate by model feedback lives in
-:meth:`repro.model.engine.Evaluator.search_mappings`.
+:meth:`repro.model.engine.Evaluator._search_full`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The Sparseloop evaluation engine (Fig. 5).
 
-``Evaluator.evaluate`` runs the three decoupled modeling steps:
+:class:`Evaluator` runs the three decoupled modeling steps:
 
 1. dataflow modeling (dense traffic from the mapping),
 2. sparse modeling (SAF filtering with statistical density models),
@@ -9,6 +9,11 @@
 A :class:`Design` bundles the architecture, the SAF specification, and
 how mappings are obtained (fixed, per-workload factory, or a mapspace
 search through :class:`~repro.mapping.mapspace.Mapper`).
+
+The public API is :class:`repro.api.Session` (or the remote
+:class:`~repro.serve.client.RemoteSession`); both reach the engine
+through its ``_``-prefixed methods (``_evaluate``, ``_search_full``,
+``_evaluate_network``, ``_evaluate_fused``, ``_evaluate_batch``).
 
 Fast-path machinery
 -------------------
@@ -33,12 +38,12 @@ and over with different SAF configurations:
   convention.
 * persistent tier — pass ``persistent=PersistentCache(...)`` (and call
   :meth:`Evaluator.warm_start` / :meth:`Evaluator.spill_cache`, or let
-  :meth:`Evaluator.evaluate_network` do both around its fan-out) to
+  :meth:`Evaluator._evaluate_network` do both around its fan-out) to
   spill cache snapshots to a versioned on-disk store so repeated CLI
   runs, sweeps, and CI jobs start warm. Snapshot identity comes from
   :func:`persistent_state_key`; worker initializers reopen the same
   store so even first-touch parallel runs warm from disk.
-* capacity pre-filter — ``search_mappings`` rejects candidates whose
+* capacity pre-filter — ``_search_full`` rejects candidates whose
   *lower-bound* tile footprint already overflows a storage level
   before running the full dense→sparse→micro pipeline. The bound is
   strictly optimistic (payload-only, statistical occupancy), so no
@@ -48,7 +53,7 @@ and over with different SAF configurations:
   (``register_overflow``) so whole factorization subtrees dominated by
   the failing tile shape are pruned instead of being rejected one by
   one.
-* batch/parallel APIs — :meth:`Evaluator.evaluate_many` fans jobs
+* batch/parallel APIs — :meth:`Evaluator._evaluate_many` fans jobs
   out over a process pool in deterministic contiguous ranges
   (:func:`repro.distributed.plan_shards`), and a batched search with
   ``parallel=N`` becomes ``N`` shards of its candidate stream, each
@@ -74,7 +79,6 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-import warnings
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -163,26 +167,6 @@ FUSED_STAGE = "fused"
 PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
     "REPRO_SCALAR_PREFILTER", ""
 ).lower() in ("", "0", "false", "no", "off")
-
-#: Entry points that already emitted their deprecation warning this
-#: process (so heavy sweeps through legacy call sites warn once, not
-#: once per evaluation). Tests reset this to re-assert the warning.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit the once-per-process deprecation warning for a legacy
-    :class:`Evaluator` entry point."""
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"Evaluator.{name}() is deprecated; use {replacement} from "
-        "repro.api instead (see docs/api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass
 class Design:
@@ -389,7 +373,7 @@ class Evaluator:
     its own cache by default. Inspect a stage through the cache itself
     (``evaluator.cache.dense``, ``evaluator.cache.sparse``, or
     ``evaluator.cache.stats()``).
-    ``prefilter_capacity``: in ``search_mappings``, cheaply reject
+    ``prefilter_capacity``: in :meth:`_search_full`, cheaply reject
     candidates whose optimistic tile footprint already overflows a
     finite storage level, skipping the full pipeline — and feed the
     overflow reason back to the mapper to prune dominated factorization
@@ -447,16 +431,16 @@ class Evaluator:
     ``persistent``: an optional
     :class:`~repro.common.cache.PersistentCache` on-disk tier.
     :meth:`warm_start` loads a snapshot into the in-memory cache and
-    :meth:`spill_cache` writes one back; :meth:`evaluate_network` does
+    :meth:`spill_cache` writes one back; :meth:`_evaluate_network` does
     both automatically, and parallel fan-outs hand the store to worker
     initializers so workers can warm from disk.
     ``persistent_key``: the snapshot identity used when
     :meth:`warm_start`/:meth:`spill_cache` are called without an
     explicit key (set automatically by the first keyed call).
 
-    Batch evaluation: :meth:`evaluate_many` evaluates a list of jobs,
-    and it, :meth:`search_mappings` (batched strategy), and
-    :meth:`evaluate_network` accept ``parallel=N`` to fan out over
+    Batch evaluation: :meth:`_evaluate_many` evaluates a list of jobs,
+    and it, :meth:`_search_full` (batched strategy), and
+    :meth:`_evaluate_network` accept ``parallel=N`` to fan out over
     ``N`` worker processes in deterministic contiguous ranges (results
     identical to serial). Workers are pre-warmed with the parent's
     cache entries.
@@ -484,21 +468,6 @@ class Evaluator:
     search_batch_size: int = 32
     evolution: EvolutionConfig | None = field(default=None, repr=False)
 
-    def evaluate(
-        self,
-        design: Design,
-        workload: Workload,
-        mapping: Mapping | None = None,
-    ) -> EvaluationResult:
-        """Deprecated entry point; use :class:`repro.api.Session`.
-
-        Delegates to the same implementation the Session submits to, so
-        results are identical; warns (once per process) to steer new
-        code at the façade.
-        """
-        _warn_deprecated("evaluate", "Session.evaluate / Session.submit")
-        return self._evaluate(design, workload, mapping)
-
     def _evaluate(
         self,
         design: Design,
@@ -518,7 +487,7 @@ class Evaluator:
                     f"design {design.name!r} has no mapping, factory, or "
                     "constraints"
                 )
-            result = self._search_mappings(design, workload)
+            result = self._search_full(design, workload).best_result
             if result is None:
                 raise MappingError(
                     f"no valid mapping found for {design.name!r} on "
@@ -950,40 +919,6 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     # Mapspace search
-
-    def search_mappings(
-        self,
-        design: Design,
-        workload: Workload,
-        objective: Callable[[EvaluationResult], float] | None = None,
-        candidates: Iterable[Mapping] | None = None,
-        parallel: int = 1,
-        batch_size: int | None = None,
-        strategy: str | None = None,
-    ) -> EvaluationResult | None:
-        """Deprecated entry point; use :meth:`repro.api.Session.search`."""
-        _warn_deprecated("search_mappings", "Session.search / SearchJob")
-        return self._search_mappings(
-            design, workload, objective, candidates, parallel,
-            batch_size=batch_size, strategy=strategy,
-        )
-
-    def _search_mappings(
-        self,
-        design: Design,
-        workload: Workload,
-        objective=None,
-        candidates: Iterable[Mapping] | None = None,
-        parallel: int = 1,
-        batch_size: int | None = None,
-        strategy: str | None = None,
-    ) -> EvaluationResult | None:
-        """Best-result shim over :meth:`_search_full` (same semantics,
-        drops the frontier/score/objective bookkeeping)."""
-        return self._search_full(
-            design, workload, objective, candidates, parallel,
-            batch_size=batch_size, strategy=strategy,
-        ).best_result
 
     def _search_full(
         self,
@@ -1782,16 +1717,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Batch evaluation
 
-    def evaluate_many(
-        self,
-        jobs: Sequence[tuple],
-        parallel: int = 1,
-    ) -> list[EvaluationResult]:
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.submit_many`."""
-        _warn_deprecated("evaluate_many", "Session.submit_many")
-        return self._evaluate_many(jobs, parallel)
-
     def _evaluate_many(
         self,
         jobs: Sequence[tuple],
@@ -1800,7 +1725,7 @@ class Evaluator:
         """Evaluate a batch of jobs, preserving order.
 
         Each job is ``(design, workload)`` or ``(design, workload,
-        mapping)`` — the same signature as :meth:`evaluate`.
+        mapping)`` — the same signature as :meth:`_evaluate`.
         ``parallel=N`` splits the batch into ``N`` deterministic
         contiguous chunks evaluated in worker processes; results are
         reassembled in job order and match the serial run exactly.
@@ -1831,19 +1756,6 @@ class Evaluator:
             self._absorb_result(job[0], job[1], result)
         return results
 
-    def evaluate_network(
-        self,
-        design: Design,
-        layers,
-        densities_for: Callable[[object], dict[str, float]],
-        parallel: int = 1,
-    ) -> list[tuple[object, EvaluationResult]]:
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.evaluate_network` (which returns a
-        serializable :class:`~repro.model.result.NetworkResult`)."""
-        _warn_deprecated("evaluate_network", "Session.evaluate_network")
-        return self._evaluate_network(design, layers, densities_for, parallel)
-
     def _evaluate_network(
         self,
         design: Design,
@@ -1859,7 +1771,7 @@ class Evaluator:
         ``densities_for(layer)`` supplies per-tensor densities. Results
         aggregate per layer; total latency/energy multiply by layer
         repeat counts. ``parallel=N`` fans the layers out over worker
-        processes via :meth:`evaluate_many`.
+        processes via :meth:`_evaluate_many`.
 
         Layers with identical content — same einsum, same densities,
         and the same mapping the design resolves for them — are
@@ -1927,19 +1839,6 @@ class Evaluator:
                 result = replace(result, workload_name=workload.name)
             paired.append((layer, result))
         return paired
-
-    def evaluate_fused(
-        self,
-        design: Design,
-        graph,
-        densities: dict[str, float] | None = None,
-        fused=None,
-        parallel: int = 1,
-    ):
-        """Deprecated entry point; use
-        :meth:`repro.api.Session.evaluate_fused`."""
-        _warn_deprecated("evaluate_fused", "Session.evaluate_fused")
-        return self._evaluate_fused(design, graph, densities, fused, parallel)
 
     def _evaluate_fused(
         self,

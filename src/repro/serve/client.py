@@ -2,12 +2,13 @@
 
 A :class:`RemoteSession` mirrors the :class:`~repro.api.Session`
 surface — ``submit`` / ``submit_many`` / ``evaluate`` / ``search`` /
-``evaluate_network`` — over one daemon connection. Submissions return
-:class:`RemoteHandle`\\ s that behave exactly like in-process
-:class:`~repro.api.jobs.JobHandle`\\ s: ``result()`` returns the same
-``schema: 1`` result objects (bit-identical payloads), ``exception()``
-returns the same :class:`~repro.common.errors.ReproError` types with
-the same messages, and both take ``timeout=``.
+``evaluate_network`` / ``evaluate_fused`` — over one daemon
+connection. Submissions return :class:`RemoteHandle`\\ s that behave
+exactly like in-process :class:`~repro.api.jobs.JobHandle`\\ s:
+``result()`` returns the same ``schema: 1`` result objects
+(bit-identical payloads), ``exception()`` returns the same
+:class:`~repro.common.errors.ReproError` types with the same messages,
+and both take ``timeout=``.
 
 A dropped connection (daemon restart, socket error) is retried once
 per wait: the client reconnects and resends every *resendable* request
@@ -34,21 +35,17 @@ import itertools
 import socket
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.api.jobs import (
     EvaluateJob,
+    FusedJob,
     NetworkJob,
-    SearchJob,
-    SearchShardJob,
     _pack,
     job_resendable,
 )
-from repro.api.session import coerce_job
+from repro.api.session import coerce_job, evaluate_job, search_job
 from repro.common.errors import ReproError, SpecError, WorkerLostError
-from repro.io.yaml_spec import load_design
-from repro.model.engine import Design
 from repro.model.result import SearchResult
 from repro.serve.protocol import (
     decode_line,
@@ -58,18 +55,6 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["connect", "RemoteSession", "RemoteHandle"]
-
-
-def _require_workload(job) -> None:
-    if (
-        isinstance(job, (EvaluateJob, SearchJob, SearchShardJob))
-        and job.workload is None
-    ):
-        raise SpecError(
-            f"{type(job).__name__} needs a workload (a spec string/"
-            "dict/path carries its own; Python-object jobs take it "
-            "explicitly)"
-        )
 
 
 def connect(address, *, timeout: float | None = 10.0) -> "RemoteSession":
@@ -392,7 +377,6 @@ class RemoteSession:
         progress frames (search/shard jobs emit them per block;
         heartbeats are filtered out)."""
         job = coerce_job(spec, search=search)
-        _require_workload(job)
         with self._lock:
             if self._closed:
                 raise SpecError("cannot submit to a closed RemoteSession")
@@ -417,8 +401,6 @@ class RemoteSession:
         ``fields`` projects every result in the batch (see
         :meth:`submit`)."""
         jobs = [coerce_job(spec, search=search) for spec in specs]
-        for job in jobs:
-            _require_workload(job)
         with self._lock:
             if self._closed:
                 raise SpecError("cannot submit to a closed RemoteSession")
@@ -439,22 +421,7 @@ class RemoteSession:
 
     def evaluate(self, design, workload=None, mapping=None):
         """Mirror of :meth:`repro.api.Session.evaluate`."""
-        if workload is None and not isinstance(design, Design):
-            if mapping is None:
-                handle = self.submit(design)
-            elif isinstance(design, (dict, str, Path)):
-                spec_design, spec_workload = load_design(design)
-                handle = self.submit(
-                    EvaluateJob(spec_design, spec_workload, mapping)
-                )
-            else:
-                raise SpecError(
-                    "a mapping override needs a Design + workload or a "
-                    "dict / YAML string / YAML path spec"
-                )
-        else:
-            handle = self.submit(EvaluateJob(design, workload, mapping))
-        result = handle.result()
+        result = self.submit(evaluate_job(design, workload, mapping)).result()
         if isinstance(result, SearchResult):
             return result.best_or_raise()
         return result
@@ -489,33 +456,18 @@ class RemoteSession:
         across its configured workers; ``on_progress`` streams
         incremental best-so-far state (see :meth:`submit`).
         """
-        if isinstance(design, SearchJob):
-            job = design
-        elif isinstance(design, (EvaluateJob, NetworkJob)):
-            raise SpecError(
-                f"search() cannot run a {type(design).__name__}; pass a "
-                "SearchJob, a Design + workload, or a design spec"
-            )
-        elif workload is None and not isinstance(design, Design):
-            job = coerce_job(design, search=True)
-        else:
-            job = SearchJob(design, workload)
-        overrides = {
-            name: value
-            for name, value in (
-                ("objective", objective),
-                ("candidates", candidates),
-                ("parallel", parallel),
-                ("batch_size", batch_size),
-                ("strategy", strategy),
-                ("budget", budget),
-                ("seed", seed),
-                ("shards", shards),
-            )
-            if value is not None
-        }
-        if overrides:
-            job = replace(job, **overrides)
+        job = search_job(
+            design,
+            workload,
+            objective=objective,
+            candidates=candidates,
+            parallel=parallel,
+            batch_size=batch_size,
+            strategy=strategy,
+            budget=budget,
+            seed=seed,
+            shards=shards,
+        )
         return self.submit(job, on_progress=on_progress).result()
 
     def evaluate_network(
@@ -531,8 +483,6 @@ class RemoteSession:
         self, design, graph, densities=None, fused=None, parallel=None
     ):
         """Mirror of :meth:`repro.api.Session.evaluate_fused`."""
-        from repro.api.jobs import FusedJob
-
         handle = self.submit(
             FusedJob(design, graph, densities, fused, parallel)
         )

@@ -15,8 +15,10 @@ import yaml
 
 from repro.api import (
     EvaluateJob,
+    FusedJob,
     NetworkJob,
     SearchJob,
+    SearchShardJob,
     Session,
     job_from_dict,
 )
@@ -25,6 +27,7 @@ from repro.common.errors import SpecError
 from repro.io.yaml_spec import load_design
 from repro.workload.nets import alexnet
 from tests.io.test_yaml_spec import FULL_SPEC
+from tests.workload.test_graph import chain_graph
 
 
 def _wire(job_dict: dict) -> dict:
@@ -164,3 +167,62 @@ class TestEnvelopeValidation:
         data["workload"] = "raw-string"
         with pytest.raises(SpecError, match="tagged pickle"):
             EvaluateJob.from_dict(data)
+
+
+def _envelope(kind: str) -> dict:
+    design, workload = load_design(FULL_SPEC)
+    job = {
+        "search-job": lambda: SearchJob(design, workload),
+        "search-shard-job": lambda: SearchShardJob(
+            design, workload, search_id="s", stop=4, total=8
+        ),
+        "network-job": lambda: NetworkJob(
+            design, alexnet()[:1], uniform_densities
+        ),
+        "fused-job": lambda: FusedJob(design, chain_graph()),
+    }[kind]()
+    return _wire(job.to_dict())
+
+
+#: Every integer knob a job envelope carries, and whether it may be
+#: ``null`` on the wire.
+WIRE_INTS = [
+    ("search-job", "parallel", True),
+    ("search-job", "batch_size", True),
+    ("search-job", "budget", True),
+    ("search-job", "seed", True),
+    ("search-job", "shards", True),
+    ("network-job", "parallel", True),
+    ("fused-job", "parallel", True),
+    ("search-shard-job", "shard", False),
+    ("search-shard-job", "start", False),
+    ("search-shard-job", "stop", False),
+    ("search-shard-job", "total", False),
+    ("search-shard-job", "budget", False),
+    ("search-shard-job", "seed", False),
+    ("search-shard-job", "batch_size", True),
+]
+
+
+class TestWireIntegers:
+    """Integer knobs decode strictly: ``"seed": "8"`` would seed a
+    different random stream than ``8``, and ``"parallel": true`` would
+    run as ``parallel=1``."""
+
+    @pytest.mark.parametrize(
+        "kind,name,nullable",
+        WIRE_INTS,
+        ids=[f"{kind}.{name}" for kind, name, _ in WIRE_INTS],
+    )
+    def test_only_integers_decode(self, kind, name, nullable):
+        data = _envelope(kind)
+        bad = ["8", True, 8.0, [8]] + ([] if nullable else [None])
+        for value in bad:
+            data[name] = value
+            with pytest.raises(SpecError, match=f"{kind} field '{name}'"):
+                job_from_dict(data)
+        data[name] = 8
+        assert job_from_dict(data).to_dict()[name] == 8
+        if nullable:
+            data[name] = None
+            assert job_from_dict(data).to_dict()[name] is None

@@ -10,8 +10,6 @@ and search/network jobs reproduce the engine exactly.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 import yaml
 
@@ -288,19 +286,17 @@ def _edp(result):
 
 
 class TestSearchJobs:
-    def test_search_matches_legacy_entry_point(self):
+    def test_search_matches_engine_search(self):
         spec = yaml.safe_load(FULL_SPEC)
         del spec["mapping"]
         spec["constraints"] = {"spatial_dims": {"Buffer": ["n"]}}
         design, workload = load_design(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Evaluator(search_budget=12).search_mappings(
-                design, workload
-            )
+        engine = Evaluator(search_budget=12)._search_full(
+            design, workload
+        ).best_result
         with Session(search_budget=12) as session:
             outcome = session.search(design, workload)
-        assert outcome.best.to_dict() == legacy.to_dict()
+        assert outcome.best.to_dict() == engine.to_dict()
         assert outcome.budget == 12 and outcome.seed == 0
 
     def test_search_with_objective_and_candidates(self):
@@ -377,27 +373,25 @@ def _densities_for(layer):
 
 
 class TestNetworkJobs:
-    def test_network_job_matches_legacy_pairs(self):
+    def test_network_job_matches_engine_pairs(self):
         from repro.designs import eyeriss
 
         design = eyeriss.eyeriss_design()
         layers = alexnet()[:3]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Evaluator(check_capacity=False).evaluate_network(
-                design, layers, _densities_for
-            )
+        engine = Evaluator(check_capacity=False)._evaluate_network(
+            design, layers, _densities_for
+        )
         with Session(check_capacity=False) as session:
             net = session.evaluate_network(design, layers, _densities_for)
         assert isinstance(net, NetworkResult)
         assert [l.layer_name for l in net.layers] == [
-            layer.name for layer, _ in legacy
+            layer.name for layer, _ in engine
         ]
-        for entry, (layer, result) in zip(net.layers, legacy):
+        for entry, (layer, result) in zip(net.layers, engine):
             assert entry.repeat == layer.repeat
             assert entry.result.to_dict() == result.to_dict()
         assert net.total_cycles == sum(
-            layer.repeat * result.cycles for layer, result in legacy
+            layer.repeat * result.cycles for layer, result in engine
         )
 
     def test_module_level_convenience(self):

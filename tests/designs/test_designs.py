@@ -9,13 +9,13 @@ density.
 
 import pytest
 
-from repro import Evaluator, Workload, matmul
+from repro import Session, Workload, matmul
 from repro.designs import codesign, dstc, eyeriss, eyeriss_v2, scnn, stc, toy
 from repro.designs.common import conv_as_gemm, split_factor
 from repro.sparse.density import FixedStructuredDensity, UniformDensity
 from repro.workload.nets import alexnet, mobilenet_v1, resnet50
 
-ev = Evaluator()
+ev = Session()
 
 
 def _mm(density_a, density_b, shape=(256, 256, 256)):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Evaluator, Workload, matmul
+from repro import Session, Workload, matmul
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.dataflow import analyze_dataflow
 from repro.mapping.mapspace import Mapper, MapspaceConstraints
@@ -136,7 +136,7 @@ def test_skipping_never_slower_gating_never_faster(scenario):
 def test_energy_monotone_in_density(da, db):
     """Denser workloads never cost less energy under skipping."""
     arch = _arch()
-    ev = Evaluator(check_capacity=False)
+    ev = Session(check_capacity=False)
     from repro.model.engine import Design
     from repro.mapping.mapping import LevelMapping, Loop, Mapping
 

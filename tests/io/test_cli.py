@@ -60,6 +60,17 @@ class TestVersion:
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
 
+    def test_installed_metadata_matches_module(self):
+        # pyproject.toml reads its version from repro.__version__, so
+        # an installed package can never report a different number.
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            installed = version("repro")
+        except PackageNotFoundError:
+            pytest.skip("repro is not installed (running from src/)")
+        assert installed == __version__
+
 
 class TestJsonOutput:
     def test_evaluate_json_round_trips(self, spec_file, capsys):

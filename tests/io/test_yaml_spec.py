@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Evaluator
+from repro import Session
 from repro.common.errors import SpecError
 from repro.io.yaml_spec import (
     _parse_format,
@@ -150,7 +150,7 @@ class TestMapping:
 class TestEndToEnd:
     def test_full_spec_evaluates(self):
         design, workload = load_design(FULL_SPEC)
-        result = Evaluator().evaluate(design, workload)
+        result = Session().evaluate(design, workload)
         assert result.cycles > 0
         assert result.energy_pj > 0
         # Skipping is active: some computes are eliminated.

@@ -183,8 +183,8 @@ class TestEngineFeedback:
         design, wl = self._search_setup()
         with_feedback = Evaluator(search_budget=64, prefilter_capacity=True)
         without = Evaluator(search_budget=64, prefilter_capacity=False)
-        a = with_feedback.search_mappings(design, wl)
-        b = without.search_mappings(design, wl)
+        a = with_feedback._search_full(design, wl).best_result
+        b = without._search_full(design, wl).best_result
         assert (a is None) == (b is None)
         if a is not None:
             assert a.cycles == b.cycles

@@ -90,9 +90,9 @@ def _exhaustive_case():
 
 
 def _winner_tuple(evaluator, design, workload, strategy, **kwargs):
-    result = evaluator._search_mappings(
+    result = evaluator._search_full(
         design, workload, strategy=strategy, **kwargs
-    )
+    ).best_result
     assert result is not None
     return (
         result.cycles,
@@ -279,7 +279,7 @@ class TestBatchedEqualsSerial:
     def test_unknown_strategy_rejected(self):
         design, workload = _sampled_cases()[0]
         with pytest.raises(SpecError):
-            Evaluator()._search_mappings(
+            Evaluator()._search_full(
                 design, workload, strategy="genetic"
             )
 
@@ -291,7 +291,7 @@ class TestCandidatesMemo:
         cases = _sampled_cases()
         evaluator = Evaluator(search_budget=BUDGET)
         for design, workload in cases:
-            evaluator._search_mappings(design, workload)
+            evaluator._search_full(design, workload)
         stage = evaluator.cache.stage(CANDIDATES_STAGE)
         stats = stage.stats()
         assert stats["entries"] == 1
@@ -350,11 +350,13 @@ class TestCandidatesMemo:
         candidates-stage replay (regression)."""
         design, workload = _sampled_cases()[0]
         evaluator = Evaluator(search_budget=BUDGET)
-        tiny = evaluator._search_mappings(design, workload, batch_size=1)
+        tiny = evaluator._search_full(
+            design, workload, batch_size=1
+        ).best_result
         assert len(evaluator.cache.stage(CANDIDATES_STAGE)) == 1
-        serial = Evaluator(search_budget=BUDGET)._search_mappings(
+        serial = Evaluator(search_budget=BUDGET)._search_full(
             design, workload, strategy="serial"
-        )
+        ).best_result
         assert tiny.cycles == serial.cycles
         assert tiny.energy_pj == serial.energy_pj
 
@@ -372,11 +374,11 @@ class TestCandidatesMemo:
         doubled = stream + stream  # every candidate appears twice
 
         batched_eval = Evaluator(search_budget=BUDGET)
-        batched_eval._search_mappings(
+        batched_eval._search_full(
             design, workload, candidates=list(doubled), batch_size=64
         )
         serial_eval = Evaluator(search_budget=BUDGET)
-        serial_eval._search_mappings(
+        serial_eval._search_full(
             design, workload, candidates=list(doubled), strategy="serial"
         )
         assert (
@@ -397,7 +399,7 @@ class TestCandidatesMemo:
         spills and evaluate/network pools, whose workers may search)."""
         design, workload = _sampled_cases()[0]
         evaluator = Evaluator(search_budget=BUDGET)
-        evaluator._search_mappings(design, workload)
+        evaluator._search_full(design, workload)
         assert CANDIDATES_STAGE in evaluator._export_cache_state(None)
         assert CANDIDATES_STAGE not in evaluator._export_cache_state(
             None, exclude_stages=(CANDIDATES_STAGE,)
@@ -408,7 +410,7 @@ class TestCandidatesMemo:
         workers, persistent tier) like any other stage."""
         design, workload = _sampled_cases()[0]
         evaluator = Evaluator(search_budget=BUDGET)
-        evaluator._search_mappings(design, workload)
+        evaluator._search_full(design, workload)
         state = evaluator._export_cache_state(per_stage_limit=None)
         assert CANDIDATES_STAGE in state
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Design, Evaluator, Workload, matmul
+from repro import Design, Evaluator, Session, Workload, matmul
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.common.errors import SpecError, ValidationError
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
@@ -45,7 +45,7 @@ def workload():
 class TestEvaluate:
     def test_fixed_mapping(self, arch, mapping, workload):
         design = Design("d", arch, SAFSpec(), mapping=mapping)
-        result = Evaluator().evaluate(design, workload)
+        result = Session().evaluate(design, workload)
         assert result.cycles > 0
         assert result.energy_pj > 0
         assert result.edp == result.cycles * result.energy_pj
@@ -58,7 +58,7 @@ class TestEvaluate:
             return mapping
 
         design = Design("d", arch, SAFSpec(), mapping_factory=factory)
-        Evaluator().evaluate(design, workload)
+        Session().evaluate(design, workload)
         assert calls == [workload.name]
 
     def test_explicit_mapping_overrides(self, arch, mapping, workload):
@@ -71,13 +71,13 @@ class TestEvaluate:
                 ),
             ]
         )
-        result = Evaluator().evaluate(design, workload, mapping=other)
+        result = Session().evaluate(design, workload, mapping=other)
         assert result.dense.mapping is other
 
     def test_no_mapping_source_raises(self, arch, workload):
         design = Design("d", arch)
         with pytest.raises(SpecError):
-            Evaluator().evaluate(design, workload)
+            Session().evaluate(design, workload)
 
     def test_capacity_check_enforced(self, workload, mapping):
         tiny = Architecture(
@@ -90,9 +90,9 @@ class TestEvaluate:
         )
         design = Design("d", tiny, SAFSpec(), mapping=mapping)
         with pytest.raises(ValidationError):
-            Evaluator().evaluate(design, workload)
+            Session().evaluate(design, workload)
         # And can be disabled.
-        result = Evaluator(check_capacity=False).evaluate(design, workload)
+        result = Session(check_capacity=False).evaluate(design, workload)
         assert not result.usage["Buffer"].fits
 
 
@@ -104,23 +104,23 @@ class TestSearch:
             SAFSpec(),
             constraints=MapspaceConstraints(),
         )
-        result = Evaluator(search_budget=24).evaluate(design, workload)
+        result = Session(search_budget=24).evaluate(design, workload)
         assert result.cycles > 0
 
     def test_search_optimizes_objective(self, arch, workload):
         design = Design("d", arch, constraints=MapspaceConstraints())
         ev = Evaluator(search_budget=24)
-        best_edp = ev.search_mappings(design, workload)
-        best_cycles = ev.search_mappings(
+        best_edp = ev._search_full(design, workload).best_result
+        best_cycles = ev._search_full(
             design, workload, objective=lambda r: r.cycles
-        )
+        ).best_result
         assert best_cycles.cycles <= best_edp.cycles
 
     def test_explicit_candidates(self, arch, workload, mapping):
         design = Design("d", arch)
-        result = Evaluator().search_mappings(
+        result = Evaluator()._search_full(
             design, workload, candidates=[mapping]
-        )
+        ).best_result
         assert result is not None
 
 
@@ -133,7 +133,7 @@ class TestNetworkEvaluation:
 
         design = Design("d", arch, SAFSpec(), mapping_factory=factory)
         layers = alexnet()[:2]
-        results = Evaluator(check_capacity=False).evaluate_network(
+        results = Evaluator(check_capacity=False)._evaluate_network(
             design, layers, lambda layer: {"I": 0.5}
         )
         assert len(results) == 2
@@ -182,7 +182,7 @@ class TestNetworkDedupe:
         design = self._design(arch, factory)
         layers = self._repeated_layers()
         evaluator = Evaluator(check_capacity=False)
-        results = evaluator.evaluate_network(
+        results = evaluator._evaluate_network(
             design, layers, lambda layer: {"A": 0.5}
         )
         assert len(results) == 4
@@ -218,12 +218,12 @@ class TestNetworkDedupe:
         design = Design("d", arch, SAFSpec(), mapping_factory=factory)
         layers = self._repeated_layers()[:2]  # identical spec + density
         evaluator = Evaluator(check_capacity=False)
-        results = evaluator.evaluate_network(
+        results = evaluator._evaluate_network(
             design, layers, lambda layer: {"A": 0.5}
         )
         assert evaluator.cache.sparse.stats()["misses"] == 2
         by_name = {r.workload_name: r for _l, r in results}
-        oracle = Evaluator(check_capacity=False, cache=None)
+        oracle = Session(check_capacity=False, cache=None)
         for layer in layers:
             workload = Workload.uniform(
                 layer.spec, {"A": 0.5}, name=layer.name
@@ -235,11 +235,11 @@ class TestNetworkDedupe:
     def test_deduped_results_are_bit_identical(self, arch):
         design = self._design(arch)
         layers = self._repeated_layers()
-        deduped = Evaluator(check_capacity=False).evaluate_network(
+        deduped = Evaluator(check_capacity=False)._evaluate_network(
             design, layers, lambda layer: {"A": 0.5}
         )
         # The oracle: evaluate every layer independently, no sharing.
-        oracle_ev = Evaluator(check_capacity=False, cache=None)
+        oracle_ev = Session(check_capacity=False, cache=None)
         for layer, result in deduped:
             workload = Workload.uniform(
                 layer.spec, {"A": 0.5}, name=layer.name
@@ -256,7 +256,7 @@ class TestNetworkDedupe:
     def test_order_and_pairing_preserved(self, arch):
         design = self._design(arch)
         layers = self._repeated_layers()
-        results = Evaluator(check_capacity=False).evaluate_network(
+        results = Evaluator(check_capacity=False)._evaluate_network(
             design, layers, lambda layer: {"A": 0.5}
         )
         assert [layer.name for layer, _ in results] == [
@@ -273,7 +273,7 @@ class TestNetworkDedupe:
         layers = self._repeated_layers()[:2]  # identical specs...
         densities = {"block_1": 0.5, "block_2": 0.25}  # ...different density
         evaluator = Evaluator(check_capacity=False)
-        evaluator.evaluate_network(
+        evaluator._evaluate_network(
             design, layers, lambda layer: {"A": densities[layer.name]}
         )
         assert evaluator.cache.sparse.stats()["misses"] == 2
@@ -281,14 +281,14 @@ class TestNetworkDedupe:
 
 class TestPoolEdgeCases:
     def test_evaluate_many_empty_parallel(self):
-        assert Evaluator().evaluate_many([], parallel=4) == []
+        assert Evaluator()._evaluate_many([], parallel=4) == []
 
     def test_search_empty_candidates_parallel(self, arch, workload):
         design = Design("d", arch)
         assert (
-            Evaluator().search_mappings(
+            Evaluator()._search_full(
                 design, workload, candidates=[], parallel=3
-            )
+            ).best_result
             is None
         )
 
@@ -313,8 +313,8 @@ class TestPoolEdgeCases:
             for d in (0.25, 0.5)
         ]
         evaluator = Evaluator()
-        expected = [evaluator.evaluate(*job) for job in jobs]
-        results = evaluator.evaluate_many(jobs, parallel=2)
+        expected = [evaluator._evaluate(*job) for job in jobs]
+        results = evaluator._evaluate_many(jobs, parallel=2)
         for got, want in zip(results, expected):
             assert got.cycles == want.cycles
             assert got.energy_pj == want.energy_pj
@@ -331,7 +331,7 @@ class TestUncachedParentWorkers:
         # Warm the process-global tile-format stage through a cached
         # evaluator first.
         design = Design("d", arch, SAFSpec(), mapping=mapping)
-        Evaluator().evaluate(design, workload)
+        Evaluator()._evaluate(design, workload)
         assert Evaluator(cache=None)._export_cache_state() is None
 
     def test_initializer_none_forces_uncached_workers(self):
@@ -372,8 +372,8 @@ class TestUncachedParentWorkers:
             for d in (0.25, 0.5, 0.75)
         ]
         serial = Evaluator(cache=None)
-        expected = [serial.evaluate(*job) for job in jobs]
-        results = Evaluator(cache=None).evaluate_many(jobs, parallel=2)
+        expected = [serial._evaluate(*job) for job in jobs]
+        results = Evaluator(cache=None)._evaluate_many(jobs, parallel=2)
         for got, want in zip(results, expected):
             assert got.cycles == want.cycles
             assert got.energy_pj == want.energy_pj
@@ -387,7 +387,7 @@ class TestResultReporting:
             SAFSpec(compute_safs=[skip_compute(["A"])]),
             mapping=mapping,
         )
-        result = Evaluator().evaluate(design, workload)
+        result = Session().evaluate(design, workload)
         text = result.summary()
         assert "cycles" in text
         assert "energy" in text
@@ -395,14 +395,14 @@ class TestResultReporting:
 
     def test_level_accessors(self, arch, mapping, workload):
         design = Design("d", arch, SAFSpec(), mapping=mapping)
-        result = Evaluator().evaluate(design, workload)
+        result = Session().evaluate(design, workload)
         assert result.level_energy("DRAM") > 0
         assert result.level_cycles("MAC") > 0
         assert result.compression_rate("Buffer", "A") == 1.0
 
     def test_energy_per_compute(self, arch, mapping, workload):
         design = Design("d", arch, SAFSpec(), mapping=mapping)
-        result = Evaluator().evaluate(design, workload)
+        result = Session().evaluate(design, workload)
         assert result.energy_per_compute == pytest.approx(
             result.energy_pj / result.actual_computes
         )

@@ -81,7 +81,7 @@ class TestDenseStageCache:
         mapping = None
         for index, safs in enumerate(dse_saf_variants()):
             design = Design(f"d{index}", arch, safs, constraints=CONSTRAINTS)
-            result = evaluator.search_mappings(design, workload)
+            result = evaluator._search_full(design, workload).best_result
             assert result is not None
             mapping = result.dense.mapping
         # Variants 2 and 3 re-walk the exact candidate list of variant 1.
@@ -99,11 +99,11 @@ class TestDenseStageCache:
             warm = Evaluator(search_budget=12)
             # Evaluate twice with the warm evaluator so the second pass
             # is served from the cache, then compare all three.
-            uncached = cold.search_mappings(design, workload)
-            first = warm.search_mappings(design, workload)
-            second = warm.search_mappings(design, Workload.uniform(
+            uncached = cold._search_full(design, workload).best_result
+            first = warm._search_full(design, workload).best_result
+            second = warm._search_full(design, Workload.uniform(
                 matmul(64, 64, 64), {"A": 0.2, "B": 0.2}
-            ))
+            )).best_result
             assert warm.cache.dense.hits > 0
             assert_results_equal(uncached, first)
             assert_results_equal(uncached, second)
@@ -119,11 +119,11 @@ class TestDenseStageCache:
         dense_wl = Workload.uniform(
             matmul(128, 128, 128), {"A": 0.3, "B": 0.3}
         )
-        first = evaluator.evaluate(design, sparse_wl)
-        second = evaluator.evaluate(design, dense_wl)
+        first = evaluator._evaluate(design, sparse_wl)
+        second = evaluator._evaluate(design, dense_wl)
         assert evaluator.cache.dense.hits >= 1
         cold = Evaluator(cache=None)
-        assert_results_equal(second, cold.evaluate(design, dense_wl))
+        assert_results_equal(second, cold._evaluate(design, dense_wl))
         # Sparser workload must do strictly less effectual compute.
         assert first.sparse.compute.actual < second.sparse.compute.actual
 
@@ -134,7 +134,7 @@ class TestDenseStageCache:
         design = codesign.build_design("ReuseABZ", "InnermostSkip")
         for m in (64, 128, 256):
             wl = Workload.uniform(matmul(m, 64, 64), {"A": 0.1, "B": 0.1})
-            evaluator.evaluate(design, wl)
+            evaluator._evaluate(design, wl)
         assert len(cache) == 2
         assert cache.misses == 3
 
@@ -152,8 +152,8 @@ class TestCapacityPrefilter:
         fast = Evaluator(search_budget=12, prefilter_capacity=True)
         slow = Evaluator(search_budget=12, prefilter_capacity=False)
         assert_results_equal(
-            fast.search_mappings(design, workload),
-            slow.search_mappings(design, workload),
+            fast._search_full(design, workload).best_result,
+            slow._search_full(design, workload).best_result,
         )
 
     def test_rejected_candidates_would_fail_validity(self):
@@ -185,10 +185,12 @@ class TestParallelSearch:
         design = Design(
             "d", dse_arch(), dse_saf_variants()[1], constraints=CONSTRAINTS
         )
-        serial = Evaluator(search_budget=16).search_mappings(design, workload)
-        parallel = Evaluator(search_budget=16).search_mappings(
+        serial = Evaluator(search_budget=16)._search_full(
+            design, workload
+        ).best_result
+        parallel = Evaluator(search_budget=16)._search_full(
             design, workload, parallel=2
-        )
+        ).best_result
         assert_results_equal(serial, parallel)
 
     def test_parallel_single_candidate_falls_back(self):
@@ -196,12 +198,12 @@ class TestParallelSearch:
         design = Design("d", dse_arch(), SAFSpec(), constraints=CONSTRAINTS)
         mapper = Mapper(workload.einsum, design.arch, CONSTRAINTS)
         candidates = list(mapper.sample_mappings(1, seed=3))
-        result = Evaluator().search_mappings(
+        result = Evaluator()._search_full(
             design, workload, candidates=candidates, parallel=4
-        )
-        expected = Evaluator().search_mappings(
+        ).best_result
+        expected = Evaluator()._search_full(
             design, workload, candidates=candidates
-        )
+        ).best_result
         if expected is None:
             assert result is None
         else:
@@ -221,22 +223,22 @@ class TestEvaluateMany:
 
     def test_matches_individual_evaluate(self):
         jobs = self.jobs()
-        batch = Evaluator().evaluate_many(jobs)
+        batch = Evaluator()._evaluate_many(jobs)
         reference = Evaluator(cache=None)
         for job, result in zip(jobs, batch):
-            assert_results_equal(result, reference.evaluate(*job))
+            assert_results_equal(result, reference._evaluate(*job))
 
     def test_parallel_matches_serial_in_order(self):
         jobs = self.jobs()
-        serial = Evaluator().evaluate_many(jobs)
-        parallel = Evaluator().evaluate_many(jobs, parallel=3)
+        serial = Evaluator()._evaluate_many(jobs)
+        parallel = Evaluator()._evaluate_many(jobs, parallel=3)
         assert len(serial) == len(parallel) == len(jobs)
         for a, b in zip(serial, parallel):
             assert a.design_name == b.design_name
             assert_results_equal(a, b)
 
     def test_empty_batch(self):
-        assert Evaluator().evaluate_many([]) == []
+        assert Evaluator()._evaluate_many([]) == []
 
 
 class TestCacheKeys:

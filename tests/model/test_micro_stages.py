@@ -74,8 +74,8 @@ class TestMicroStageAccounting:
     def test_second_evaluation_hits_all_micro_stages(self):
         design, workload = _matmul_point()
         evaluator = Evaluator()
-        first = evaluator.evaluate(design, workload)
-        second = evaluator.evaluate(design, workload)
+        first = evaluator._evaluate(design, workload)
+        second = evaluator._evaluate(design, workload)
         for name in MICRO_STAGES:
             stats = evaluator.cache.stage(name).stats()
             assert stats["misses"] == 1, (name, stats)
@@ -88,9 +88,9 @@ class TestMicroStageAccounting:
     def test_stage_results_keyed_by_sparse_content(self):
         design, workload = _matmul_point()
         evaluator = Evaluator()
-        evaluator.evaluate(design, workload)
+        evaluator._evaluate(design, workload)
         other = Workload.uniform(matmul(128, 128, 128), {"A": 0.3, "B": 0.2})
-        evaluator.evaluate(design, other)
+        evaluator._evaluate(design, other)
         for name in MICRO_STAGES:
             stats = evaluator.cache.stage(name).stats()
             assert stats["misses"] == 2, (name, stats)
@@ -99,8 +99,8 @@ class TestMicroStageAccounting:
     def test_cache_none_bypasses_micro_stages(self):
         design, workload = _matmul_point()
         evaluator = Evaluator(cache=None)
-        evaluator.evaluate(design, workload)
-        evaluator.evaluate(design, workload)  # recomputes; nothing cached
+        evaluator._evaluate(design, workload)
+        evaluator._evaluate(design, workload)  # recomputes; nothing cached
         assert evaluator.cache is None
 
     def test_uncacheable_density_opts_micro_stages_out(self):
@@ -113,8 +113,8 @@ class TestMicroStageAccounting:
             0.2, workload.einsum.tensor_size("A")
         )
         evaluator = Evaluator()
-        evaluator.evaluate(design, workload)
-        evaluator.evaluate(design, workload)
+        evaluator._evaluate(design, workload)
+        evaluator._evaluate(design, workload)
         for name in MICRO_STAGES:
             assert len(evaluator.cache.stage(name)) == 0, name
 
@@ -124,9 +124,9 @@ class TestBitIdenticalAcrossDesigns:
     def test_staged_equals_uncached(self, name, design, workload):
         staged = Evaluator(check_capacity=False)
         uncached = Evaluator(check_capacity=False, cache=None)
-        cold = staged.evaluate(design, workload)
-        warm = staged.evaluate(design, workload)  # micro stages hit
-        plain = uncached.evaluate(design, workload)
+        cold = staged._evaluate(design, workload)
+        warm = staged._evaluate(design, workload)  # micro stages hit
+        plain = uncached._evaluate(design, workload)
         assert_results_identical(cold, plain)
         assert_results_identical(warm, plain)
         for stage in MICRO_STAGES:
@@ -161,25 +161,25 @@ class TestValidityErrorReplay:
         design, workload = self._overflowing_point()
         evaluator = Evaluator()
         with pytest.raises(ValidationError) as cold:
-            evaluator.evaluate(design, workload)
+            evaluator._evaluate(design, workload)
         with pytest.raises(ValidationError) as warm:
-            evaluator.evaluate(design, workload)
+            evaluator._evaluate(design, workload)
         assert str(warm.value) == str(cold.value)
         assert evaluator.cache.stage(VALIDITY_STAGE).hits == 1
         # The uncached pipeline raises the same message too.
         with pytest.raises(ValidationError) as plain:
-            Evaluator(cache=None).evaluate(design, workload)
+            Evaluator(cache=None)._evaluate(design, workload)
         assert str(plain.value) == str(cold.value)
 
     def test_cached_usage_serves_permissive_evaluator(self):
         design, workload = self._overflowing_point()
         cache_owner = Evaluator(check_capacity=False)
-        result = cache_owner.evaluate(design, workload)
+        result = cache_owner._evaluate(design, workload)
         assert not result.usage["Buffer"].fits
         # A capacity-checking evaluator sharing the cache still raises.
         strict = Evaluator(cache=cache_owner.cache)
         with pytest.raises(ValidationError):
-            strict.evaluate(design, workload)
+            strict._evaluate(design, workload)
 
 
 class TestPersistentRoundTrip:
@@ -195,12 +195,12 @@ class TestPersistentRoundTrip:
 
         first = Evaluator(persistent=store)
         assert first.warm_start(key) == 0  # nothing stored yet
-        cold = first.evaluate(design, workload)
+        cold = first._evaluate(design, workload)
         assert first.spill_cache() is not None
 
         second = Evaluator(persistent=store)
         assert second.warm_start(key) > 0
-        warm = second.evaluate(design, workload)
+        warm = second._evaluate(design, workload)
         assert_results_identical(cold, warm)
         # Every stage of the reloaded evaluation is a pure hit.
         for name in ("dense", "sparse", *MICRO_STAGES):
@@ -224,13 +224,13 @@ class TestPersistentRoundTrip:
         store = PersistentCache(root=tmp_path)
         key = self._key(design, workload)
         first = Evaluator(persistent=store)
-        expected = first.evaluate(design, workload)
+        expected = first._evaluate(design, workload)
         first.spill_cache(key)
         store.path_for(key).write_bytes(b"not a pickle at all")
 
         second = Evaluator(persistent=store)
         assert second.warm_start(key) == 0  # corrupt snapshot discarded
-        result = second.evaluate(design, workload)
+        result = second._evaluate(design, workload)
         assert_results_identical(expected, result)
         # ...and the evaluator can spill a fresh snapshot afterwards.
         assert second.spill_cache(key) is not None
@@ -246,13 +246,13 @@ class TestPersistentRoundTrip:
         store = PersistentCache(root=tmp_path)
         key = self._key(design, workload)
         warmer = Evaluator(persistent=store)
-        warmer.evaluate(design, workload)
+        warmer._evaluate(design, workload)
         warmer.spill_cache(key)
 
         jobs = [(design, workload)] * 3
         parent = Evaluator(persistent=store, persistent_key=key)
-        results = parent.evaluate_many(jobs, parallel=2)
-        expected = Evaluator(cache=None).evaluate(design, workload)
+        results = parent._evaluate_many(jobs, parallel=2)
+        expected = Evaluator(cache=None)._evaluate(design, workload)
         for result in results:
             assert_results_identical(result, expected)
 
@@ -263,15 +263,15 @@ class TestPersistentRoundTrip:
         evaluations bit-identically."""
         design, workload = _matmul_point()
         parent = Evaluator()
-        results = parent.evaluate_many([(design, workload)] * 3, parallel=2)
+        results = parent._evaluate_many([(design, workload)] * 3, parallel=2)
         assert len(parent.cache.sparse) == 1
         for name in MICRO_STAGES:
             assert len(parent.cache.stage(name)) == 1, name
-        serial = parent.evaluate(design, workload)  # pure hits now
+        serial = parent._evaluate(design, workload)  # pure hits now
         assert parent.cache.sparse.hits >= 1
         assert_results_identical(serial, results[0])
         assert_results_identical(
-            serial, Evaluator(cache=None).evaluate(design, workload)
+            serial, Evaluator(cache=None)._evaluate(design, workload)
         )
 
     def test_evaluate_network_spills_under_its_own_content_key(
@@ -297,7 +297,7 @@ class TestPersistentRoundTrip:
 
         first = Evaluator(check_capacity=False, persistent=store)
         first.warm_start("unrelated-earlier-key")  # poisons persistent_key
-        first.evaluate_network(net_design, layers, lambda l: {"A": 0.5})
+        first._evaluate_network(net_design, layers, lambda l: {"A": 0.5})
 
         expected_key = persistent_state_key(
             net_design,
@@ -317,18 +317,18 @@ class TestPersistentRoundTrip:
         store = PersistentCache(root=tmp_path)
         key = self._key(design, workload)
         first = Evaluator(persistent=store)
-        first.evaluate(design, workload)
+        first._evaluate(design, workload)
         path = first.spill_cache(key)
         stamp = _os.stat(path).st_mtime_ns
 
         warm = Evaluator(persistent=store)
         warm.warm_start(key)
-        warm.evaluate(design, workload)  # pure hits
+        warm._evaluate(design, workload)  # pure hits
         assert warm.spill_cache(key) == path
         assert _os.stat(path).st_mtime_ns == stamp  # untouched
 
         other = Workload.uniform(matmul(128, 128, 128), {"A": 0.4, "B": 0.2})
-        warm.evaluate(design, other)  # fresh content
+        warm._evaluate(design, other)  # fresh content
         assert warm.spill_cache(key) == path
         assert _os.stat(path).st_mtime_ns != stamp  # rewritten
 
@@ -336,7 +336,7 @@ class TestPersistentRoundTrip:
         design, workload = _matmul_point()
         evaluator = Evaluator()  # no persistent store
         assert evaluator.warm_start("anything") == 0
-        evaluator.evaluate(design, workload)
+        evaluator._evaluate(design, workload)
         assert evaluator.spill_cache("anything") is None
 
     def test_cache_none_disables_persistent_warm_start(self, tmp_path):
@@ -344,7 +344,7 @@ class TestPersistentRoundTrip:
         store = PersistentCache(root=tmp_path)
         key = self._key(design, workload)
         warmer = Evaluator(persistent=store)
-        warmer.evaluate(design, workload)
+        warmer._evaluate(design, workload)
         warmer.spill_cache(key)
         disabled = Evaluator(cache=None, persistent=store)
         assert disabled.warm_start(key) == 0

@@ -198,8 +198,8 @@ class TestColdSearchBitIdentity:
         )
         fast = Evaluator(search_budget=24, **knobs)
         assert_results_equal(
-            fast._search_mappings(design, workload, batch_size=8),
-            oracle._search_mappings(design, workload, batch_size=8),
+            fast._search_full(design, workload, batch_size=8).best_result,
+            oracle._search_full(design, workload, batch_size=8).best_result,
         )
 
 
@@ -253,13 +253,15 @@ class TestZeroPicklePayloads:
 
         monkeypatch.setattr(Evaluator, "_run_pool", fake_run_pool)
         design, workload = _matmul_case(1)
-        parallel = Evaluator(search_budget=16)._search_mappings(
+        parallel = Evaluator(search_budget=16)._search_full(
             design, workload, parallel=2
-        )
+        ).best_result
         assert captured["payloads"], "pool was never invoked"
         ranges = captured["payloads"]
         total = len(captured["shared"]["candidates"])
         assert ranges[0][0] == 0 and ranges[-1][1] == total
         monkeypatch.setattr(Evaluator, "_run_pool", real_run_pool)
-        serial = Evaluator(search_budget=16)._search_mappings(design, workload)
+        serial = Evaluator(search_budget=16)._search_full(
+            design, workload
+        ).best_result
         assert_results_equal(parallel, serial)

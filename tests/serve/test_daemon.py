@@ -17,7 +17,15 @@ import pytest
 import yaml
 
 from repro import Workload, matmul
-from repro.api import EvaluateJob, NetworkJob, SearchJob, Session, connect
+from repro.api import (
+    EvaluateJob,
+    FusedJob,
+    NetworkJob,
+    SearchJob,
+    SearchShardJob,
+    Session,
+    connect,
+)
 from repro.common.errors import (
     MappingError,
     OverloadedError,
@@ -276,6 +284,30 @@ class TestErrorRoundTrips:
         with pytest.raises(ValidationError, match="overflows"):
             handle.result(timeout=60)
         assert handle.done()
+
+    @pytest.mark.parametrize("with_workload", [False, True])
+    @pytest.mark.parametrize("kind", ["FusedJob", "SearchShardJob"])
+    def test_search_rejects_other_jobs_like_in_process(
+        self, remote, kind, with_workload
+    ):
+        # Both clients build search jobs with the same code, so a job
+        # that is not a SearchJob fails identically and never reaches
+        # the daemon.
+        from tests.workload.test_graph import chain_graph
+
+        design, workload = load_design(FULL_SPEC)
+        job = {
+            "FusedJob": lambda: FusedJob(design, chain_graph()),
+            "SearchShardJob": lambda: SearchShardJob(design, workload),
+        }[kind]()
+        args = (job, workload) if with_workload else (job,)
+        with Session() as local:
+            with pytest.raises(SpecError) as local_exc:
+                local.search(*args)
+        with pytest.raises(SpecError) as remote_exc:
+            remote.search(*args)
+        assert str(remote_exc.value) == str(local_exc.value)
+        assert f"search() cannot run a {kind}" in str(remote_exc.value)
 
 
 class TestAdmissionControl:

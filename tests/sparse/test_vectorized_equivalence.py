@@ -125,8 +125,8 @@ class TestVectorizedEquivalence:
         """End to end: cycles/energy through the engine match exactly."""
         vec = Evaluator(cache=None, sparse_vectorized=True)
         scalar = Evaluator(cache=None, sparse_vectorized=False)
-        a = vec.evaluate(design, workload)
-        b = scalar.evaluate(design, workload)
+        a = vec._evaluate(design, workload)
+        b = scalar._evaluate(design, workload)
         assert a.cycles == b.cycles
         assert a.energy_pj == b.energy_pj
         assert a.edp == b.edp
@@ -201,12 +201,12 @@ class TestSparseStageCache:
     def test_hits_reuse_whole_sparse_analysis(self):
         design, workload = self._design_and_workload()
         evaluator = Evaluator()
-        first = evaluator.evaluate(design, workload)
-        second = evaluator.evaluate(design, workload)
+        first = evaluator._evaluate(design, workload)
+        second = evaluator._evaluate(design, workload)
         assert evaluator.cache.sparse.hits >= 1
         # The cached SparseTraffic is returned as-is.
         assert first.sparse is second.sparse
-        cold = Evaluator(cache=None).evaluate(design, workload)
+        cold = Evaluator(cache=None)._evaluate(design, workload)
         assert first.cycles == cold.cycles
         assert first.energy_pj == cold.energy_pj
 
@@ -221,7 +221,7 @@ class TestSparseStageCache:
         for _round in range(2):
             for density in (0.01, 0.1):
                 for dataflow, saf in codesign.ALL_COMBINATIONS:
-                    evaluator.evaluate(
+                    evaluator._evaluate(
                         codesign.build_design(dataflow, saf),
                         workload_for(density),
                     )
@@ -243,13 +243,13 @@ class TestWarmWorkersMatchColdSerial:
     def test_warm_parallel_equals_cold_serial(self):
         jobs = self._jobs()
         cold = Evaluator(cache=None)
-        expected = [cold.evaluate(*job) for job in jobs]
+        expected = [cold._evaluate(*job) for job in jobs]
 
         warm = Evaluator()
         # Warm the parent cache first so workers actually receive
         # shipped entries, then fan out.
-        warm.evaluate_many(jobs)
-        results = warm.evaluate_many(jobs, parallel=2)
+        warm._evaluate_many(jobs)
+        results = warm._evaluate_many(jobs, parallel=2)
 
         assert len(results) == len(expected)
         for got, want in zip(results, expected):
@@ -278,12 +278,14 @@ class TestWarmWorkersMatchColdSerial:
         design = Design("d", arch, SAFSpec(), constraints=constraints)
         workload = Workload.uniform(matmul(64, 64, 64), {"A": 0.2, "B": 0.2})
 
-        cold = Evaluator(cache=None, search_budget=16).search_mappings(
+        cold = Evaluator(cache=None, search_budget=16)._search_full(
             design, workload
-        )
+        ).best_result
         warm = Evaluator(search_budget=16)
-        warm.search_mappings(design, workload)  # populate parent cache
-        parallel = warm.search_mappings(design, workload, parallel=2)
+        warm._search_full(design, workload)  # populate parent cache
+        parallel = warm._search_full(
+            design, workload, parallel=2
+        ).best_result
         assert cold is not None and parallel is not None
         assert cold.cycles == parallel.cycles
         assert cold.energy_pj == parallel.energy_pj
