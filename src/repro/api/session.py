@@ -233,6 +233,19 @@ class Session:
     ):
         if parallel < 1:
             raise SpecError(f"parallel must be >= 1, got {parallel}")
+        if (
+            isinstance(search_budget, bool)
+            or not isinstance(search_budget, int)
+            or search_budget < 1
+        ):
+            raise SpecError(
+                f"search_budget must be an integer >= 1, got {search_budget!r}"
+            )
+        if isinstance(search_seed, bool) or not isinstance(search_seed, int):
+            # random.Random("8") draws a different stream than seed 8.
+            raise SpecError(
+                f"search_seed must be an integer, got {search_seed!r}"
+            )
         if isinstance(workers, int) and workers < 1:
             raise SpecError(f"workers must be >= 1, got {workers}")
         if cache is _UNSET:

@@ -105,11 +105,10 @@ class Architecture:
         return [level.name for level in self.levels]
 
     def cache_key(self) -> tuple:
-        """Canonical hashable content key over every model-relevant
+        """Canonical content key of primitives over every model-relevant
         attribute; architectures with equal keys evaluate identically.
-        Used by the engine's dense-analysis cache. Memoised on first
-        use — like every keyed spec, an architecture is frozen by
-        contract once it has been through the engine."""
+        Memoised on first use, like its digest — an architecture is
+        frozen by contract once it has been through the engine."""
         memo = getattr(self, "_cache_key", None)
         if memo is not None:
             return memo

@@ -4,10 +4,13 @@ Every stage of the evaluation pipeline — dense dataflow analysis,
 sparse post-processing, tile-format characterisation — is a pure
 function of *content*: einsum iteration spaces, architecture
 parameters, mapping schedules, SAF specifications, and density-model
-parameters. Each of those objects exposes a ``cache_key()`` canonical
-content key, so any stage result can be memoised under a tuple of the
-keys it depends on and shared across evaluations, SAF sweeps, and even
-worker processes.
+parameters. Each of those objects exposes a primitives-only
+``cache_key()``, and this module decides how content is identified:
+one 16-byte blake2b :func:`digest`, the :func:`content_digest` of a
+key's ``repr()``, and its per-spec memo :func:`spec_digest`. Every
+stage key is one digest over the joined digests of the stage's inputs,
+so a lookup hashes and compares 16 bytes, and a key means the same
+content in every process.
 
 This module provides that memo service as one subsystem instead of the
 ad-hoc per-module caches it grew out of:
@@ -27,7 +30,7 @@ ad-hoc per-module caches it grew out of:
   fan-outs, and CI jobs start warm instead of cold.
 
 Adding a new stage (e.g. micro energy/latency memoisation) takes three
-steps: derive a content key from the stage's *actual* inputs, pick a
+steps: derive a digest from the stage's *actual* inputs, pick a
 stage name and default size in :data:`DEFAULT_STAGE_SIZES`, and wrap
 the computation in ``cache.stage(name).get_or_compute(key, fn)``. See
 ``docs/caching.md`` for the key-composition rules and invalidation
@@ -52,6 +55,8 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import Any
+
+from repro.common.errors import SpecError
 
 #: Default LRU capacities per well-known stage name. Stages not listed
 #: here fall back to ``DEFAULT_STAGE_SIZE``.
@@ -83,47 +88,71 @@ DEFAULT_STAGE_SIZE = 1024
 DEFAULT_EXPORT_LIMIT = 512
 
 
-class CachedHashKey:
-    """A content-key wrapper that memoises its hash.
+def digest(data: bytes) -> bytes:
+    """The one content hash, a 16-byte blake2b: stage keys, persistent
+    snapshot and stream names, and wire interning refs derive from it."""
+    return hashlib.blake2b(data, digest_size=16).digest()
 
-    Stage keys are deep tuples (einsum + architecture + mapping + SAF
-    + density content); hashing one is not free, and an evaluation
-    consults several stages with the same key (sparse, validity,
-    latency, energy — each a get and possibly a put). Wrapping the
-    tuple once caches the hash across all of those dict operations.
 
-    Pickling ships only the underlying tuple — never the cached hash,
-    which is salted per process for strings — so exported entries stay
-    valid across workers and persistent-store reloads.
+def content_digest(key: Any) -> bytes:
+    """Digest of a primitives-only content key, whose ``repr`` is
+    injective and the same in every process."""
+    return digest(repr(key).encode())
+
+
+_PRIMITIVE_TYPES = frozenset({str, int, float, bool, bytes, type(None)})
+
+
+def _foreign_type(items: tuple) -> type | None:
+    """The type of the first leaf in ``items`` that is not a primitive
+    (subclasses of the scalar types, such as numpy floats, count)."""
+    for item in items:
+        kind = type(item)
+        if kind is tuple:
+            found = _foreign_type(item)
+            if found is not None:
+                return found
+        elif kind not in _PRIMITIVE_TYPES and not isinstance(
+            item, (str, int, float, bytes)
+        ):
+            return kind
+    return None
+
+
+def spec_digest(spec: Any) -> bytes | None:
+    """The :func:`content_digest` of ``spec.cache_key()``, memoised on
+    the spec, or ``None`` when the spec is uncacheable.
+
+    Only for specs that are frozen by contract once evaluated —
+    einsums, architectures, SAF and format specs, einsum graphs, and
+    density models. The first call checks that the key holds only
+    ``str``, ``int``, ``float``, ``bool``, ``None``, ``bytes`` and
+    tuples of them (a frozenset prints in hash-seed order, a
+    hand-written ``repr`` can collide) and raises :class:`SpecError`
+    naming the class if not.
     """
-
-    __slots__ = ("key", "_hash")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self._hash: int | None = None
-
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = self._hash = hash(self.key)
-        return value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CachedHashKey) and self.key == other.key
-
-    def __repr__(self) -> str:
-        return f"CachedHashKey({self.key!r})"
-
-    def __reduce__(self):
-        return (CachedHashKey, (self.key,))
+    memo = getattr(spec, "_content_digest", None)
+    if memo is None:
+        key = spec.cache_key()
+        if key is None:
+            return None
+        foreign = _foreign_type((key,))
+        if foreign is not None:
+            raise SpecError(
+                f"{type(spec).__name__}.cache_key() holds a "
+                f"{foreign.__name__}; content keys may hold only str, int, "
+                "float, bool, None, bytes and tuples of them"
+            )
+        memo = spec._content_digest = content_digest(key)
+    return memo
 
 
 class StageCache:
     """One content-addressed LRU memo table with hit/miss accounting.
 
-    Keys must be hashable content keys (tuples of primitives); values
-    are arbitrary analysis results treated as read-only by callers.
+    Keys are hashable content keys — the pipeline's stages use 16-byte
+    digests; values are arbitrary analysis results treated as
+    read-only by callers.
     """
 
     def __init__(self, maxsize: int = DEFAULT_STAGE_SIZE, name: str = ""):
@@ -312,10 +341,14 @@ class AnalysisCache:
 # ----------------------------------------------------------------------
 # Persistent on-disk tier
 
-#: Bump when the snapshot payload layout (not the cached *content*)
-#: changes incompatibly; older ``v<N>`` directories are then ignored
-#: and can be swept with :meth:`PersistentCache.prune_stale_versions`.
-PERSISTENT_SCHEMA_VERSION = 1
+#: Bump when the snapshot payload layout or the key scheme (not the
+#: cached *content*) changes incompatibly; older ``v<N>`` directories
+#: are then ignored, and the first write of each process sweeps them
+#: (:meth:`ObjectStore.prune_stale_versions`).
+PERSISTENT_SCHEMA_VERSION = 2
+
+#: Store roots whose stale version trees this process already swept.
+_PRUNED_ROOTS: set[Path] = set()
 
 _CODE_HASH: str | None = None
 
@@ -334,13 +367,13 @@ def repro_code_hash() -> str:
         import repro
 
         root = Path(repro.__file__).resolve().parent
-        digest = hashlib.blake2b(digest_size=16)
+        hasher = hashlib.blake2b(digest_size=16)
         for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _CODE_HASH = digest.hexdigest()
+            hasher.update(str(path.relative_to(root)).encode())
+            hasher.update(b"\0")
+            hasher.update(path.read_bytes())
+            hasher.update(b"\0")
+        _CODE_HASH = hasher.hexdigest()
     return _CODE_HASH
 
 
@@ -399,8 +432,7 @@ class ObjectStore:
         return self.root / f"v{self.version}" / self.namespace
 
     def path_for(self, key: str) -> Path:
-        digest = hashlib.blake2b(key.encode(), digest_size=16).hexdigest()
-        return self.store_dir / f"{digest}.pkl"
+        return self.store_dir / f"{digest(key.encode()).hex()}.pkl"
 
     def _validate(self, value: Any) -> bool:
         """Whether a deserialized payload is shaped as expected;
@@ -465,6 +497,9 @@ class ObjectStore:
         except BaseException:
             self._discard(Path(tmp))
             raise
+        if self.root not in _PRUNED_ROOTS:
+            _PRUNED_ROOTS.add(self.root)
+            self.prune_stale_versions()
         return path
 
     def invalidate(self, key: str | None = None) -> None:
@@ -475,9 +510,9 @@ class ObjectStore:
             shutil.rmtree(self.store_dir, ignore_errors=True)
 
     def prune_stale_versions(self) -> int:
-        """Remove object directories of other schema versions;
-        returns how many were swept."""
-        current = f"v{self.version}"
+        """Remove object directories of older schema versions; returns
+        how many were swept. Newer versions are left alone, so an older
+        install sharing the root cannot delete a newer tree."""
         swept = 0
         try:
             entries = list(self.root.iterdir())
@@ -487,8 +522,8 @@ class ObjectStore:
             if (
                 entry.is_dir()
                 and entry.name.startswith("v")
-                and entry.name != current
                 and entry.name[1:].isdigit()
+                and int(entry.name[1:]) < self.version
             ):
                 shutil.rmtree(entry, ignore_errors=True)
                 swept += 1

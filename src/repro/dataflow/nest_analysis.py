@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.spec import Architecture
-from repro.common.cache import CachedHashKey
+from repro.common.cache import digest, spec_digest
 from repro.common.errors import MappingError
 from repro.common.util import prod
 from repro.mapping.mapping import Loop, Mapping
@@ -134,8 +134,8 @@ class DenseTraffic:
 
 def dense_analysis_key(
     workload: Workload, arch: Architecture, mapping: Mapping
-) -> tuple:
-    """Content address of one dense dataflow analysis.
+) -> bytes:
+    """Content digest of one dense dataflow analysis.
 
     Dense traffic depends only on the einsum's iteration space, the
     architecture, and the mapping — *not* on tensor densities — so the
@@ -144,22 +144,17 @@ def dense_analysis_key(
     (modulo the ``workload`` back-reference), which is what lets the
     engine reuse one analysis across SAF variants of the same mapping.
 
-    The einsum and architecture components are hash-memoising wrappers
-    (:class:`~repro.common.cache.CachedHashKey`), memoised on the spec
-    objects: a mapspace search keys hundreds of candidates against the
-    same einsum and architecture, and only the mapping component's hash
-    is new work per candidate.
+    The einsum and architecture digests are memoised on the spec
+    objects (:func:`~repro.common.cache.spec_digest`): a mapspace
+    search keys hundreds of candidates against the same einsum and
+    architecture, and only the mapping's ``repr`` is new work per
+    candidate.
     """
-    einsum = workload.einsum
-    einsum_key = getattr(einsum, "_hashed_cache_key", None)
-    if einsum_key is None:
-        einsum_key = CachedHashKey(einsum.cache_key())
-        einsum._hashed_cache_key = einsum_key
-    arch_key = getattr(arch, "_hashed_cache_key", None)
-    if arch_key is None:
-        arch_key = CachedHashKey(arch.cache_key())
-        arch._hashed_cache_key = arch_key
-    return (einsum_key, arch_key, mapping.cache_key())
+    return digest(
+        spec_digest(workload.einsum)
+        + spec_digest(arch)
+        + repr(mapping.cache_key()).encode()
+    )
 
 
 class _NestView:
@@ -530,8 +525,8 @@ def analyze_dataflow_batch(
     groups: dict[tuple, list[int]] = {}
     for idx, (workload, arch, mapping) in enumerate(jobs):
         key = (
-            workload.einsum.cache_key(),
-            arch.cache_key(),
+            spec_digest(workload.einsum),
+            spec_digest(arch),
             tuple(
                 (
                     lvl.level,

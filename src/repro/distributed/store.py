@@ -19,9 +19,7 @@ stream tier without the two payload shapes ever meeting on a key.
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.common.cache import ObjectStore
+from repro.common.cache import ObjectStore, content_digest
 
 __all__ = ["StreamStore", "stream_store_for"]
 
@@ -45,15 +43,13 @@ class StreamStore:
         self.store = store
 
     @staticmethod
-    def key(mode: str, identity: tuple, budget: int, seed: int) -> str:
+    def key(mode: str, identity, budget: int, seed: int) -> str:
         """Content key of one stream. ``identity`` is the mapspace
-        identity tuple (:func:`sampled_candidates_key` output or an
-        equivalent for exhaustive streams); ``mode`` / ``budget`` /
-        ``seed`` pin the draw discipline."""
-        digest = hashlib.blake2b(
-            repr((mode, identity, budget, seed)).encode(), digest_size=16
-        ).hexdigest()
-        return f"stream-{mode}-{digest}"
+        identity (the :func:`sampled_candidates_key` digest, or any
+        primitives-only equivalent); ``mode`` / ``budget`` / ``seed``
+        pin the draw discipline."""
+        key = content_digest((mode, identity, budget, seed)).hex()
+        return f"stream-{mode}-{key}"
 
     def fetch(self, key: str, total: int | None = None):
         """The stream stored under ``key``, or ``None``. ``total``

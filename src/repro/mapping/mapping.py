@@ -223,42 +223,25 @@ class Mapping:
         return cls(levels)
 
     def cache_key(self) -> tuple:
-        """Canonical hashable content key.
+        """Canonical content key of primitives.
 
         Two mappings with equal keys schedule identically: same levels,
         same ordered temporal loops, same spatial loops, same keep sets.
-        Used by the engine's dense-analysis cache.
+        Loops are ``(dim, bound, spatial)`` tuples and keep sets sorted
+        tuples, so the key's ``repr`` — what the engine's dense-analysis
+        key digests — is the same in every process. (List
+        comprehensions: every warm hit builds this key, and they halve
+        its cost against generator expressions.)
         """
-        return tuple(
+        return tuple([
             (
                 lvl.level,
-                tuple(lvl.temporal),
-                tuple(lvl.spatial),
-                None if lvl.keep is None else frozenset(lvl.keep),
+                tuple([(l.dim, l.bound, l.spatial) for l in lvl.temporal]),
+                tuple([(l.dim, l.bound, l.spatial) for l in lvl.spatial]),
+                None if lvl.keep is None else tuple(sorted(lvl.keep)),
             )
             for lvl in self.levels
-        )
-
-    def structure_key(self) -> tuple:
-        """Loop-*structure* signature: everything in :meth:`cache_key`
-        except the loop bounds — level names, ordered temporal/spatial
-        loop dims, and keep sets.
-
-        Mappings sharing a structure key differ only in loop bound
-        values, so per-candidate integer quantities (tile extents,
-        fanouts, episode counts) become row-wise products over a stacked
-        factor matrix. The batched dense analysis and the vectorized
-        capacity prefilter group candidate blocks by this key.
-        """
-        return tuple(
-            (
-                lvl.level,
-                tuple(l.dim for l in lvl.temporal),
-                tuple(l.dim for l in lvl.spatial),
-                None if lvl.keep is None else frozenset(lvl.keep),
-            )
-            for lvl in self.levels
-        )
+        ])
 
     def describe(self) -> str:
         lines = []

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.arch.spec import Architecture
+from repro.common.cache import digest, spec_digest
 from repro.common.errors import MappingError
 from repro.common.util import (
     cached_divisors,
@@ -85,8 +86,8 @@ def sampled_candidates_key(
     seed: int | None,
     count: int,
     max_tries: int | None = None,
-) -> tuple:
-    """Content key of one :meth:`Mapper.sample_mappings` stream.
+) -> bytes:
+    """Content digest of one :meth:`Mapper.sample_mappings` stream.
 
     The stream is a pure function of the mapspace (einsum dims, the
     architecture's level/fanout structure, the constraints) and the
@@ -95,14 +96,10 @@ def sampled_candidates_key(
     *unpruned* stream is deterministic under this key and can be
     replayed across searches, evaluators, and processes.
     """
-    return (
-        CANDIDATES_STAGE,
-        einsum.cache_key(),
-        arch.cache_key(),
-        constraints.cache_key(),
-        seed,
-        count,
-        max_tries,
+    return digest(
+        spec_digest(einsum)
+        + spec_digest(arch)
+        + repr((constraints.cache_key(), seed, count, max_tries)).encode()
     )
 
 

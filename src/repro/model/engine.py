@@ -76,7 +76,6 @@ and over with different SAF configurations:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from collections.abc import Callable, Iterable, Sequence
@@ -91,10 +90,11 @@ from repro.arch.spec import Architecture
 from repro.common.cache import (
     DEFAULT_EXPORT_LIMIT,
     AnalysisCache,
-    CachedHashKey,
     PersistentCache,
     StageCache,
+    digest,
     global_cache,
+    spec_digest,
 )
 from repro.common.errors import (
     MappingError,
@@ -137,7 +137,7 @@ from repro.sparse.postprocess import (
     VECTORIZED_DEFAULT,
     analyze_sparse,
     analyze_sparse_batch,
-    density_keys,
+    density_digests,
     ensure_output_density,
     sparse_analysis_key,
 )
@@ -344,11 +344,11 @@ def exhaustive_mapspace(mapper: Mapper, budget: int) -> bool:
 #: construction (per-action energy tables only), so one instance serves
 #: every evaluation of an architecture in the process; bounded by a
 #: clear-on-overflow so sweeps over many architectures cannot leak.
-_ACCELERGY_MEMO: dict[tuple, Accelergy] = {}
+_ACCELERGY_MEMO: dict[bytes, Accelergy] = {}
 
 
 def _accelergy_for(arch: Architecture) -> Accelergy:
-    key = arch.cache_key()
+    key = spec_digest(arch)
     backend = _ACCELERGY_MEMO.get(key)
     if backend is None:
         if len(_ACCELERGY_MEMO) >= 64:
@@ -498,16 +498,15 @@ class Evaluator:
 
     def _dense_analysis_keyed(
         self, design: Design, workload: Workload, mapping: Mapping
-    ) -> tuple[DenseTraffic, CachedHashKey | None]:
+    ) -> tuple[DenseTraffic, bytes | None]:
         """Dense analysis through the ``"dense"`` cache stage, returning
         ``(dense, key)``.
 
         The key is :func:`~repro.dataflow.nest_analysis.
-        dense_analysis_key` — (einsum, architecture, mapping) content,
-        deliberately without densities, so one analysis serves every
-        SAF/density variant of a mapping. It comes back wrapped in a
-        :class:`CachedHashKey` because it is re-embedded in every
-        downstream stage key, so its deep-tuple hash is paid once.
+        dense_analysis_key` — the digest of (einsum, architecture,
+        mapping) content, deliberately without densities, so one
+        analysis serves every SAF/density variant of a mapping. It comes
+        back so the sparse key can digest it instead of rebuilding it.
         Entries are stored with the workload stripped: keeping the
         first-seen workload would pin its density models (potentially
         whole ``ActualDataDensity`` tensors) far beyond their lifetime.
@@ -516,7 +515,7 @@ class Evaluator:
         if self.cache is None:
             return analyze_dataflow(workload, design.arch, mapping), None
         stage = self.cache.dense
-        key = CachedHashKey(dense_analysis_key(workload, design.arch, mapping))
+        key = dense_analysis_key(workload, design.arch, mapping)
         cached = stage.get(key)
         if cached is not None:
             return replace(cached, workload=workload), key
@@ -528,8 +527,8 @@ class Evaluator:
         self,
         dense: DenseTraffic,
         safs: SAFSpec,
-        dense_key: tuple | None = None,
-    ) -> tuple[SparseTraffic, CachedHashKey | None]:
+        dense_key: bytes | None = None,
+    ) -> tuple[SparseTraffic, bytes | None]:
         """Sparse post-processing, returning ``(sparse, key)``.
 
         The whole :class:`SparseTraffic` is memoised by
@@ -552,9 +551,6 @@ class Evaluator:
                 analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
                 None,
             )
-        # One hash-memoising wrapper serves the sparse stage and all
-        # three micro-model stages (several dict operations each).
-        key = CachedHashKey(key)
         sparse = self.cache.sparse.get_or_compute(
             key,
             lambda: analyze_sparse(
@@ -567,7 +563,7 @@ class Evaluator:
     # Micro-model stages (validity / latency / energy)
 
     def _staged_validity(
-        self, design: Design, sparse: SparseTraffic, sparse_key: CachedHashKey | None
+        self, design: Design, sparse: SparseTraffic, sparse_key: bytes | None
     ):
         """:func:`check_validity` through the ``"validity"`` stage.
 
@@ -599,7 +595,7 @@ class Evaluator:
         design: Design,
         dense: DenseTraffic,
         sparse: SparseTraffic,
-        sparse_key: CachedHashKey | None,
+        sparse_key: bytes | None,
     ):
         """:func:`compute_latency` through the ``"latency"`` stage."""
         if self.cache is None or sparse_key is None:
@@ -609,7 +605,7 @@ class Evaluator:
         )
 
     def _staged_energy(
-        self, design: Design, sparse: SparseTraffic, sparse_key: CachedHashKey | None
+        self, design: Design, sparse: SparseTraffic, sparse_key: bytes | None
     ):
         """:func:`compute_energy` through the ``"energy"`` stage; the
         Accelergy backend itself is memoised per architecture
@@ -643,7 +639,7 @@ class Evaluator:
         workload: Workload,
         dense: DenseTraffic,
         sparse: SparseTraffic,
-        sparse_key: CachedHashKey | None,
+        sparse_key: bytes | None,
     ) -> EvaluationResult:
         """The micro-model tail shared by every evaluation path (the
         per-call pipeline and the batched one), so the bit-identical
@@ -1482,7 +1478,7 @@ class Evaluator:
     def _dense_analysis_batch(
         self,
         items: Sequence[tuple[Design, Workload, Mapping]],
-    ) -> list[tuple[DenseTraffic, CachedHashKey | None] | ReproError]:
+    ) -> list[tuple[DenseTraffic, bytes | None] | ReproError]:
         """:meth:`_dense_analysis_keyed` over many ``(design, workload,
         mapping)`` triples at once.
 
@@ -1502,9 +1498,7 @@ class Evaluator:
         keys = [
             None
             if stage is None
-            else CachedHashKey(
-                dense_analysis_key(workload, design.arch, mapping)
-            )
+            else dense_analysis_key(workload, design.arch, mapping)
             for design, workload, mapping in items
         ]
         hits, misses, followers = _serial_lookups(stage, keys)
@@ -1543,20 +1537,19 @@ class Evaluator:
 
     def _sparse_analysis_batch(
         self,
-        entries: Sequence[tuple[DenseTraffic, SAFSpec, CachedHashKey | None]],
+        entries: Sequence[tuple[DenseTraffic, SAFSpec, bytes | None]],
         memos: dict | None = None,
-    ) -> list[tuple[SparseTraffic, CachedHashKey | None] | ReproError]:
+    ) -> list[tuple[SparseTraffic, bytes | None] | ReproError]:
         """:meth:`_sparse_analysis_keyed` over many ``(dense, safs,
         dense_key)`` entries at once (dense keys as the dense stage
         returns them).
 
         Keys are the :func:`~repro.sparse.postprocess.
-        sparse_analysis_key` triples, with the SAF and density parts
-        derived once per (workload, SAF spec) pair of the call. Cache
-        hits are served as usual; the misses, deduped by content key,
-        are grouped by sparse-walk *context* — einsum, architecture,
-        SAF spec, and densities, so only the mapping differs within a
-        group — and each group flushes as one stacked
+        sparse_analysis_key` digests. Cache hits are served as usual;
+        the misses, deduped by content key, are grouped by sparse-walk
+        *context* — the einsum, architecture, SAF and density digests,
+        so only the mapping differs within a group — and each group
+        flushes as one stacked
         :func:`~repro.sparse.postprocess.analyze_sparse_batch` pass
         sharing one walk memo. ``memos`` maps contexts to their memos;
         a caller that passes the same dict to every call (a search
@@ -1578,30 +1571,25 @@ class Evaluator:
         counters = (stage.hits, stage.misses) if stage is not None else None
         if memos is None:
             memos = {}
-        parts_of: dict[tuple[int, int], tuple | None] = {}
-        keys: list[CachedHashKey | None] = []
-        contexts: list[tuple | None] = []
+        keys: list[bytes | None] = []
+        contexts: list[bytes | None] = []
         for dense, safs, dense_key in entries:
             key = context = None
-            if stage is not None:
-                pair = (id(dense.workload), id(safs))
-                if pair not in parts_of:
-                    densities = density_keys(dense.workload)
-                    parts_of[pair] = (
-                        None
-                        if densities is None
-                        else (safs.cache_key(), densities)
-                    )
-                parts = parts_of[pair]
-                if parts is not None:
-                    key = CachedHashKey((dense_key, *parts))
-                    # The dense key is (einsum, arch, mapping): without
-                    # the mapping it names the walk context.
-                    context = (*dense_key.key[:2], *parts)
+            densities = (
+                None if stage is None else density_digests(dense.workload)
+            )
+            if densities is not None:
+                parts = spec_digest(safs) + densities
+                key = digest(dense_key + parts)
+                context = (
+                    spec_digest(dense.workload.einsum)
+                    + spec_digest(dense.arch)
+                    + parts
+                )
             keys.append(key)
             contexts.append(context)
         hits, misses, followers = _serial_lookups(stage, keys)
-        groups: dict[tuple | None, list[int]] = {}
+        groups: dict[bytes | None, list[int]] = {}
         for position in misses:
             groups.setdefault(contexts[position], []).append(position)
         computed: dict[int, SparseTraffic] | None = {}
@@ -1949,20 +1937,17 @@ class Evaluator:
         if self.cache is not None and all(
             m is not None for m in resolved.values()
         ):
-            fused_key = CachedHashKey(
-                (
-                    "fused-result",
-                    graph.cache_key(),
-                    design.arch.cache_key(),
-                    design.safs.cache_key(),
-                    fuse_at,
-                    tuple(
-                        (name, resolved[name].cache_key())
-                        for name in sorted(resolved)
-                    ),
-                    tuple(sorted(densities.items())),
-                    bool(self.check_capacity),
-                )
+            rest = (
+                fuse_at,
+                tuple((n, resolved[n].cache_key()) for n in sorted(resolved)),
+                tuple(sorted(densities.items())),
+                bool(self.check_capacity),
+            )
+            fused_key = digest(
+                spec_digest(graph)
+                + spec_digest(design.arch)
+                + spec_digest(design.safs)
+                + repr(rest).encode()
             )
             stage = self.cache.stage(FUSED_STAGE)
             hit = stage.get(fused_key)
@@ -1990,9 +1975,7 @@ class Evaluator:
             )
             if self.cache is not None:
                 for (workload, _arch, mapping), dense in zip(jobs, denses):
-                    key = CachedHashKey(
-                        dense_analysis_key(workload, design.arch, mapping)
-                    )
+                    key = dense_analysis_key(workload, design.arch, mapping)
                     if key not in self.cache.dense:
                         self.cache.dense.put(
                             key, replace(dense, workload=None)
@@ -2070,15 +2053,12 @@ class Evaluator:
         dense = result.dense
         if dense is None or dense.mapping is None:
             return
-        dense_key = CachedHashKey(
-            dense_analysis_key(workload, design.arch, dense.mapping)
-        )
+        dense_key = dense_analysis_key(workload, design.arch, dense.mapping)
         if dense_key not in self.cache.dense:
             self.cache.dense.put(dense_key, replace(dense, workload=None))
         sparse_key = sparse_analysis_key(dense, design.safs, dense_key)
         if sparse_key is None:
             return
-        sparse_key = CachedHashKey(sparse_key)
         stage_values = (
             ("sparse", result.sparse),
             (VALIDITY_STAGE, result.usage),
@@ -2264,35 +2244,32 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
-def _workload_content_key(workload: Workload) -> tuple | None:
-    """Content key of one workload — einsum plus every tensor's density
-    model — or ``None`` when any density model is uncacheable. Used to
-    dedupe identical network layers before fan-out."""
-    densities = density_keys(workload)
+def _workload_content_key(workload: Workload) -> bytes | None:
+    """Content digest of one workload — einsum plus every tensor's
+    density model — or ``None`` when any density model is uncacheable.
+    Used to dedupe identical network layers before fan-out."""
+    densities = density_digests(workload)
     if densities is None:
         return None
-    return (workload.einsum.cache_key(), densities)
+    return digest(spec_digest(workload.einsum) + densities)
 
 
 def persistent_state_key(design: Design, workloads: Sequence[Workload]) -> str | None:
-    """Snapshot identity for the persistent tier: a digest of the
-    design's architecture + SAF content keys and every workload's
-    content key. Returns ``None`` when any workload is uncacheable (no
+    """Snapshot identity for the persistent tier: the hex digest of the
+    design's architecture and SAF digests and every workload's content
+    digest. Returns ``None`` when any workload is uncacheable (no
     snapshot would ever hit). The digest deliberately excludes the
     mapping/constraints: snapshot entries are content-addressed
     internally, so a broader key only decides which snapshot file is
     consulted, never whether a stale entry can be served.
     """
-    parts: list = [design.arch.cache_key(), design.safs.cache_key()]
+    parts = [spec_digest(design.arch), spec_digest(design.safs)]
     for workload in workloads:
         key = _workload_content_key(workload)
         if key is None:
             return None
         parts.append(key)
-    digest = hashlib.blake2b(
-        repr(tuple(parts)).encode(), digest_size=16
-    )
-    return digest.hexdigest()
+    return digest(b"".join(parts)).hex()
 
 
 def _install_cache_state(cache: AnalysisCache, state: dict) -> int:

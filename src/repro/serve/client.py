@@ -30,7 +30,6 @@ all for the whole window resolves its in-flight handles with
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import socket
 import threading
@@ -45,6 +44,7 @@ from repro.api.jobs import (
     job_resendable,
 )
 from repro.api.session import coerce_job, evaluate_job, search_job
+from repro.common.cache import digest
 from repro.common.errors import ReproError, SpecError, WorkerLostError
 from repro.model.result import SearchResult
 from repro.serve.protocol import (
@@ -333,16 +333,14 @@ class RemoteSession:
         entry = self._blob_packs.get(id(obj))
         if entry is None or entry[0] is not obj:
             blob = _pack(obj)
-            digest = hashlib.sha256(
-                blob["data"].encode("ascii")
-            ).hexdigest()[:24]
-            entry = (obj, digest, blob)
+            ref = digest(blob["data"].encode("ascii")).hex()
+            entry = (obj, ref, blob)
             self._blob_packs[id(obj)] = entry
-        _obj, digest, blob = entry
-        if digest in self._sent_refs:
-            return {"encoding": "ref", "ref": digest}
-        self._sent_refs.add(digest)
-        return {**blob, "ref": digest}
+        _obj, ref, blob = entry
+        if ref in self._sent_refs:
+            return {"encoding": "ref", "ref": ref}
+        self._sent_refs.add(ref)
+        return {**blob, "ref": ref}
 
     def _job_wire(self, job) -> dict:
         """The wire dict for one job; evaluate jobs (the micro-batched

@@ -29,7 +29,6 @@ empty-tile kernel multiplies long products with it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -37,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.common.cache import digest
 from repro.common.errors import SpecError
 from repro.common.util import prod
 
@@ -205,11 +205,14 @@ class DensityModel(ABC):
         """Probability that a tile of ``shape`` contains only zeros."""
 
     def cache_key(self) -> tuple | None:
-        """Hashable content key for memoising derived analyses.
+        """Content key for memoising derived analyses.
 
         Two models with equal keys must answer every query identically.
-        ``None`` (the default) marks the model as uncacheable; analyses
-        then fall back to recomputing.
+        It may hold only primitives and tuples of them (see
+        :func:`~repro.common.cache.spec_digest`, which memoises its
+        digest: a model is frozen once evaluated). ``None`` (the
+        default) marks the model as uncacheable; analyses then fall
+        back to recomputing.
         """
         return None
 
@@ -675,15 +678,11 @@ class ActualDataDensity(DensityModel):
         of the model; callers must not mutate ``data`` afterwards.
         """
         if self._content_key is None:
-            buffer = np.ascontiguousarray(self.data)
-            digest = hashlib.blake2b(
-                buffer.tobytes(), digest_size=16
-            ).hexdigest()
             self._content_key = (
                 "actual-data",
                 self.data.shape,
                 str(self.data.dtype),
-                digest,
+                digest(np.ascontiguousarray(self.data).tobytes()),
             )
         return self._content_key
 

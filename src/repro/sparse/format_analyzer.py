@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.cache import global_cache
+from repro.common.cache import digest, global_cache, spec_digest
 from repro.common.util import prod
 from repro.sparse.density import DensityModel
 from repro.sparse.formats import FormatSpec
@@ -99,9 +99,9 @@ def analyze_tile_format(
 ) -> TileOccupancy:
     """Statistically characterise one tile's encoded occupancy.
 
-    Results are memoised module-wide when both the format and the
-    density model expose content keys (``cache_key()``); callers must
-    treat the returned :class:`TileOccupancy` as read-only.
+    Results are memoised module-wide when the density model exposes a
+    content key (``cache_key()``); callers must treat the returned
+    :class:`TileOccupancy` as read-only.
 
     Walks format ranks outer to inner. At each rank, the expected count
     of nonempty coordinates equals the number of coordinate positions
@@ -110,10 +110,12 @@ def analyze_tile_format(
     every position of every stored fiber; compressed ranks keep only
     nonempty ones.
     """
-    density_key = density.cache_key()
-    if density_key is None:
+    density_digest = spec_digest(density)
+    if density_digest is None:
         return _analyze_tile_format(fmt, rank_extents, density)
-    key = (fmt.cache_key(), tuple(rank_extents), density_key)
+    key = digest(
+        spec_digest(fmt) + density_digest + repr(tuple(rank_extents)).encode()
+    )
     return _tile_stage().get_or_compute(
         key, lambda: _analyze_tile_format(fmt, rank_extents, density)
     )

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 
-from repro.common.cache import CachedHashKey
+from repro.common.cache import digest, spec_digest
 from repro.common.util import prod
 from repro.dataflow.nest_analysis import DenseTraffic, dense_analysis_key
 from repro.sparse.density import UniformDensity
@@ -96,49 +96,41 @@ def ensure_output_density(workload: Workload) -> None:
     )
 
 
-def density_keys(workload: Workload) -> tuple | None:
-    """``(tensor name, density content key)`` for every tensor of the
-    workload, or ``None`` when any density model is uncacheable.
-    Derives the output density first (idempotent) so it participates.
+def density_digests(workload: Workload) -> bytes | None:
+    """Every tensor's density digest joined in the einsum's tensor
+    order (which the einsum digest beside it pins), or ``None`` when any
+    density model is uncacheable. Derives the output density first
+    (idempotent) so it participates.
     """
     ensure_output_density(workload)
-    keys = []
+    parts = []
     for tensor in workload.einsum.tensors:
-        key = workload.density_of(tensor.name).cache_key()
-        if key is None:
+        part = spec_digest(workload.density_of(tensor.name))
+        if part is None:
             return None
-        keys.append((tensor.name, key))
-    return tuple(keys)
+        parts.append(part)
+    return b"".join(parts)
 
 
 def sparse_analysis_key(
-    dense: DenseTraffic, safs: SAFSpec, dense_key: tuple | None = None
-) -> tuple | None:
-    """Content key of one whole sparse analysis, or ``None``.
+    dense: DenseTraffic, safs: SAFSpec, dense_key: bytes | None = None
+) -> bytes | None:
+    """Content digest of one whole sparse analysis, or ``None``.
 
     A :class:`SparseTraffic` is fully determined by the dense analysis
     content (einsum, architecture, mapping), the SAF specification, and
-    every tensor's density model, so the key is the triple of their
-    content keys. Returns ``None`` — uncacheable — when any density
-    model does not expose a content key. Callers that already hold the
-    dense content key (the engine's dense stage returns it) pass it as
-    ``dense_key`` to skip recomputing it.
+    every tensor's density model, so the key digests the dense key,
+    the SAF digest and the density digests. Returns ``None`` —
+    uncacheable — when any density model does not expose a content
+    key. Callers that already hold the dense key (the engine's dense
+    stage returns it) pass it as ``dense_key`` to skip recomputing it.
     """
-    densities = density_keys(dense.workload)
+    densities = density_digests(dense.workload)
     if densities is None:
         return None
     if dense_key is None:
-        dense_key = CachedHashKey(
-            dense_analysis_key(dense.workload, dense.arch, dense.mapping)
-        )
-    elif not isinstance(dense_key, CachedHashKey):
-        dense_key = CachedHashKey(dense_key)
-    # The dense key rides inside the sparse key as its hash-memoising
-    # wrapper: the sparse tuple is itself hashed by four stages, and
-    # every one of those hashes then reuses the dense key's cached
-    # digest instead of re-walking the deep (einsum, arch, mapping)
-    # triple.
-    return (dense_key, safs.cache_key(), densities)
+        dense_key = dense_analysis_key(dense.workload, dense.arch, dense.mapping)
+    return digest(dense_key + spec_digest(safs) + densities)
 
 
 class _LevelFormatInfo:

@@ -134,38 +134,35 @@ class SAFSpec:
     formats: dict[tuple[str, str], object] = field(default_factory=dict)
     storage_safs: list[StorageSAF] = field(default_factory=list)
     compute_safs: list[ComputeSAF] = field(default_factory=list)
-    #: Lazily-computed content key; treat the spec as frozen once it
-    #: has been evaluated (the engine keys caches on this).
-    _cache_key: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def format_for(self, level: str, tensor: str):
         return self.formats.get((level, tensor))
 
     def cache_key(self) -> tuple:
-        """Canonical hashable content key.
+        """Canonical content key of primitives.
 
         Two SAF specs with equal keys filter traffic identically: same
         per-(level, tensor) formats, same storage SAFs (order
         preserved — it is observable through accumulation order), same
-        compute SAFs. Used by the engine's sparse-analysis cache stage.
-        Computed once and memoised: do not mutate a spec after it has
+        compute SAFs. SAFs enter as their fields, not their
+        ``describe()`` text: ``Skip Compute <- operands`` prints for no
+        condition and for a tensor named ``operands`` alike. The engine
+        memoises the key's digest: do not mutate a spec after it has
         been evaluated.
         """
-        if self._cache_key is None:
-            formats = tuple(
+        return (
+            tuple(
                 sorted(
                     (level, tensor, fmt.cache_key())
                     for (level, tensor), fmt in self.formats.items()
                 )
-            )
-            self._cache_key = (
-                formats,
-                tuple(self.storage_safs),
-                tuple(self.compute_safs),
-            )
-        return self._cache_key
+            ),
+            tuple(
+                (s.kind.value, s.target, s.conditioned_on, s.level)
+                for s in self.storage_safs
+            ),
+            tuple((s.kind.value, s.conditioned_on) for s in self.compute_safs),
+        )
 
     def storage_safs_at(self, level: str) -> list[StorageSAF]:
         return [s for s in self.storage_safs if s.level == level]

@@ -126,21 +126,32 @@ class EinsumSpec:
                         )
 
     def cache_key(self) -> tuple:
-        """Canonical hashable content key (dims in declaration order
-        plus the frozen tensor refs). Einsums with equal keys have
-        identical iteration spaces and projections. Memoised on first
-        use; einsums are frozen by contract once evaluated."""
-        memo = getattr(self, "_cache_key", None)
-        if memo is None:
-            memo = (tuple(self.dims.items()), tuple(self.tensors))
-            self._cache_key = memo
-        return memo
+        """Canonical content key of primitives: dims in declaration
+        order, then each tensor as nested ``(name, ((rank name,
+        ((dim, coefficient), ...)), ...), is_output)`` tuples. Einsums
+        with equal keys have identical iteration spaces and projections.
+        The engine memoises the key's digest; einsums are frozen by
+        contract once evaluated."""
+        return (
+            tuple(self.dims.items()),
+            tuple(
+                (
+                    t.name,
+                    tuple(
+                        (r.name, tuple((x.dim, x.coefficient) for x in r.terms))
+                        for r in t.ranks
+                    ),
+                    t.is_output,
+                )
+                for t in self.tensors
+            ),
+        )
 
     @property
     def output(self) -> TensorRef:
-        # Memoised like cache_key: einsums are frozen by contract once
-        # evaluated, and the modeling walks ask for the output tensor
-        # once or more per candidate mapping.
+        # Memoised: einsums are frozen by contract once evaluated, and
+        # the modeling walks ask for the output tensor once or more per
+        # candidate mapping.
         memo = getattr(self, "_output", None)
         if memo is None:
             memo = next(t for t in self.tensors if t.is_output)

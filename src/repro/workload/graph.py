@@ -154,16 +154,12 @@ class EinsumGraph:
         return out
 
     def cache_key(self) -> tuple:
-        """Canonical hashable content key (memoised; graphs are frozen
-        by contract once evaluated)."""
-        memo = getattr(self, "_cache_key", None)
-        if memo is None:
-            memo = (
-                self.name,
-                tuple((spec.name, spec.cache_key()) for spec in self.einsums),
-            )
-            self._cache_key = memo
-        return memo
+        """Canonical content key of primitives (the engine memoises its
+        digest; graphs are frozen by contract once evaluated)."""
+        return (
+            self.name,
+            tuple((spec.name, spec.cache_key()) for spec in self.einsums),
+        )
 
     def to_dict(self) -> dict:
         return {

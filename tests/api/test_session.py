@@ -230,6 +230,23 @@ class TestSessionLifecycle:
         with pytest.raises(SpecError):
             Session(parallel=0)
 
+    @pytest.mark.parametrize("budget", [0, -3, True, 8.0, "8", None])
+    def test_rejects_bad_search_budget(self, budget):
+        # A budget below 1 would search nothing and report found=False.
+        with pytest.raises(SpecError, match="search_budget"):
+            Session(search_budget=budget)
+
+    @pytest.mark.parametrize("seed", ["8", 8.0, True, None])
+    def test_rejects_bad_search_seed(self, seed):
+        # random.Random("8") draws a different stream than seed 8.
+        with pytest.raises(SpecError, match="search_seed"):
+            Session(search_seed=seed)
+
+    def test_accepts_integer_search_knobs(self):
+        with Session(search_budget=1, search_seed=-5) as session:
+            assert session.evaluator.search_budget == 1
+            assert session.evaluator.search_seed == -5
+
 
 class TestPersistentTier:
     def test_warm_start_on_first_use_and_spill_on_close(self, tmp_path):

@@ -6,6 +6,8 @@ import pickle
 
 import pytest
 
+from repro import Workload, matmul
+from repro.api import Session
 from repro.common.cache import (
     DEFAULT_STAGE_SIZES,
     PERSISTENT_SCHEMA_VERSION,
@@ -15,6 +17,7 @@ from repro.common.cache import (
     global_cache,
     repro_code_hash,
 )
+from repro.designs import toy
 
 
 class TestStageCache:
@@ -196,6 +199,21 @@ class TestPersistentCache:
         # ...and prune sweeps the stale directory away.
         assert new.prune_stale_versions() == 1
         assert not old.store_dir.exists()
+
+    def test_first_spill_prunes_older_version_trees(self, tmp_path):
+        stale = tmp_path / "v1" / "ns"
+        stale.mkdir(parents=True)
+        (stale / "x.pkl").write_bytes(b"a snapshot of the old key scheme")
+        (tmp_path / "v99").mkdir()
+        with Session(persistent=PersistentCache(tmp_path)) as session:
+            session.evaluate(
+                toy.bitmask_design(),
+                Workload.uniform(matmul(16, 16, 16), {"A": 0.3, "B": 0.5}),
+            )
+        assert not (tmp_path / "v1").exists()
+        assert (tmp_path / f"v{PERSISTENT_SCHEMA_VERSION}").is_dir()
+        # A newer install's tree is never swept.
+        assert (tmp_path / "v99").is_dir()
 
     def test_payload_header_mismatch_is_a_miss(self, tmp_path):
         store = self._store(tmp_path)

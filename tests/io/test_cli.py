@@ -2,10 +2,15 @@
 façade: JSON schema output, search subcommand, error exit codes)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import repro
 from repro import __version__
 from repro.__main__ import main
 from repro.model.result import (
@@ -130,6 +135,35 @@ class TestErrorExitCodes:
         assert main(["evaluate", overflow_spec_file, "--cold"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "overflow" in err
+
+    @pytest.mark.parametrize("command", ["search", "evaluate"])
+    def test_zero_budget_exits_2(self, spec_file, capsys, command):
+        argv = [command, spec_file, "--budget", "0", "--cold"]
+        if command == "evaluate":
+            argv.append("--search")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "search_budget" in err
+
+    def test_serve_zero_budget_fails_at_boot(self, tmp_path):
+        # A child process with a timeout: a daemon that boots anyway
+        # would otherwise serve forever.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--unix", str(tmp_path / "daemon.sock"),
+                "--budget", "0", "--cold",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert "search_budget" in done.stderr
 
     def test_overflow_allowed_with_flag(self, overflow_spec_file, capsys):
         code = main(

@@ -125,8 +125,8 @@ class TestEnumerationPruning:
             extents = {"m": 1, "k": 1, "n": 1}
             seen_buffer = False
             for level, temporal, spatial, _keep in reversed(key):
-                for loop in temporal + spatial:
-                    extents[loop.dim] *= loop.bound
+                for dim, bound, _spatial in temporal + spatial:
+                    extents[dim] *= bound
                 if level == "Buffer":
                     seen_buffer = True
                     break
