@@ -135,7 +135,7 @@ def _sparse_stage_pairs():
         for dataflow, saf in codesign.ALL_COMBINATIONS:
             design = codesign.build_design(dataflow, saf)
             mapping = design.mapping_for(workload)
-            dense, _key = evaluator._dense_analysis_keyed(
+            dense, _key, _reused = evaluator._dense_analysis_keyed(
                 design, workload, mapping
             )
             pairs.append((dense, design.safs))

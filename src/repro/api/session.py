@@ -802,10 +802,12 @@ class Session:
     #: Stages always present in :meth:`cache_stats` output, with zero
     #: counters when untouched: the cold-search hot path reads the
     #: ``"dense"`` (memoised dataflow analyses) and ``"candidates"``
-    #: (replayed sampled streams) stages, and the fused path memoises
-    #: whole cascade results under ``"fused"``, so their hit/miss
-    #: counters are reportable even before the first job runs.
-    _REPORTED_STAGES = ("dense", "candidates", "fused")
+    #: (replayed sampled streams) stages, the fused path memoises
+    #: whole cascade results under ``"fused"``, and density sweeps of a
+    #: recurring mapping evaluate cached sparse plans (``"plan"``), so
+    #: their hit/miss counters are reportable even before the first
+    #: job runs.
+    _REPORTED_STAGES = ("dense", "candidates", "fused", "plan")
 
     def cache_stats(
         self, since: dict[str, dict[str, float]] | None = None
@@ -813,10 +815,10 @@ class Session:
         """Per-stage hit/miss statistics of the in-memory cache
         (empty when caching is disabled).
 
-        The ``"dense"`` and ``"candidates"`` stages are always
-        reported — with zeroed counters when nothing touched them —
-        so callers monitoring cold-search behaviour see a stable
-        schema.
+        The ``"dense"``, ``"candidates"``, ``"fused"`` and ``"plan"``
+        stages are always reported — with zeroed counters when nothing
+        touched them — so callers monitoring cold-search behaviour see
+        a stable schema.
 
         ``since`` takes a dict previously returned by this method and
         turns the result into a *delta*: per-stage hits/misses are the

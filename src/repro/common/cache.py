@@ -19,8 +19,8 @@ ad-hoc per-module caches it grew out of:
   hit/miss accounting. Values are treated as **read-only** by
   convention: a hit returns the stored object itself.
 * :class:`AnalysisCache` — a registry of named stages. The evaluation
-  engine owns one (stages ``"dense"``, ``"sparse"``, and the
-  micro-model stages ``"validity"``/``"latency"``/``"energy"``); the
+  engine owns one (stages ``"dense"``, ``"sparse"``, ``"plan"``, and
+  the micro-model stages ``"validity"``/``"latency"``/``"energy"``); the
   process-global instance from :func:`global_cache` hosts stages whose
   results are safely shared by every evaluator in the process (stage
   ``"tile-format"``).
@@ -63,6 +63,10 @@ from repro.common.errors import SpecError
 DEFAULT_STAGE_SIZES = {
     "dense": 1024,
     "sparse": 4096,
+    # Density-free sparse plans: one per (mapping, SAFs) whose dense
+    # analysis recurs, so the stage tracks the dense stage and a dense
+    # hit normally finds its plan.
+    "plan": 1024,
     "tile-format": 16384,
     # Micro-model stages: one entry per distinct sparse analysis, so
     # they are sized to track the sparse stage.

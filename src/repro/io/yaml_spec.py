@@ -139,6 +139,33 @@ def load_architecture(source) -> Architecture:
     return Architecture(spec.get("name", "arch"), levels, compute)
 
 
+def _parse_densities(section) -> dict[str, float]:
+    """A ``densities`` section: a mapping from tensor name to a number
+    (an ``int`` or ``float``, never a ``bool``); absent means empty."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise SpecError(
+            "densities must map tensor names to numbers, got "
+            f"{type(section).__name__}"
+        )
+    densities: dict[str, float] = {}
+    for name, value in section.items():
+        if not isinstance(name, str):
+            raise SpecError(f"densities: tensor name {name!r} is not a string")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecError(
+                f"densities: {name!r} must be a number, got {value!r}"
+            )
+        try:
+            densities[name] = float(value)
+        except OverflowError:
+            raise SpecError(
+                f"densities: {name!r} is out of range: {value!r}"
+            ) from None
+    return densities
+
+
 def load_workload(source) -> Workload:
     """Build a :class:`Workload` from its YAML description."""
     spec = _as_dict(source)
@@ -150,7 +177,7 @@ def load_workload(source) -> Workload:
         )
     dims = spec.get("dims", {})
     einsum = _KERNELS[kernel_name](**dims, name=spec.get("name", kernel_name))
-    densities = {k: float(v) for k, v in spec.get("densities", {}).items()}
+    densities = _parse_densities(spec.get("densities"))
     return Workload.uniform(einsum, densities, name=spec.get("name"))
 
 
@@ -419,9 +446,7 @@ def load_fused_spec(source) -> tuple[Design, EinsumGraph, FusedMapping, dict]:
         from repro.designs.common import generic_einsum_mapping
 
         mapping_factory = generic_einsum_mapping
-    densities = {
-        k: float(v) for k, v in (spec.get("densities") or {}).items()
-    }
+    densities = _parse_densities(spec.get("densities"))
     design = Design(
         name=spec.get("name", arch.name),
         arch=arch,

@@ -33,9 +33,12 @@ and over with different SAF configurations:
   layers sharing shapes — and the micro-model stages (``"validity"``,
   ``"latency"``, ``"energy"``) memoise the model's tail under the same
   sparse content key, so a sparse-stage hit short-circuits the entire
-  evaluation. Pass ``cache=None`` to disable, or share one instance
-  across evaluators to pool hits. Cached results are read-only by
-  convention.
+  evaluation. A sparse miss whose dense analysis came from the dense
+  stage (its mapping recurs) evaluates a density-free
+  :class:`~repro.sparse.postprocess.SparsePlan` from the ``"plan"``
+  stage instead of re-walking every flow. Pass ``cache=None`` to
+  disable, or share one instance across evaluators to pool hits.
+  Cached results are read-only by convention.
 * persistent tier — pass ``persistent=PersistentCache(...)`` (and call
   :meth:`Evaluator.warm_start` / :meth:`Evaluator.spill_cache`, or let
   :meth:`Evaluator._evaluate_network` do both around its fan-out) to
@@ -134,12 +137,15 @@ from repro.search.frontier import ParetoFrontier
 from repro.search.objective import Objective, resolve_objective
 from repro.sparse.format_analyzer import TILE_FORMAT_STAGE
 from repro.sparse.postprocess import (
+    PLAN_STAGE,
     VECTORIZED_DEFAULT,
+    SparsePlan,
     analyze_sparse,
     analyze_sparse_batch,
     density_digests,
     ensure_output_density,
     sparse_analysis_key,
+    sparse_plan_key,
 )
 from repro.sparse.saf import SAFSpec
 from repro.sparse.traffic import SparseTraffic
@@ -384,7 +390,12 @@ class Evaluator:
     batched numpy arithmetic (the default, unless the
     ``REPRO_SCALAR_SPARSE`` environment variable forced the scalar
     oracle process-wide) or the scalar oracle path; both are
-    bit-identical (see :mod:`repro.sparse.postprocess`).
+    bit-identical (see :mod:`repro.sparse.postprocess`). Vectorized, a
+    sparse miss whose dense analysis came from the ``"dense"`` stage
+    evaluates the mapping's cached
+    :class:`~repro.sparse.postprocess.SparsePlan` (``"plan"`` stage)
+    instead of walking; a first-seen mapping still walks. The scalar
+    oracle never builds a plan.
     ``dense_vectorized``: run the dense nest analysis of each batch
     (search block or submitted batch) through the stacked backend
     (:func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`)
@@ -498,9 +509,10 @@ class Evaluator:
 
     def _dense_analysis_keyed(
         self, design: Design, workload: Workload, mapping: Mapping
-    ) -> tuple[DenseTraffic, bytes | None]:
+    ) -> tuple[DenseTraffic, bytes | None, bool]:
         """Dense analysis through the ``"dense"`` cache stage, returning
-        ``(dense, key)``.
+        ``(dense, key, reused)``; ``reused`` says the analysis came from
+        the stage, which is what sends a sparse miss down the plan path.
 
         The key is :func:`~repro.dataflow.nest_analysis.
         dense_analysis_key` — the digest of (einsum, architecture,
@@ -513,21 +525,23 @@ class Evaluator:
         Hits rebind the caller's workload.
         """
         if self.cache is None:
-            return analyze_dataflow(workload, design.arch, mapping), None
+            dense = analyze_dataflow(workload, design.arch, mapping)
+            return dense, None, False
         stage = self.cache.dense
         key = dense_analysis_key(workload, design.arch, mapping)
         cached = stage.get(key)
         if cached is not None:
-            return replace(cached, workload=workload), key
+            return replace(cached, workload=workload), key, True
         dense = analyze_dataflow(workload, design.arch, mapping)
         stage.put(key, replace(dense, workload=None))
-        return dense, key
+        return dense, key, False
 
     def _sparse_analysis_keyed(
         self,
         dense: DenseTraffic,
         safs: SAFSpec,
         dense_key: bytes | None = None,
+        reused: bool = False,
     ) -> tuple[SparseTraffic, bytes | None]:
         """Sparse post-processing, returning ``(sparse, key)``.
 
@@ -539,6 +553,11 @@ class Evaluator:
         key is handed back so the micro stages can reuse it: a sparse
         analysis fully determines validity, latency, and energy (the
         architecture key rides inside it via the dense key).
+
+        A miss whose dense analysis was ``reused`` from the dense stage
+        evaluates the mapping's plan (:meth:`_sparse_plan`): the mapping
+        recurs, so its structure will be reused again. A first-seen
+        mapping walks, since building a plan costs more than one walk.
         """
         if self.cache is None:
             return (
@@ -551,13 +570,31 @@ class Evaluator:
                 analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
                 None,
             )
-        sparse = self.cache.sparse.get_or_compute(
-            key,
-            lambda: analyze_sparse(
-                dense, safs, vectorized=self.sparse_vectorized
-            ),
-        )
+        stage = self.cache.sparse
+        sparse = stage.get(key)
+        if sparse is None:
+            plan = None
+            if reused and self.sparse_vectorized:
+                plan = self._sparse_plan(dense, safs, dense_key)
+            sparse = analyze_sparse(
+                dense, safs, vectorized=self.sparse_vectorized, plan=plan
+            )
+            stage.put(key, sparse)
         return sparse, key
+
+    def _sparse_plan(
+        self, dense: DenseTraffic, safs: SAFSpec, dense_key: bytes
+    ) -> SparsePlan:
+        """The mapping's :class:`~repro.sparse.postprocess.SparsePlan`
+        through the ``"plan"`` stage, keyed by
+        :func:`~repro.sparse.postprocess.sparse_plan_key`."""
+        stage = self.cache.stage(PLAN_STAGE)
+        key = sparse_plan_key(dense_key, safs)
+        plan = stage.get(key)
+        if plan is None:
+            plan = SparsePlan.build(dense, safs)
+            stage.put(key, plan)
+        return plan
 
     # ------------------------------------------------------------------
     # Micro-model stages (validity / latency / energy)
@@ -625,9 +662,11 @@ class Evaluator:
     def _evaluate_mapping(
         self, design: Design, workload: Workload, mapping: Mapping
     ) -> EvaluationResult:
-        dense, dense_key = self._dense_analysis_keyed(design, workload, mapping)
+        dense, dense_key, reused = self._dense_analysis_keyed(
+            design, workload, mapping
+        )
         sparse, sparse_key = self._sparse_analysis_keyed(
-            dense, design.safs, dense_key
+            dense, design.safs, dense_key, reused
         )
         return self._finish_evaluation(
             design, workload, dense, sparse, sparse_key
@@ -1478,7 +1517,7 @@ class Evaluator:
     def _dense_analysis_batch(
         self,
         items: Sequence[tuple[Design, Workload, Mapping]],
-    ) -> list[tuple[DenseTraffic, bytes | None] | ReproError]:
+    ) -> list[tuple[DenseTraffic, bytes | None, bool] | ReproError]:
         """:meth:`_dense_analysis_keyed` over many ``(design, workload,
         mapping)`` triples at once.
 
@@ -1489,9 +1528,10 @@ class Evaluator:
         installed into the ``"dense"`` stage. Should the stacked pass
         fail, its lookups are rolled back and every triple recounts
         through the serial oracle, so the error lands on exactly the
-        triple(s) that caused it. Returns one ``(dense, key)`` pair or
-        :class:`~repro.common.errors.ReproError` per triple; values and
-        cache statistics match the serial loop exactly.
+        triple(s) that caused it. Returns one ``(dense, key, reused)``
+        triple or :class:`~repro.common.errors.ReproError` per triple;
+        values, reuse flags and cache statistics match the serial loop
+        exactly.
         """
         stage = self.cache.dense if self.cache is not None else None
         counters = (stage.hits, stage.misses) if stage is not None else None
@@ -1520,36 +1560,41 @@ class Evaluator:
             out[position] = (
                 replace(cached, workload=items[position][1]),
                 keys[position],
+                True,
             )
         for position, dense in zip(misses, computed):
             key = keys[position]
             if key is not None:
                 stage.put(key, replace(dense, workload=None))
-            out[position] = (dense, key)
+            out[position] = (dense, key, False)
             for follower in followers.get(position, ()):
                 # The follower's serial hit would have returned the
                 # stored copy rebound to its own workload.
                 out[follower] = (
                     replace(dense, workload=items[follower][1]),
                     keys[follower],
+                    True,
                 )
         return out
 
     def _sparse_analysis_batch(
         self,
-        entries: Sequence[tuple[DenseTraffic, SAFSpec, bytes | None]],
+        entries: Sequence[tuple[DenseTraffic, SAFSpec, bytes | None, bool]],
         memos: dict | None = None,
     ) -> list[tuple[SparseTraffic, bytes | None] | ReproError]:
         """:meth:`_sparse_analysis_keyed` over many ``(dense, safs,
-        dense_key)`` entries at once (dense keys as the dense stage
-        returns them).
+        dense_key, reused)`` entries at once (dense keys and reuse flags
+        as the dense stage returns them).
 
         Keys are the :func:`~repro.sparse.postprocess.
-        sparse_analysis_key` digests. Cache hits are served as usual;
-        the misses, deduped by content key, are grouped by sparse-walk
-        *context* — the einsum, architecture, SAF and density digests,
-        so only the mapping differs within a group — and each group
-        flushes as one stacked
+        sparse_analysis_key` digests. Cache hits are served as usual.
+        A miss whose dense analysis was reused evaluates its mapping's
+        plan, as the per-call path does; plan-stage lookups run in job
+        order, so the ``"plan"`` counters match the serial loop too.
+        The other misses, deduped by content key, are grouped by
+        sparse-walk *context* — the einsum, architecture, SAF and
+        density digests, so only the mapping differs within a group —
+        and each group flushes as one stacked
         :func:`~repro.sparse.postprocess.analyze_sparse_batch` pass
         sharing one walk memo. ``memos`` maps contexts to their memos;
         a caller that passes the same dict to every call (a search
@@ -1559,13 +1604,13 @@ class Evaluator:
         (caching disabled, uncacheable densities) have no content
         identity to group on and flush together without a memo.
 
-        Should a stacked pass fail, nothing is installed, its lookups
-        are rolled back, and every entry recounts through the serial
-        oracle, so the error lands on exactly the entry that caused it.
-        Returns one ``(sparse, key)`` pair or
-        :class:`~repro.common.errors.ReproError` per entry; values,
-        cache statistics, and shared-object identity for duplicates
-        match the serial loop exactly.
+        Should a stacked pass or a plan fail, nothing is installed, the
+        sparse and plan lookups are rolled back, and every entry
+        recounts through the serial oracle, so the error lands on
+        exactly the entry that caused it. Returns one ``(sparse, key)``
+        pair or :class:`~repro.common.errors.ReproError` per entry;
+        values, cache statistics, and shared-object identity for
+        duplicates match the serial loop exactly.
         """
         stage = self.cache.sparse if self.cache is not None else None
         counters = (stage.hits, stage.misses) if stage is not None else None
@@ -1573,7 +1618,7 @@ class Evaluator:
             memos = {}
         keys: list[bytes | None] = []
         contexts: list[bytes | None] = []
-        for dense, safs, dense_key in entries:
+        for dense, safs, dense_key, _reused in entries:
             key = context = None
             densities = (
                 None if stage is None else density_digests(dense.workload)
@@ -1589,11 +1634,43 @@ class Evaluator:
             keys.append(key)
             contexts.append(context)
         hits, misses, followers = _serial_lookups(stage, keys)
+        planned = [
+            position
+            for position in misses
+            if self.sparse_vectorized
+            and keys[position] is not None
+            and entries[position][3]
+        ]
+        plan_stage = plan_counters = None
+        if planned:
+            plan_stage = self.cache.stage(PLAN_STAGE)
+            plan_counters = (plan_stage.hits, plan_stage.misses)
+        plan_keys = [
+            sparse_plan_key(entries[position][2], entries[position][1])
+            for position in planned
+        ]
+        plan_hits, plan_misses, plan_followers = _serial_lookups(
+            plan_stage, plan_keys
+        )
         groups: dict[bytes | None, list[int]] = {}
+        walked = set(misses).difference(planned)
         for position in misses:
-            groups.setdefault(contexts[position], []).append(position)
+            if position in walked:
+                groups.setdefault(contexts[position], []).append(position)
+        built: dict[int, SparsePlan] = {}
         computed: dict[int, SparseTraffic] | None = {}
         try:
+            plans = dict(plan_hits)
+            for index in plan_misses:
+                dense, safs = entries[planned[index]][:2]
+                plans[index] = built[index] = SparsePlan.build(dense, safs)
+                for follower in plan_followers.get(index, ()):
+                    plans[follower] = plans[index]
+            for index, position in enumerate(planned):
+                dense, safs = entries[position][:2]
+                computed[position] = analyze_sparse(
+                    dense, safs, plan=plans[index]
+                )
             for context, positions in groups.items():
                 memo = None
                 if context is not None and self.dense_vectorized:
@@ -1609,14 +1686,19 @@ class Evaluator:
         if computed is None:
             if stage is not None:
                 stage.hits, stage.misses = counters
+            if plan_stage is not None:
+                plan_stage.hits, plan_stage.misses = plan_counters
             return [
                 _outcome(self._sparse_analysis_keyed, *entry)
                 for entry in entries
             ]
+        for index, plan in built.items():
+            plan_stage.put(plan_keys[index], plan)
         out: list = [None] * len(entries)
         for position, sparse in hits.items():
             out[position] = (sparse, keys[position])
-        for position, sparse in computed.items():
+        for position in misses:
+            sparse = computed[position]
             key = keys[position]
             if key is not None:
                 stage.put(key, sparse)
@@ -1637,8 +1719,9 @@ class Evaluator:
         (constraints-only designs fall back to the ordinary search
         path), the dense misses stack through one
         :meth:`_dense_analysis_batch` pass, the sparse misses through
-        :meth:`_sparse_analysis_batch` (one flush per walk context;
-        ``memos`` is passed through), and the micro tail finishes each
+        :meth:`_sparse_analysis_batch` (a plan per recurring mapping,
+        one flush per walk context for the rest; ``memos`` is passed
+        through), and the micro tail finishes each
         job. Every per-job outcome — including
         :class:`~repro.common.errors.ReproError` failures such as
         capacity overflows — matches a serial :meth:`_evaluate` call
@@ -1681,12 +1764,12 @@ class Evaluator:
                 analysed.append((index, design, workload, *dense))
         sparses = self._sparse_analysis_batch(
             [
-                (dense, design.safs, dense_key)
-                for _i, design, _w, dense, dense_key in analysed
+                (dense, design.safs, dense_key, reused)
+                for _i, design, _w, dense, dense_key, reused in analysed
             ],
             memos=memos,
         )
-        for (index, design, workload, dense, _key), sparse in zip(
+        for (index, design, workload, dense, _key, _reused), sparse in zip(
             analysed, sparses
         ):
             if isinstance(sparse, ReproError):

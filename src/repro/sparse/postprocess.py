@@ -6,23 +6,31 @@ fine-grained action counts. Per-tile effects are evaluated locally and
 scaled by the number of tiles moved, and SAF interactions are resolved
 here (e.g. format metadata skipped along with skipped data transfers).
 
-Vectorized pipeline
--------------------
+One walk, three pairings
+------------------------
 
-The walk over (level, tensor) flows is *descriptive*: it only decides
-which dense totals split under which classification, format scaling,
-and residue rule. The arithmetic itself is delegated to an emitter:
+The walk over (level, tensor) flows (:func:`_walk`) is *descriptive*:
+it decides which dense totals split under which classification,
+format scaling, and residue rule. It asks a *resolver* for
+classifications, formats and densities, and hands every piece of
+arithmetic to an *emitter*:
 
-* :class:`_ScalarEmitter` computes each split immediately with the
-  original scalar helpers (:func:`_data_split`,
-  :func:`_metadata_split`) — this is the equivalence oracle, selected
-  with ``analyze_sparse(..., vectorized=False)``.
-* :class:`_BatchEmitter` records every flow of the whole loop nest and
-  evaluates all of them in one set of elementwise numpy operations at
-  flush time, then scatters the results back in emission order.
+* :class:`_Resolver` with :class:`_ScalarEmitter` resolves every query
+  on the spot and computes each split immediately with the original
+  scalar helpers (:func:`_data_split`, :func:`_metadata_split`) — this
+  is the equivalence oracle, selected with
+  ``analyze_sparse(..., vectorized=False)``.
+* :class:`_Resolver` with :class:`_BatchEmitter` records every flow of
+  the whole loop nest and evaluates all of them in one set of
+  elementwise numpy operations at flush time, then scatters the
+  results back in emission order.
+* :class:`_PlanBuilder` is both resolver and emitter: it records which
+  query and which row each answer would come from, and the result is a
+  :class:`SparsePlan`.
 
-Both paths are bit-identical: the batched expressions mirror the
-scalar formulas operation for operation (IEEE-754 elementwise), and
+All paths are bit-identical: the batched expressions mirror the
+scalar formulas operation for operation (IEEE-754 elementwise, one
+helper, :func:`_split_columns`, for the batch flush and the plan), and
 the scatter preserves per-accumulator addition order. The default is
 the vectorized path; set the ``REPRO_SCALAR_SPARSE`` environment
 variable (or pass ``vectorized=False``) to force the oracle.
@@ -38,6 +46,23 @@ operations are position-independent, and the per-candidate scatter
 preserves each accumulator's addition order, so the stacked results
 are bit-identical to running :func:`analyze_sparse` once per analysis.
 
+Planned walk
+------------
+
+Which flows exist, which SAF leaders pair with them at which tile
+shapes, and which formats apply depend only on (einsum, architecture,
+mapping, SAFs); only the probabilities and tile-format analyses depend
+on densities. A :class:`SparsePlan` is that density-free structure,
+built once by a recording walk (:meth:`SparsePlan.build`). Evaluating
+it (``analyze_sparse(dense, safs, plan=plan)``) answers its density
+and leader-tile probability queries and its tile-format queries, then
+runs the split arithmetic as numpy gathers over the same expressions
+as the batch flush. A plan holds no workload or density model, only
+tuples of atomics and numpy arrays, so one plan serves every density
+point of a mapping, and a cached plan keeps almost nothing alive for
+the cyclic collector. The engine caches plans in its ``"plan"`` stage
+under :func:`sparse_plan_key`.
+
 :func:`sparse_analysis_key` derives the content key under which a whole
 :class:`~repro.sparse.traffic.SparseTraffic` is memoised by the
 engine's ``"sparse"`` cache stage (see :mod:`repro.common.cache`).
@@ -46,20 +71,29 @@ engine's ``"sparse"`` cache stage (see :mod:`repro.common.cache`).
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.cache import digest, spec_digest
 from repro.common.util import prod
 from repro.dataflow.nest_analysis import DenseTraffic, dense_analysis_key
-from repro.sparse.density import UniformDensity
+from repro.sparse.density import DensityModel, UniformDensity
 from repro.sparse.format_analyzer import TileOccupancy, analyze_tile_format
-from repro.sparse.formats import FormatSpec, dense_format
+from repro.sparse.formats import dense_format
 from repro.sparse.gating_skipping import (
-    NO_ELIMINATION,
     FlowClassification,
     GatingSkippingAnalyzer,
+    LeaderQuery,
+    combine_keeps,
+    leader_groups,
 )
 from repro.sparse.saf import SAFSpec
-from repro.sparse.traffic import ActionBreakdown, SparseTraffic
+from repro.sparse.traffic import (
+    ActionBreakdown,
+    LevelTensorActions,
+    SparseTraffic,
+)
 from repro.workload.einsum import TensorRef
 from repro.workload.spec import Workload
 
@@ -69,6 +103,9 @@ from repro.workload.spec import Workload
 VECTORIZED_DEFAULT = os.environ.get("REPRO_SCALAR_SPARSE", "").lower() in (
     "", "0", "false", "no", "off",
 )
+
+#: The engine's cache stage of :class:`SparsePlan` values.
+PLAN_STAGE = "plan"
 
 
 def ensure_output_density(workload: Workload) -> None:
@@ -133,8 +170,24 @@ def sparse_analysis_key(
     return digest(dense_key + spec_digest(safs) + densities)
 
 
+def sparse_plan_key(dense_key: bytes, safs: SAFSpec) -> bytes:
+    """Content digest of a :class:`SparsePlan`: the dense key (einsum,
+    architecture, mapping) and the SAF digest, without densities."""
+    return digest(dense_key + spec_digest(safs))
+
+
 class _LevelFormatInfo:
     """Cached per-(level, tensor) format scaling factors."""
+
+    __slots__ = (
+        "occupancy",
+        "compressed",
+        "payload_fraction",
+        "metadata_words_per_element",
+        "occupancy_words",
+        "worst_occupancy_words",
+        "compression_rate",
+    )
 
     def __init__(
         self,
@@ -153,8 +206,36 @@ class _LevelFormatInfo:
         self.compression_rate = occupancy.compression_rate(word_bits)
 
 
+def _is_compressed(safs: SAFSpec, level: str, tensor: str) -> bool:
+    spec = safs.format_for(level, tensor)
+    return spec is not None and spec.is_compressed
+
+
+def _format_info(
+    safs: SAFSpec,
+    level: str,
+    tensor: str,
+    rank_extents: tuple[int, ...],
+    density: DensityModel,
+    word_bits: int,
+    metadata_word_bits: int,
+    compressed: bool,
+) -> _LevelFormatInfo:
+    """Format scaling of ``tensor``'s tile at ``level``: the SAF
+    spec's format there (``compressed`` per :func:`_is_compressed`),
+    uncompressed when it names none."""
+    fmt = safs.format_for(level, tensor) or dense_format(len(rank_extents))
+    return _LevelFormatInfo(
+        analyze_tile_format(fmt, rank_extents, density),
+        word_bits,
+        metadata_word_bits,
+        compressed,
+    )
+
+
 # ----------------------------------------------------------------------
-# Split arithmetic: scalar oracle helpers and the two emitters.
+# Split arithmetic: scalar oracle helpers, the shared column formulas,
+# and the two emitters.
 
 
 def _data_split(
@@ -205,17 +286,132 @@ def _metadata_split(
     )
 
 
-class _ScalarEmitter:
+def _walked_checks(
+    feed: float, own_density: float, leader_density: float
+) -> float:
+    """Intersection checks of a compute feed: the unit merges the two
+    *compressed* coordinate streams, touching ~(nnz_follower +
+    nnz_leader) entries rather than every dense position."""
+    return feed * min(1.0, own_density + leader_density)
+
+
+def _rmw_split(
+    updates: float, rmw: float, actual: float
+) -> tuple[float, float, float]:
+    """Accumulation (read-modify-write) reads: every surviving update
+    beyond each element's first write per episode reads the partial.
+    The first writes are a fixed count (tile establishment), so they
+    are subtracted from the surviving updates, not scaled."""
+    first_writes = updates - rmw
+    rmw_actual = max(0.0, updates * actual - first_writes)
+    return rmw_actual, 0.0, max(0.0, rmw - rmw_actual)
+
+
+def _set_compute(
+    sparse: SparseTraffic,
+    computes: float,
+    actual: float,
+    gated: float,
+    skipped: float,
+) -> None:
+    sparse.compute = ActionBreakdown.split(computes, actual, gated)
+    sparse.compute_fractions = (actual, gated, skipped)
+
+
+def _set_occupancy(
+    actions: LevelTensorActions, info: _LevelFormatInfo
+) -> None:
+    actions.occupancy_words = info.occupancy_words
+    actions.worst_occupancy_words = info.worst_occupancy_words
+    actions.compression_rate = info.compression_rate
+
+
+#: Sub-batch tags of the batch emitter and the plan. Rows are grouped
+#: by formula at emission time so the flush runs each formula once
+#: over a dense column block — no masks, no branches.
+_DATA_SKIP = 0  # data split, skip residue (also plain splits, p = 1)
+_DATA_GATE = 1  # data split, gate residue
+_META_BULK = 2  # metadata accompanying bulk transfers
+_META_POS = 3  # positional metadata (full stream charged actual)
+_RAW = 4  # precomputed components pass straight through
+
+
+def _split_columns(data_skip, data_gate, meta_bulk, meta_pos) -> list[tuple]:
+    """The four split formulas over float64 column arrays.
+
+    Each argument is one tag's columns — ``(t, fa, fg, p)`` for the
+    data tags, ``(t, fa, fg, fs, w)`` for bulk metadata, ``(t, w)`` for
+    positional metadata — or ``None`` when the tag has no rows. Returns
+    each tag's ``(actual, gated, skipped)`` as lists (``tolist()``
+    round-trips float64 to Python floats exactly), with the float
+    ``0.0`` standing for a component the formula never produces. The
+    expressions mirror :func:`_data_split` and :func:`_metadata_split`
+    operation for operation.
+    """
+    results: list[tuple] = [([], 0.0, 0.0)] * 4
+    if data_skip is not None:
+        t, fa, fg, p = data_skip
+        a = t * fa * p
+        g = t * fg * p
+        s = np.maximum(0.0, t - a - g)
+        results[_DATA_SKIP] = (a.tolist(), g.tolist(), s.tolist())
+    if data_gate is not None:
+        t, fa, fg, p = data_gate
+        a = t * fa * p
+        g = t * (fg + fa * (1.0 - p))
+        s = np.maximum(0.0, t - a - g)
+        results[_DATA_GATE] = (a.tolist(), g.tolist(), s.tolist())
+    if meta_bulk is not None:
+        t, fa, fg, fs, w = meta_bulk
+        tm = t * w
+        a = tm * (fa + fg)
+        s = tm * fs
+        # gated metadata does not exist: a gated access still moves
+        # its encoding with the tile.
+        results[_META_BULK] = (a.tolist(), 0.0, s.tolist())
+    if meta_pos is not None:
+        t, w = meta_pos
+        results[_META_POS] = ((t * w).tolist(), 0.0, 0.0)
+    return results
+
+
+class _Emitter:
+    """The effects both oracle emitters apply on the spot: they touch
+    accumulators nothing else adds to in between."""
+
+    __slots__ = ()
+
+    def compute(self, sparse, computes, cls):
+        _set_compute(sparse, computes, cls.actual, cls.gated, cls.skipped)
+
+    def checks(self, actions, count):
+        actions.intersection_checks += count
+
+    def walked_checks(self, actions, feed, own_density, leader_density):
+        actions.intersection_checks += _walked_checks(
+            feed, own_density, leader_density
+        )
+
+    def rmw(self, breakdown, updates, rmw, cls):
+        self.raw(breakdown, *_rmw_split(updates, rmw, cls.actual))
+
+    def occupancy(self, actions, info):
+        _set_occupancy(actions, info)
+
+
+class _ScalarEmitter(_Emitter):
     """Immediate per-flow arithmetic — the equivalence oracle."""
 
-    def data(self, breakdown, total, cls, payload_fraction, residue="skip"):
-        breakdown.add(_data_split(total, cls, payload_fraction, residue))
+    __slots__ = ()
+
+    def data(self, breakdown, total, cls, info, residue="skip"):
+        breakdown.add(_data_split(total, cls, info.payload_fraction, residue))
 
     def metadata(self, breakdown, total_dense, cls, info, positional=False):
         breakdown.add(_metadata_split(total_dense, cls, info, positional))
 
-    def split(self, breakdown, total, actual_frac, gated_frac):
-        breakdown.add(ActionBreakdown.split(total, actual_frac, gated_frac))
+    def split(self, breakdown, total, cls):
+        breakdown.add(ActionBreakdown.split(total, cls.actual, cls.gated))
 
     def raw(self, breakdown, actual, gated, skipped):
         breakdown.add(
@@ -226,17 +422,7 @@ class _ScalarEmitter:
         pass
 
 
-#: Sub-batch tags of the batch emitter. Rows are grouped by formula at
-#: emission time so the flush runs each formula once over a dense
-#: column block — no masks, no branches.
-_DATA_SKIP = 0  # data split, skip residue (also plain splits, p = 1)
-_DATA_GATE = 1  # data split, gate residue
-_META_BULK = 2  # metadata accompanying bulk transfers
-_META_POS = 3  # positional metadata (full stream charged actual)
-_RAW = 4  # precomputed components pass straight through
-
-
-class _BatchEmitter:
+class _BatchEmitter(_Emitter):
     """Deferred arithmetic: one numpy evaluation for the whole nest.
 
     Rows are stored column-wise in per-formula sub-batches; ``flush``
@@ -260,14 +446,14 @@ class _BatchEmitter:
             ([], [], []),  # _RAW: actual, gated, skipped
         )
 
-    def data(self, breakdown, total, cls, payload_fraction, residue="skip"):
+    def data(self, breakdown, total, cls, info, residue="skip"):
         tag = _DATA_GATE if residue == "gate" else _DATA_SKIP
         t, fa, fg, p = self.batches[tag]
         self.order.append((tag, len(t), breakdown))
         t.append(total)
         fa.append(cls.actual)
         fg.append(cls.gated)
-        p.append(payload_fraction)
+        p.append(info.payload_fraction)
 
     def metadata(self, breakdown, total_dense, cls, info, positional=False):
         if positional:
@@ -284,14 +470,14 @@ class _BatchEmitter:
         fs.append(cls.skipped)
         w.append(info.metadata_words_per_element)
 
-    def split(self, breakdown, total, actual_frac, gated_frac):
+    def split(self, breakdown, total, cls):
         # total * f * 1.0 is IEEE-identical to total * f, so a plain
         # fraction split is a data split with unit payload.
         t, fa, fg, p = self.batches[_DATA_SKIP]
         self.order.append((_DATA_SKIP, len(t), breakdown))
         t.append(total)
-        fa.append(actual_frac)
-        fg.append(gated_frac)
+        fa.append(cls.actual)
+        fg.append(cls.gated)
         p.append(1.0)
 
     def raw(self, breakdown, actual, gated, skipped):
@@ -304,51 +490,17 @@ class _BatchEmitter:
     def flush(self):
         if not self.order:
             return
-        import numpy as np
-
         asarray = np.asarray
-        results: list[tuple[list, list | float, list | float]] = [
-            ([], 0.0, 0.0)
-        ] * 5
-
-        t, fa, fg, p = self.batches[_DATA_SKIP]
-        if t:
-            ta, faa, fga, pa = (
-                asarray(t), asarray(fa), asarray(fg), asarray(p)
+        results = _split_columns(
+            *(
+                tuple([asarray(column) for column in batch])
+                if batch[0]
+                else None
+                for batch in self.batches[:_RAW]
             )
-            a = ta * faa * pa
-            g = ta * fga * pa
-            s = np.maximum(0.0, ta - a - g)
-            results[_DATA_SKIP] = (a.tolist(), g.tolist(), s.tolist())
-
-        t, fa, fg, p = self.batches[_DATA_GATE]
-        if t:
-            ta, faa, fga, pa = (
-                asarray(t), asarray(fa), asarray(fg), asarray(p)
-            )
-            a = ta * faa * pa
-            g = ta * (fga + faa * (1.0 - pa))
-            s = np.maximum(0.0, ta - a - g)
-            results[_DATA_GATE] = (a.tolist(), g.tolist(), s.tolist())
-
-        t, fa, fg, fs, w = self.batches[_META_BULK]
-        if t:
-            tm = asarray(t) * asarray(w)
-            a = tm * (asarray(fa) + asarray(fg))
-            s = tm * asarray(fs)
-            # gated metadata does not exist: a gated access still moves
-            # its encoding with the tile.
-            results[_META_BULK] = (a.tolist(), 0.0, s.tolist())
-
-        t, w = self.batches[_META_POS]
-        if t:
-            a = asarray(t) * asarray(w)
-            results[_META_POS] = (a.tolist(), 0.0, 0.0)
-
-        results[_RAW] = self.batches[_RAW]
-
-        # tolist() round-trips float64 -> Python float exactly; the
-        # replay preserves per-accumulator addition order.
+        )
+        results.append(self.batches[_RAW])
+        # The replay preserves per-accumulator addition order.
         for tag, row, breakdown in self.order:
             a, g, s = results[tag]
             breakdown.add_components(
@@ -362,18 +514,90 @@ class _BatchEmitter:
 # The analysis walk.
 
 
+class _Resolver:
+    """Answers the walk's queries on the spot: probabilities through
+    the analyzer, formats through the tile-format analysis."""
+
+    __slots__ = ("analyzer", "dense", "safs", "memo", "formats")
+
+    def __init__(
+        self,
+        dense: DenseTraffic,
+        safs: SAFSpec,
+        analyzer: GatingSkippingAnalyzer,
+        memo: dict | None,
+    ):
+        self.dense = dense
+        self.safs = safs
+        self.analyzer = analyzer
+        self.memo = memo
+        self.formats: dict[tuple[str, str], _LevelFormatInfo] = {}
+
+    def classify(self, queries: list[LeaderQuery]) -> FlowClassification:
+        return self.analyzer.classify(queries)
+
+    def compute_class(self) -> FlowClassification:
+        return self.analyzer.classify_compute()
+
+    def update_class(self) -> FlowClassification:
+        return self.analyzer.classify_output_updates()
+
+    def density(self, tensor: str) -> float:
+        return self.dense.workload.density_of(tensor).density
+
+    def fmt(self, level: str, tensor: str) -> _LevelFormatInfo:
+        key = (level, tensor)
+        info = self.formats.get(key)
+        if info is not None:
+            return info
+        dense = self.dense
+        extents = dense.at(level, tensor).tile_rank_extents
+        memo = self.memo
+        # Across the candidates of one search the same (level, tensor,
+        # tile shape) recurs constantly; the scaling factors are a pure
+        # function of that triple once workload/SAFs/arch are fixed.
+        memo_key = None
+        if memo is not None:
+            memo_key = ("fmt", level, tensor, extents)
+            info = memo.get(memo_key)
+            if info is not None:
+                self.formats[key] = info
+                return info
+        arch_level = dense.arch.level(level)
+        info = _format_info(
+            self.safs,
+            level,
+            tensor,
+            extents,
+            dense.workload.density_of(tensor),
+            arch_level.word_bits,
+            arch_level.metadata_word_bits,
+            _is_compressed(self.safs, level, tensor),
+        )
+        self.formats[key] = info
+        if memo_key is not None:
+            memo[memo_key] = info
+        return info
+
+
 def analyze_sparse(
     dense: DenseTraffic,
     safs: SAFSpec,
     *,
     vectorized: bool | None = None,
+    plan: SparsePlan | None = None,
 ) -> SparseTraffic:
     """Run the sparse modeling step on top of dense traffic.
 
     ``vectorized`` selects the batched numpy arithmetic (default) or
     the scalar oracle path; both produce bit-identical results. The
-    module default follows :data:`VECTORIZED_DEFAULT`.
+    module default follows :data:`VECTORIZED_DEFAULT`. ``plan``, a
+    :class:`SparsePlan` built for ``dense``'s einsum, architecture and
+    mapping and for ``safs``, replaces the walk with an evaluation of
+    the plan at ``dense.workload``'s densities (same result).
     """
+    if plan is not None:
+        return plan.evaluate(dense.workload, safs)
     if vectorized is None:
         vectorized = VECTORIZED_DEFAULT
     emitter = _BatchEmitter() if vectorized else _ScalarEmitter()
@@ -402,7 +626,7 @@ def analyze_sparse_batch(
 
     ``memo`` is an optional *cross-call* walk memo: candidates of one
     mapspace search re-derive the same leader-keep probabilities,
-    format scalings, and compute-source collections over and over, so
+    format scalings, and compute-query collections over and over, so
     the engine threads one plain dict through every block of a search.
     All memoised values are pure functions of their keys **given a
     fixed workload (densities), SAF spec, and architecture** — callers
@@ -430,94 +654,45 @@ def analyze_sparse_batch(
 def _record_sparse(
     dense: DenseTraffic, safs: SAFSpec, emitter, memo: dict | None = None
 ) -> SparseTraffic:
-    """The descriptive analysis walk: classify every (level, tensor)
-    flow and describe its split arithmetic to ``emitter``. The caller
-    owns the flush, which lets one batch emitter stack many walks."""
-    workload = dense.workload
-    ensure_output_density(workload)
+    """The walk with every query resolved on the spot, describing its
+    split arithmetic to ``emitter``. The caller owns the flush, which
+    lets one batch emitter stack many walks."""
+    ensure_output_density(dense.workload)
     analyzer = GatingSkippingAnalyzer(dense, safs, shared=memo)
-    sparse = SparseTraffic()
+    resolver = _Resolver(dense, safs, analyzer, memo)
+    return _walk(dense, analyzer, resolver, emitter, SparseTraffic())
 
-    compute_cls = analyzer.classify_compute()
-    sparse.compute = ActionBreakdown.split(
-        dense.computes, compute_cls.actual, compute_cls.gated
-    )
-    sparse.compute_fractions = (
-        compute_cls.actual,
-        compute_cls.gated,
-        compute_cls.skipped,
-    )
 
-    fmt_cache: dict[tuple[str, str], _LevelFormatInfo] = {}
-
-    def fmt_info(level: str, tensor: str) -> _LevelFormatInfo:
-        key = (level, tensor)
-        info = fmt_cache.get(key)
-        if info is not None:
-            return info
-        record = dense.at(level, tensor)
-        # Across the candidates of one search the same (level, tensor,
-        # tile shape) recurs constantly; the scaling factors are a pure
-        # function of that triple once workload/SAFs/arch are fixed.
-        memo_key = (
-            ("fmt", level, tensor, record.tile_rank_extents)
-            if memo is not None
-            else None
-        )
-        if memo_key is not None:
-            info = memo.get(memo_key)
-            if info is not None:
-                fmt_cache[key] = info
-                return info
-        spec = safs.format_for(level, tensor)
-        compressed = spec is not None and spec.is_compressed
-        fmt: FormatSpec = spec or dense_format(len(record.tile_rank_extents))
-        occ = analyze_tile_format(
-            fmt,
-            record.tile_rank_extents,
-            workload.density_of(tensor),
-        )
-        arch_level = dense.arch.level(level)
-        info = _LevelFormatInfo(
-            occ,
-            arch_level.word_bits,
-            arch_level.metadata_word_bits,
-            compressed,
-        )
-        fmt_cache[key] = info
-        if memo_key is not None:
-            memo[memo_key] = info
-        return info
-
-    for tensor in workload.einsum.tensors:
+def _walk(
+    dense: DenseTraffic,
+    analyzer: GatingSkippingAnalyzer,
+    resolver,
+    emitter,
+    sparse: SparseTraffic,
+) -> SparseTraffic:
+    """Classify every (level, tensor) flow: the one description of the
+    sparse step that the oracle, the stacked walk and the plan builder
+    share. Slots enter ``sparse`` in the order of its ``at()`` calls."""
+    emitter.compute(sparse, dense.computes, resolver.compute_class())
+    for tensor in dense.workload.einsum.tensors:
         chain = dense.mapping.keep_chain(tensor.name)
-        if tensor.is_output:
-            _process_output(
-                dense, analyzer, sparse, tensor, chain, fmt_info,
-                compute_cls, emitter,
-            )
-        else:
-            _process_operand(
-                dense, analyzer, sparse, tensor, chain, fmt_info, emitter
-            )
+        process = _process_output if tensor.is_output else _process_operand
+        process(dense, analyzer, resolver, sparse, tensor, chain, emitter)
 
     # Record occupancy for every (level, tensor) pair.
-    for (level, name), record in dense.traffic.items():
-        info = fmt_info(level, name)
-        actions = sparse.at(level, name)
-        actions.occupancy_words = info.occupancy_words
-        actions.worst_occupancy_words = info.worst_occupancy_words
-        actions.compression_rate = info.compression_rate
+    for level, name in dense.traffic:
+        info = resolver.fmt(level, name)
+        emitter.occupancy(sparse.at(level, name), info)
     return sparse
 
 
 def _process_operand(
     dense: DenseTraffic,
     analyzer: GatingSkippingAnalyzer,
+    resolver,
     sparse: SparseTraffic,
     tensor: TensorRef,
     chain: list[str],
-    fmt_info,
     emitter,
 ) -> None:
     name = tensor.name
@@ -527,69 +702,61 @@ def _process_operand(
     # of a compressed operand are skipped when the design walks its
     # metadata, gated otherwise (cycles spent idling).
     record = dense.at(innermost, name)
-    sources = analyzer.flow_sources(tensor, innermost)
-    cls = FlowClassification.from_sources(sources)
-    info = fmt_info(innermost, name)
+    queries = analyzer.flow_queries(tensor, innermost)
+    cls = resolver.classify(queries)
+    info = resolver.fmt(innermost, name)
     actions = sparse.at(innermost, name)
     feed = record.compute_feed_reads
-    # The intersection unit merges the two *compressed* coordinate
-    # streams, touching ~(nnz_follower + nnz_leader) entries rather
-    # than every dense position.
-    own_density = dense.workload.density_of(name).density
-    for source in sources:
-        if not source.is_intersection:
+    own_density = None
+    for query in queries:
+        if not query.is_intersection:
             continue
-        walked = min(
-            1.0,
-            own_density + dense.workload.density_of(source.leader).density,
+        if own_density is None:
+            own_density = resolver.density(name)
+        emitter.walked_checks(
+            actions, feed, own_density, resolver.density(query.leader)
         )
-        actions.intersection_checks += feed * walked
     residue = (
         "skip" if analyzer.tensor_drives_skipping(name) else "gate"
     ) if info.compressed else "skip"
-    emitter.data(actions.data_reads, feed, cls, info.payload_fraction, residue)
+    emitter.data(actions.data_reads, feed, cls, info, residue)
     emitter.metadata(actions.metadata_reads, feed, cls, info, positional=True)
 
     # Transfers along the keep chain (parent reads + child fills).
     for parent, child in zip(chain, chain[1:]):
-        t_sources = analyzer.flow_sources(tensor, parent)
-        cls_t = FlowClassification.from_sources(t_sources)
+        t_queries = analyzer.flow_queries(tensor, parent)
+        cls_t = resolver.classify(t_queries)
         parent_record = dense.at(parent, name)
         child_record = dense.at(child, name)
-        p_info = fmt_info(parent, name)
-        c_info = fmt_info(child, name)
+        p_info = resolver.fmt(parent, name)
+        c_info = resolver.fmt(child, name)
 
         parent_actions = sparse.at(parent, name)
         # Tile-granular intersection decisions at the transfer source.
         tiles_decided = child_record.episodes * child_record.instances
-        parent_actions.intersection_checks += tiles_decided * sum(
-            1 for s in t_sources if s.is_intersection
+        emitter.checks(
+            parent_actions,
+            tiles_decided * sum(1 for q in t_queries if q.is_intersection),
         )
         parent_reads = parent_record.transfer_reads
-        emitter.data(
-            parent_actions.data_reads, parent_reads, cls_t,
-            p_info.payload_fraction,
-        )
+        emitter.data(parent_actions.data_reads, parent_reads, cls_t, p_info)
         emitter.metadata(
             parent_actions.metadata_reads, parent_reads, cls_t, p_info
         )
 
         child_actions = sparse.at(child, name)
         fills = child_record.fills
-        emitter.data(
-            child_actions.data_writes, fills, cls_t, c_info.payload_fraction
-        )
+        emitter.data(child_actions.data_writes, fills, cls_t, c_info)
         emitter.metadata(child_actions.metadata_writes, fills, cls_t, c_info)
 
 
 def _process_output(
     dense: DenseTraffic,
     analyzer: GatingSkippingAnalyzer,
+    resolver,
     sparse: SparseTraffic,
     tensor: TensorRef,
     chain: list[str],
-    fmt_info,
-    compute_cls: FlowClassification,
     emitter,
 ) -> None:
     name = tensor.name
@@ -600,83 +767,40 @@ def _process_output(
     # classified at group granularity (Sec 5.3.4's statistical
     # characterisation at the right tile shape).
     record = dense.at(innermost, name)
-    info = fmt_info(innermost, name)
+    resolver.fmt(innermost, name)
     actions = sparse.at(innermost, name)
     updates = record.update_writes
-    update_cls = analyzer.classify_output_updates()
-    emitter.split(
-        actions.data_writes, updates, update_cls.actual, update_cls.gated
-    )
-    # Accumulation (read-modify-write) reads: every surviving update
-    # beyond each element's first write per episode reads the partial.
-    # The first writes are a fixed count (tile establishment), so they
-    # are subtracted from the surviving updates, not scaled.
-    rmw = record.rmw_reads
-    first_writes = updates - rmw
-    rmw_actual = max(0.0, updates * update_cls.actual - first_writes)
-    emitter.raw(
-        actions.data_reads, rmw_actual, 0.0, max(0.0, rmw - rmw_actual)
-    )
+    update_cls = resolver.update_class()
+    emitter.split(actions.data_writes, updates, update_cls)
+    emitter.rmw(actions.data_reads, updates, record.rmw_reads, update_cls)
 
     # Drains and refills along the chain.
     for parent, child in zip(chain, chain[1:]):
-        cls_d = _drain_classification(analyzer, tensor, parent, child)
-        parent_record = dense.at(parent, name)
+        drain = analyzer.drain_queries(tensor, parent, child)
+        cls_d = resolver.classify(drain)
+        p_info = resolver.fmt(parent, name)
+        c_info = resolver.fmt(child, name)
         child_record = dense.at(child, name)
-        p_info = fmt_info(parent, name)
-        c_info = fmt_info(child, name)
         reduction = _boundary_reduction(dense, parent, child, tensor)
 
         child_actions = sparse.at(child, name)
         drains = child_record.drains
-        emitter.data(
-            child_actions.data_reads, drains, cls_d, c_info.payload_fraction
-        )
+        emitter.data(child_actions.data_reads, drains, cls_d, c_info)
         emitter.metadata(child_actions.metadata_reads, drains, cls_d, c_info)
 
         parent_actions = sparse.at(parent, name)
         arriving = drains / reduction
-        emitter.data(
-            parent_actions.data_writes, arriving, cls_d,
-            p_info.payload_fraction,
-        )
+        emitter.data(parent_actions.data_writes, arriving, cls_d, p_info)
         emitter.metadata(
             parent_actions.metadata_writes, arriving, cls_d, p_info
         )
 
         refills = child_record.refill_writes
         if refills > 0:
+            emitter.data(child_actions.data_writes, refills, cls_d, c_info)
             emitter.data(
-                child_actions.data_writes, refills, cls_d,
-                c_info.payload_fraction,
+                parent_actions.data_reads, refills / reduction, cls_d, p_info
             )
-            emitter.data(
-                parent_actions.data_reads, refills / reduction, cls_d,
-                p_info.payload_fraction,
-            )
-
-
-def _drain_classification(
-    analyzer: GatingSkippingAnalyzer,
-    tensor: TensorRef,
-    parent: str,
-    child: str,
-) -> FlowClassification:
-    """Classification of output drain traffic at a chain boundary.
-
-    Only explicit SAFs targeting the output at the parent level apply
-    (e.g. ExTensor's ``Skip Z <- A & B`` at every level); leader tiles
-    span the child tile's residency episode.
-    """
-    sources = []
-    for saf in analyzer.safs.storage_safs_at(parent):
-        if saf.target != tensor.name:
-            continue
-        extents = analyzer.transfer_extents(tensor, child)
-        sources.extend(analyzer.storage_saf_sources(tensor, saf, extents))
-    if not sources:
-        return NO_ELIMINATION
-    return FlowClassification.from_sources(sources)
 
 
 def _boundary_reduction(
@@ -693,3 +817,361 @@ def _boundary_reduction(
         if loop.dim not in tensor.dims:
             factor *= loop.bound
     return factor
+
+
+# ----------------------------------------------------------------------
+# The planned walk.
+
+
+class _FormatHandle:
+    """A recorded tile-format query, standing in for
+    :class:`_LevelFormatInfo` while a plan is built."""
+
+    __slots__ = ("key", "compressed")
+
+    def __init__(self, key: tuple[str, str], compressed: bool):
+        self.key = key
+        self.compressed = compressed
+
+
+#: Payload index of a plain fraction split (unit payload): the last
+#: entry of an evaluation's payload column.
+_UNIT_PAYLOAD = -1
+
+
+class _PlanBuilder:
+    """Records the walk instead of resolving it: the resolver and the
+    emitter of :meth:`SparsePlan.build`.
+
+    Every answer becomes an index — a density or leader-tile query into
+    the value table, a classification into the class table, a format
+    into the slot table (every slot is a dense (level, tensor) pair,
+    and so is every format query) — and every emitted row a ``(total,
+    class, format)`` triple in its tag's columns, with its target
+    accumulator (``4 * slot + field``) in the scatter order.
+    """
+
+    def __init__(
+        self,
+        dense: DenseTraffic,
+        safs: SAFSpec,
+        analyzer: GatingSkippingAnalyzer,
+        sparse: SparseTraffic,
+    ):
+        self.dense = dense
+        self.safs = safs
+        self.analyzer = analyzer
+        self.sparse = sparse
+        self.values: dict[tuple, int] = {}
+        self.classes: dict[tuple[int, ...], int] = {}
+        self.formats: dict[tuple[str, str], _FormatHandle] = {}
+        #: Per tag, ``(total, class, format handle)`` rows.
+        self.rows: tuple[list, ...] = ([], [], [], [])
+        #: ``(tag, row, target)`` in emission order.
+        self.order: list[tuple[int, int, int]] = []
+        self.raw: list[tuple] = []
+        self.check_terms: list[tuple] = []
+        self.compute_term: tuple[float, int] | None = None
+        self._slots: dict[int, int] = {}
+        self._targets: dict[int, int] = {}
+
+    # Resolver side --------------------------------------------------
+
+    def _value(self, tensor: str, shape: tuple[int, ...] | None) -> int:
+        key = (tensor, shape)
+        index = self.values.get(key)
+        if index is None:
+            index = self.values[key] = len(self.values)
+        return index
+
+    def classify(self, queries: list[LeaderQuery]) -> int:
+        ids = [self._value(q.leader, q.shape) for q in queries]
+        compiled = leader_groups(queries, ids)
+        index = self.classes.get(compiled)
+        if index is None:
+            index = self.classes[compiled] = len(self.classes)
+        return index
+
+    def compute_class(self) -> int:
+        return self.classify(self.analyzer.compute_queries())
+
+    def update_class(self) -> int:
+        return self.classify(self.analyzer.update_queries())
+
+    def density(self, tensor: str) -> int:
+        return self._value(tensor, None)
+
+    def fmt(self, level: str, tensor: str) -> _FormatHandle:
+        key = (level, tensor)
+        handle = self.formats.get(key)
+        if handle is None:
+            handle = self.formats[key] = _FormatHandle(
+                key, _is_compressed(self.safs, level, tensor)
+            )
+        return handle
+
+    # Emitter side ---------------------------------------------------
+
+    def _index(self, table: dict[int, int], obj) -> int:
+        index = table.get(id(obj))
+        if index is None:
+            # A slot the walk created since the last scan.
+            for slot, actions in enumerate(self.sparse.actions.values()):
+                self._slots[id(actions)] = slot
+                for field, breakdown in enumerate(
+                    (
+                        actions.data_reads,
+                        actions.data_writes,
+                        actions.metadata_reads,
+                        actions.metadata_writes,
+                    )
+                ):
+                    self._targets[id(breakdown)] = 4 * slot + field
+            index = table[id(obj)]
+        return index
+
+    def _row(self, tag: int, breakdown, total, cls: int, info) -> None:
+        rows = self.rows[tag]
+        target = self._index(self._targets, breakdown)
+        self.order.append((tag, len(rows), target))
+        rows.append((total, cls, info))
+
+    def compute(self, sparse, computes, cls):
+        self.compute_term = (computes, cls)
+
+    def checks(self, actions, count):
+        slot = self._index(self._slots, actions)
+        self.check_terms.append((slot, count, -1, -1))
+
+    def walked_checks(self, actions, feed, own_density, leader_density):
+        slot = self._index(self._slots, actions)
+        self.check_terms.append((slot, feed, own_density, leader_density))
+
+    def rmw(self, breakdown, updates, rmw, cls):
+        target = self._index(self._targets, breakdown)
+        self.order.append((_RAW, len(self.raw), target))
+        self.raw.append((updates, rmw, cls))
+
+    def occupancy(self, actions, info):
+        # Every slot takes its own format's occupancy (see ``_walk``).
+        assert info.key == (actions.level, actions.tensor)
+
+    def data(self, breakdown, total, cls, info, residue="skip"):
+        tag = _DATA_GATE if residue == "gate" else _DATA_SKIP
+        self._row(tag, breakdown, total, cls, info)
+
+    def metadata(self, breakdown, total_dense, cls, info, positional=False):
+        if positional:
+            self._row(_META_POS, breakdown, total_dense, 0, info)
+        else:
+            self._row(_META_BULK, breakdown, total_dense, cls, info)
+
+    def split(self, breakdown, total, cls):
+        self._row(_DATA_SKIP, breakdown, total, cls, None)
+
+    def plan(self) -> SparsePlan:
+        """Freeze the record into GC-light fields: flat tuples of
+        atomics, tuples of such tuples, and numpy arrays."""
+        keys = list(self.sparse.actions)
+        slot_of = {key: slot for slot, key in enumerate(keys)}
+        dense = self.dense
+        shapes = [dense.at(*key).tile_rank_extents for key in keys]
+        formats = []
+        for key in keys:
+            arch_level = dense.arch.level(key[0])
+            formats += [
+                arch_level.word_bits,
+                arch_level.metadata_word_bits,
+                self.formats[key].compressed,
+            ]
+        values = []
+        for tensor, shape in self.values:
+            values += [tensor, -1 if shape is None else len(shapes)]
+            if shape is not None:
+                shapes.append(shape)
+        columns = []
+        for rows in self.rows:
+            if not rows:
+                columns += [None, None, None]
+                continue
+            columns += [
+                np.array([total for total, _c, _f in rows], dtype=np.float64),
+                np.array([cls for _t, cls, _f in rows], dtype=np.intp),
+                np.array(
+                    [
+                        _UNIT_PAYLOAD if info is None else slot_of[info.key]
+                        for _t, _c, info in rows
+                    ],
+                    dtype=np.intp,
+                ),
+            ]
+        return SparsePlan(
+            slots=tuple([name for key in keys for name in key]),
+            formats=tuple(formats),
+            values=tuple(values),
+            shapes=tuple(shapes),
+            classes=tuple(self.classes),
+            compute=self.compute_term,
+            columns=tuple(columns),
+            raw=tuple([item for term in self.raw for item in term]),
+            order=tuple([item for entry in self.order for item in entry]),
+            checks=tuple([item for term in self.check_terms for item in term]),
+        )
+
+
+@dataclass(slots=True, eq=False)
+class SparsePlan:
+    """The density-free structure of one sparse analysis.
+
+    Built once per (einsum, architecture, mapping, SAFs) by
+    :meth:`build`, evaluated per density point by :meth:`evaluate`
+    (or ``analyze_sparse(dense, safs, plan=plan)``) with a result equal
+    to the walk's, bit for bit and in slot order. Fields (``*`` marks a
+    flat tuple read with that stride):
+
+    * ``slots``: ``(level, tensor)*`` of every result entry, in the
+      walk's first-``at()`` order; slot ``i`` is also format query
+      ``i``, since the walk asks for the format of every dense
+      (level, tensor) pair and of nothing else;
+    * ``formats``: ``(word bits, metadata word bits, compressed)*`` per
+      slot; its tile's rank extents are ``shapes[i]``;
+    * ``values``: ``(tensor, shape index)*`` queries, the density of
+      ``tensor`` for index ``-1``, else P(``tensor`` tile of
+      ``shapes[index]`` nonempty);
+    * ``shapes``: rank extents, the slots' tiles then the leader tiles;
+    * ``classes``: compiled classifications, the :func:`~repro.sparse.
+      gating_skipping.leader_groups` of each over value indices;
+    * ``compute``: ``(dense computes, class)``;
+    * ``columns``: per split tag, ``(dense totals, class indices,
+      format indices)`` arrays, or three ``None``;
+    * ``raw``: ``(updates, rmw reads, class)*`` read-modify-write terms;
+    * ``order``: the scatter, ``(tag, row, 4 * slot + field)*``;
+    * ``checks``: ``(slot, value, own, leader)*`` intersection-check
+      terms, a constant ``value`` when ``own`` is ``-1``, else a feed
+      walked at the ``own`` and ``leader`` density values.
+
+    Only flat tuples of atomics, one level of tuples of those, and
+    numpy arrays: no workload, density model or format object, and
+    after one collection nothing but a handful of containers for the
+    cyclic collector to scan. Read-only, like every cached value.
+    """
+
+    slots: tuple[str, ...]
+    formats: tuple[int | bool, ...]
+    values: tuple[str | int, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, ...], ...]
+    compute: tuple[float, int]
+    columns: tuple[np.ndarray | None, ...]
+    raw: tuple[float | int, ...]
+    order: tuple[int, ...]
+    checks: tuple[float | int, ...]
+
+    @classmethod
+    def build(cls, dense: DenseTraffic, safs: SAFSpec) -> SparsePlan:
+        """Record the walk over ``dense``'s flows under ``safs``. Reads
+        no density model."""
+        analyzer = GatingSkippingAnalyzer(dense, safs)
+        sparse = SparseTraffic()
+        builder = _PlanBuilder(dense, safs, analyzer, sparse)
+        _walk(dense, analyzer, builder, builder, sparse)
+        return builder.plan()
+
+    def evaluate(self, workload: Workload, safs: SAFSpec) -> SparseTraffic:
+        """The sparse traffic at ``workload``'s densities (``safs``
+        must be the plan's SAF content)."""
+        ensure_output_density(workload)
+        density_of = workload.density_of
+        shapes = self.shapes
+        pairs = iter(self.values)
+        values = [
+            density_of(tensor).density
+            if shape < 0
+            else density_of(tensor).prob_nonempty(shapes[shape])
+            for tensor, shape in zip(pairs, pairs)
+        ]
+        actual: list[float] = []
+        gated: list[float] = []
+        skipped: list[float] = []
+        for groups in self.classes:
+            a, g, s = combine_keeps(values, groups)
+            actual.append(a)
+            gated.append(g)
+            skipped.append(s)
+        keys = iter(self.slots)
+        bits = iter(self.formats)
+        slots = list(zip(keys, keys))
+        infos = [
+            _format_info(
+                safs, level, tensor, extents, density_of(tensor),
+                word_bits, metadata_word_bits, compressed,
+            )
+            for (level, tensor), extents, word_bits, metadata_word_bits,
+            compressed in zip(slots, shapes, bits, bits, bits)
+        ]
+
+        fa, fg, fs = np.array(actual), np.array(gated), np.array(skipped)
+        payload = np.array([info.payload_fraction for info in infos] + [1.0])
+        words = np.array([info.metadata_words_per_element for info in infos])
+        (
+            skip_t, skip_c, skip_f,
+            gate_t, gate_c, gate_f,
+            bulk_t, bulk_c, bulk_f,
+            pos_t, _pos_c, pos_f,
+        ) = self.columns
+        results = _split_columns(
+            None if skip_t is None
+            else (skip_t, fa[skip_c], fg[skip_c], payload[skip_f]),
+            None if gate_t is None
+            else (gate_t, fa[gate_c], fg[gate_c], payload[gate_f]),
+            None if bulk_t is None
+            else (bulk_t, fa[bulk_c], fg[bulk_c], fs[bulk_c], words[bulk_f]),
+            None if pos_t is None else (pos_t, words[pos_f]),
+        )
+        raw = ([], [], [])
+        terms = iter(self.raw)
+        for updates, rmw, cls in zip(terms, terms, terms):
+            split = _rmw_split(updates, rmw, actual[cls])
+            for column, value in zip(raw, split):
+                column.append(value)
+        results.append(raw)
+
+        # Replay the scatter into plain accumulators: the same additions
+        # in the same order as the batch flush's add_components.
+        count = 4 * len(slots)
+        acc_a = [0.0] * count
+        acc_g = [0.0] * count
+        acc_s = [0.0] * count
+        entries = iter(self.order)
+        for tag, row, target in zip(entries, entries, entries):
+            a, g, s = results[tag]
+            acc_a[target] += a[row]
+            acc_g[target] += g if isinstance(g, float) else g[row]
+            acc_s[target] += s if isinstance(s, float) else s[row]
+        checks = [0.0] * len(slots)
+        terms = iter(self.checks)
+        for slot, value, own, leader in zip(terms, terms, terms, terms):
+            if own < 0:
+                checks[slot] += value
+            else:
+                checks[slot] += _walked_checks(
+                    value, values[own], values[leader]
+                )
+
+        sparse = SparseTraffic()
+        for slot, key in enumerate(slots):
+            i = 4 * slot
+            actions = LevelTensorActions(
+                key[1],
+                key[0],
+                ActionBreakdown(acc_a[i], acc_g[i], acc_s[i]),
+                ActionBreakdown(acc_a[i + 1], acc_g[i + 1], acc_s[i + 1]),
+                ActionBreakdown(acc_a[i + 2], acc_g[i + 2], acc_s[i + 2]),
+                ActionBreakdown(acc_a[i + 3], acc_g[i + 3], acc_s[i + 3]),
+                intersection_checks=checks[slot],
+            )
+            _set_occupancy(actions, infos[slot])
+            sparse.actions[key] = actions
+        computes, cls = self.compute
+        _set_compute(sparse, computes, actual[cls], gated[cls], skipped[cls])
+        return sparse

@@ -6,7 +6,9 @@ preserve conservation laws that hold for any dataflow:
 * fine-grained actions partition the dense traffic exactly,
 * the output tensor's final words reach the outermost level once,
 * skipping never increases cycles, gating never changes them,
-* classification fractions stay within [0, 1].
+* classification fractions stay within [0, 1],
+* on every bundled sweep family, a sparser point never does more
+  actual compute than a denser one.
 """
 
 import pytest
@@ -27,6 +29,7 @@ from repro.sparse.saf import (
     gate_compute,
     skip_compute,
 )
+from tests.model.test_evaluate_batch import _family_jobs
 
 
 def _arch(macs=4):
@@ -160,3 +163,56 @@ def test_energy_monotone_in_density(da, db):
         return ev.evaluate(design, wl).energy_pj
 
     assert energy(1.0) <= energy(1.5) * (1 + 1e-9) or da >= 0.67
+
+
+FAMILY_COUNT = len(_family_jobs(0.5))
+
+
+def _family_point(index: int, density: float) -> tuple:
+    return _family_jobs(density)[index]
+
+
+def _assert_partitions(result) -> None:
+    dense, sparse = result.dense, result.sparse
+    for (level, tensor), record in dense.traffic.items():
+        actions = sparse.at(level, tensor)
+        assert actions.data_reads.total == pytest.approx(
+            record.reads, rel=1e-9, abs=1e-9
+        ), (level, tensor)
+        assert actions.data_writes.total == pytest.approx(
+            record.writes, rel=1e-9, abs=1e-9
+        ), (level, tensor)
+        for breakdown in (
+            actions.data_reads,
+            actions.data_writes,
+            actions.metadata_reads,
+            actions.metadata_writes,
+        ):
+            assert breakdown.actual >= 0
+            assert breakdown.gated >= 0
+            assert breakdown.skipped >= 0
+    assert sparse.compute.total == pytest.approx(dense.computes, rel=1e-9)
+    compute = sparse.compute
+    assert min(compute.actual, compute.gated, compute.skipped) >= 0
+    assert all(0.0 <= fraction <= 1.0 for fraction in sparse.compute_fractions)
+
+
+@given(
+    index=st.integers(min_value=0, max_value=FAMILY_COUNT - 1),
+    high=st.floats(min_value=0.05, max_value=1.0),
+    ratio=st.floats(min_value=0.05, max_value=0.95),
+)
+@settings(max_examples=40, deadline=None)
+def test_family_invariants_across_a_density_pair(index, high, ratio):
+    """Every sweep family, a denser then a sparser point on one
+    Session: the second reuses the dense analysis, so it takes the
+    planned walk. Both conserve traffic, and lowering density never
+    raises actual compute."""
+    with Session(check_capacity=False) as session:
+        dense_point = session.evaluate(*_family_point(index, high))
+        sparse_point = session.evaluate(*_family_point(index, high * ratio))
+    _assert_partitions(dense_point)
+    _assert_partitions(sparse_point)
+    assert sparse_point.sparse.compute.actual <= (
+        dense_point.sparse.compute.actual * (1 + 1e-12)
+    )

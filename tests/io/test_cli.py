@@ -171,3 +171,27 @@ class TestErrorExitCodes:
         )
         assert code == 0
         assert "cycles" in capsys.readouterr().out
+
+
+class TestDensitiesBoundary:
+    """A malformed ``densities`` section exits 2 with one ``error:``
+    line naming the offending entry (no traceback, no silent 1.0)."""
+
+    @pytest.mark.parametrize(
+        "section,needle",
+        [
+            ({"A": "half", "B": 0.6}, "'A'"),
+            ([0.25, 0.6], "densities"),
+            ({"A": True, "B": 0.6}, "'A'"),
+        ],
+        ids=["string", "list", "bool"],
+    )
+    def test_bad_densities_exit_2(self, tmp_path, capsys, section, needle):
+        spec = yaml.safe_load(FULL_SPEC)
+        spec["workload"]["densities"] = section
+        path = tmp_path / "densities.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        assert main(["evaluate", str(path), "--cold"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:") and needle in lines[0]

@@ -1,6 +1,7 @@
 """Tests for the YAML specification front-end (Fig. 6 inputs)."""
 
 import pytest
+import yaml
 
 from repro import Session
 from repro.common.errors import SpecError
@@ -8,11 +9,13 @@ from repro.io.yaml_spec import (
     _parse_format,
     load_architecture,
     load_design,
+    load_fused_spec,
     load_mapping,
     load_saf_spec,
     load_workload,
 )
 from repro.sparse.saf import SAFKind
+from tests.io.test_fused_spec import FUSED_SPEC
 
 FULL_SPEC = """
 name: fig6-example
@@ -257,3 +260,47 @@ class TestSpecHardening:
     def test_malformed_yaml_rejected(self):
         with pytest.raises(SpecError):
             load_design("arch: [unclosed\n")
+
+
+#: Malformed ``densities`` sections and the key each error must name.
+BAD_DENSITIES = [
+    ({"A": "half", "B": 0.6}, "'A'"),
+    ([0.25, 0.6], "densities"),
+    ({"A": True, "B": 0.6}, "'A'"),
+    ({"A": 0.25, "B": None}, "'B'"),
+    ({"A": 0.25, "B": [0.6]}, "'B'"),
+    ({"A": 0.25, 7: 0.6}, "7"),
+    ({"A": 10**400}, "'A'"),
+]
+
+
+class TestDensities:
+    """Both loaders share one ``densities`` boundary: a mapping from
+    tensor name to an ``int`` or ``float`` that is not a ``bool``."""
+
+    @pytest.mark.parametrize("section,needle", BAD_DENSITIES)
+    def test_workload_rejects(self, section, needle):
+        spec = yaml.safe_load(FULL_SPEC)
+        spec["workload"]["densities"] = section
+        with pytest.raises(SpecError, match="densities") as info:
+            load_workload(spec)
+        assert needle in str(info.value)
+
+    @pytest.mark.parametrize("section,needle", BAD_DENSITIES)
+    def test_fused_spec_rejects(self, section, needle):
+        spec = yaml.safe_load(FUSED_SPEC)
+        spec["densities"] = section
+        with pytest.raises(SpecError, match="densities") as info:
+            load_fused_spec(spec)
+        assert needle in str(info.value)
+
+    def test_integers_and_absent_sections_accepted(self):
+        spec = yaml.safe_load(FULL_SPEC)
+        spec["workload"]["densities"] = {"A": 1, "B": 0.5}
+        workload = load_workload(spec)
+        assert workload.density_of("A").density == 1.0
+        assert isinstance(workload.density_of("A").density, float)
+        spec["workload"]["densities"] = None
+        assert load_workload(spec).density_of("B").density == 1.0
+        del spec["workload"]["densities"]
+        assert load_workload(spec).density_of("B").density == 1.0
