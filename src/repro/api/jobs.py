@@ -169,14 +169,35 @@ def _job_envelope(data: dict, kind: str, build):
         raise SpecError(f"malformed serialized {kind}: {exc!r}") from exc
 
 
+def _is_int(value, minimum: int | None = None) -> bool:
+    """The rule every integer knob follows: an ``int`` that is not a
+    ``bool`` (``"8"`` would seed a different random stream than ``8``),
+    and at least ``minimum`` when one is given."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (minimum is None or value >= minimum)
+    )
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise a :class:`SpecError` naming ``name`` unless ``value``
+    follows :func:`_is_int`."""
+    if not _is_int(value, minimum):
+        expected = "an integer"
+        if minimum is not None:
+            expected += f" >= {minimum}"
+        raise SpecError(f"{name} must be {expected}, got {value!r}")
+
+
 def _wire_int(kind: str, name: str, value, *, optional: bool = True):
     """Decode one integer knob of a ``kind`` envelope: a JSON integer
     that is not a bool, or ``null`` where the field is ``optional``.
-    Anything else — ``"8"`` would seed a different random stream than
-    ``8`` — is a :class:`SpecError` naming the job kind and field."""
+    Anything else is a :class:`SpecError` naming the job kind and
+    field."""
     if value is None and optional:
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         expected = "an integer or null" if optional else "an integer"
         raise SpecError(
             f"{kind} field {name!r} must be {expected}, got {value!r}"

@@ -35,6 +35,7 @@ Results are versioned, serializable data — see
 
 from __future__ import annotations
 
+import numbers
 import threading
 import warnings
 from collections.abc import Callable, Iterable
@@ -48,6 +49,8 @@ from repro.api.jobs import (
     NetworkJob,
     SearchJob,
     SearchShardJob,
+    _check_int,
+    _is_int,
 )
 from repro.common.cache import AnalysisCache, PersistentCache
 from repro.common.errors import ReproError, SpecError
@@ -158,7 +161,10 @@ def search_job(design, workload=None, **overrides):
     with the remote client like :func:`coerce_job`.
 
     ``overrides`` are :class:`SearchJob` fields; ``None`` values keep
-    the job's own. A caller's job object is never mutated.
+    the job's own. A caller's job object is never mutated. The job's
+    ``parallel``, ``batch_size``, ``budget`` and ``shards`` must be
+    integers >= 1 and its ``seed`` an integer, each where set (a
+    :class:`SpecError` otherwise).
     """
     if isinstance(design, SearchJob):
         job = design
@@ -174,7 +180,13 @@ def search_job(design, workload=None, **overrides):
     overrides = {
         name: value for name, value in overrides.items() if value is not None
     }
-    return replace(job, **overrides) if overrides else job
+    if overrides:
+        job = replace(job, **overrides)
+    for name in ("parallel", "batch_size", "budget", "shards", "seed"):
+        value = getattr(job, name)
+        if value is not None:
+            _check_int(name, value, None if name == "seed" else 1)
+    return job
 
 
 class Session:
@@ -231,23 +243,27 @@ class Session:
         workers: int | list | tuple | None = None,
         worker_timeout: float = 30.0,
     ):
-        if parallel < 1:
-            raise SpecError(f"parallel must be >= 1, got {parallel}")
-        if (
-            isinstance(search_budget, bool)
-            or not isinstance(search_budget, int)
-            or search_budget < 1
+        _check_int("parallel", parallel, 1)
+        _check_int("search_budget", search_budget, 1)
+        _check_int("search_seed", search_seed)
+        if not (
+            workers is None
+            or isinstance(workers, (list, tuple))
+            or _is_int(workers, 1)
         ):
             raise SpecError(
-                f"search_budget must be an integer >= 1, got {search_budget!r}"
+                "workers must be an integer >= 1 or a list of worker "
+                f"addresses, got {workers!r}"
             )
-        if isinstance(search_seed, bool) or not isinstance(search_seed, int):
-            # random.Random("8") draws a different stream than seed 8.
+        if (
+            isinstance(worker_timeout, bool)
+            or not isinstance(worker_timeout, numbers.Real)
+            or not worker_timeout > 0
+        ):
             raise SpecError(
-                f"search_seed must be an integer, got {search_seed!r}"
+                "worker_timeout must be a positive number of seconds, "
+                f"got {worker_timeout!r}"
             )
-        if isinstance(workers, int) and workers < 1:
-            raise SpecError(f"workers must be >= 1, got {workers}")
         if cache is _UNSET:
             cache = AnalysisCache()
         engine_kwargs = dict(
@@ -596,10 +612,10 @@ class Session:
         dataclass copy sharing the caches)."""
         overrides = {}
         if job.budget is not None:
-            if job.budget < 1:
-                raise SpecError(f"budget must be >= 1, got {job.budget}")
+            _check_int("budget", job.budget, 1)
             overrides["search_budget"] = job.budget
         if job.seed is not None:
+            _check_int("seed", job.seed)
             overrides["search_seed"] = job.seed
         if not overrides:
             return self._evaluator

@@ -30,6 +30,8 @@ empty-tile kernel multiplies long products with it.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from functools import lru_cache
@@ -283,12 +285,32 @@ class UniformDensity(DensityModel):
     """
 
     def __init__(self, density: float, tensor_size: int | None = None):
+        # Stored as a float and an int, so numpy scalars work and equal
+        # models share one content key (1 and 1.0 repr differently).
+        if isinstance(density, bool) or not isinstance(density, numbers.Real):
+            raise SpecError(f"density must be a real number, got {density!r}")
+        density = float(density)
         if not 0.0 <= density <= 1.0:
             raise SpecError(f"density must be in [0, 1], got {density}")
-        if tensor_size is not None and tensor_size <= 0:
-            raise SpecError(f"tensor_size must be positive, got {tensor_size}")
+        if tensor_size is not None:
+            if isinstance(tensor_size, bool) or not isinstance(
+                tensor_size, numbers.Integral
+            ):
+                raise SpecError(
+                    f"tensor_size must be an integer, got {tensor_size!r}"
+                )
+            tensor_size = operator.index(tensor_size)
+            if tensor_size <= 0:
+                raise SpecError(
+                    f"tensor_size must be positive, got {tensor_size}"
+                )
         self._density = density
         self.tensor_size = tensor_size
+        #: Nonzero count of the finite tensor, ``None`` in the binomial
+        #: limit.
+        self._nnz = (
+            None if tensor_size is None else int(round(tensor_size * density))
+        )
 
     @property
     def density(self) -> float:
@@ -296,12 +318,6 @@ class UniformDensity(DensityModel):
 
     def cache_key(self) -> tuple:
         return ("uniform", self._density, self.tensor_size)
-
-    @property
-    def _nnz(self) -> int | None:
-        if self.tensor_size is None:
-            return None
-        return int(round(self.tensor_size * self._density))
 
     def prob_empty(self, shape: TileShape) -> float:
         size = _tile_size(shape)

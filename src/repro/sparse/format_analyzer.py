@@ -5,16 +5,31 @@ expected and worst-case storage occupancy in the level's representation
 format: payload words (data values actually materialised) plus metadata
 bits, rank by rank, using the statistical fiber characterisation from
 the density model.
+
+The analysis splits into a density-free half and a density half.
+:func:`compile_tile_format` derives the per-rank integers (grouped
+extents, subtree sizes, dense words) from the format and the tile shape
+alone; :func:`occupancy_terms` is the one per-rank loop that combines
+them with the density model's answers, and :func:`format_scalars`
+turns its totals into the five scalings the sparse step reads. :func:`analyze_tile_format` runs both halves and
+memoises the :class:`TileOccupancy` in the process-global
+``"tile-format"`` stage; it serves the sparse walk (first-seen
+mappings, searches, network layers) and direct callers. A planned
+sparse evaluation (:class:`~repro.sparse.postprocess.SparsePlan`)
+compiles the first half once per plan and calls the same loop and
+scalings per density point, without a :class:`TileOccupancy` or a
+stage lookup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.common.cache import digest, global_cache, spec_digest
 from repro.common.util import prod
 from repro.sparse.density import DensityModel
-from repro.sparse.formats import FormatSpec
+from repro.sparse.formats import FormatRank, FormatSpec
 
 
 @dataclass
@@ -45,32 +60,129 @@ class TileOccupancy:
     worst_metadata_bits: float
     per_rank: list[RankOccupancy] = field(default_factory=list)
 
-    def occupancy_words(self, word_bits: int) -> float:
-        """Expected total occupancy in data-word equivalents."""
-        return self.payload_words + self.metadata_bits / word_bits
-
-    def worst_occupancy_words(self, word_bits: int) -> float:
-        return self.worst_payload_words + self.worst_metadata_bits / word_bits
+    def scalars(
+        self, word_bits: int, metadata_word_bits: int, compressed: bool
+    ) -> tuple[float, float, float, float, float]:
+        """The tile's :func:`format_scalars` at a level's word widths."""
+        return format_scalars(
+            self.dense_words,
+            (
+                self.payload_words,
+                self.metadata_bits,
+                self.worst_payload_words,
+                self.worst_metadata_bits,
+            ),
+            word_bits,
+            metadata_word_bits,
+            compressed,
+        )
 
     def compression_rate(self, word_bits: int) -> float:
         """Dense words divided by encoded words (higher = better)."""
-        encoded = self.occupancy_words(word_bits)
-        if encoded <= 0:
-            return float("inf")
-        return self.dense_words / encoded
-
-    @property
-    def payload_fraction(self) -> float:
-        """Stored payload words per dense word (<= 1 when compressed)."""
-        if self.dense_words == 0:
-            return 1.0
-        return self.payload_words / self.dense_words
+        return self.scalars(word_bits, 1, True)[4]
 
     def metadata_bits_per_element(self) -> float:
         """Metadata bits accompanying one dense element's worth of tile."""
-        if self.dense_words == 0:
-            return 0.0
-        return self.metadata_bits / self.dense_words
+        return self.scalars(1, 1, True)[1]
+
+
+def compile_tile_format(
+    fmt: FormatSpec, rank_extents: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The density-free half of a tile's format analysis.
+
+    Returns, per format rank outer to inner, its grouped fiber extent
+    and the size of the subtree below one of its coordinate positions;
+    then the tile's dense word count. The density half asks
+    ``P(nonempty)`` of each subtree size and the ``quantile_occupancy``
+    of the dense word count, both as ints: coordinate-dependent models
+    answer an int size and a shape tuple differently.
+    """
+    extents = tuple(fmt.group_extents(rank_extents))
+    subtrees = tuple(
+        int(prod(extents[index + 1 :])) for index in range(len(extents))
+    )
+    return extents, subtrees, int(prod(extents))
+
+
+def occupancy_terms(
+    ranks: Sequence[FormatRank],
+    extents: Sequence[int],
+    p_nonempty: Sequence[float],
+    max_nnz: float,
+    per_rank: list | None = None,
+) -> tuple[float, float, float, float]:
+    """Walk the format ranks outer to inner: the one per-rank loop.
+
+    At each rank, the expected count of nonempty coordinates is the
+    number of coordinate positions down to it times the probability
+    that the subtree below one position is nonempty (``p_nonempty``).
+    Uncompressed ranks materialise every position of every stored
+    fiber; compressed ranks keep only nonempty ones. The worst case
+    caps each rank's nonempty count at ``max_nnz``, the tile's
+    statistically-largest occupancy (Sec 5.4: capacity is sized for
+    mean + 3 sigma, not the absolute worst case).
+
+    Returns ``(payload words, metadata bits, worst payload words, worst
+    metadata bits)``; ``per_rank``, when given, collects ``(fiber
+    shape, stored fibers, nonempty elements, metadata bits)`` per rank.
+    """
+    metadata_bits = 0.0
+    worst_metadata_bits = 0.0
+    reach = 1  # coordinate positions down to the current rank
+    stored = 1.0  # stored fibers at this rank, stored positions after it
+    worst_stored = 1.0
+    for rank, fiber_shape, p in zip(ranks, extents, p_nonempty):
+        rank_format = rank.format
+        reach *= fiber_shape
+        nonempty = reach * p
+        worst_nonempty = float(min(reach, max_nnz))
+        bits = rank_format.metadata_bits(fiber_shape, stored, nonempty)
+        metadata_bits += bits
+        worst_metadata_bits += rank_format.metadata_bits(
+            fiber_shape, worst_stored, worst_nonempty
+        )
+        if per_rank is not None:
+            per_rank.append((fiber_shape, stored, nonempty, bits))
+        if rank_format.compressed:
+            stored = nonempty
+            worst_stored = worst_nonempty
+        else:
+            stored = stored * fiber_shape
+            worst_stored = worst_stored * fiber_shape
+    return stored, metadata_bits, worst_stored, worst_metadata_bits
+
+
+def format_scalars(
+    dense_words: int,
+    terms: tuple[float, float, float, float],
+    word_bits: int,
+    metadata_word_bits: int,
+    compressed: bool,
+) -> tuple[float, float, float, float, float]:
+    """The five format scalings the sparse step reads for one tile.
+
+    ``terms`` is :func:`occupancy_terms`' result. Returns the payload
+    fraction (stored payload words per dense word; 1 unless the format
+    is ``compressed``), the metadata words (of ``metadata_word_bits``)
+    per dense element, the expected and worst occupancy in data words
+    (of ``word_bits``), and the compression rate (dense words over
+    expected encoded words, ``inf`` for an empty encoding).
+    """
+    payload_words, metadata_bits, worst_payload_words, worst_bits = terms
+    if dense_words == 0:
+        payload_fraction, bits_per_element = 1.0, 0.0
+    else:
+        payload_fraction = payload_words / dense_words
+        bits_per_element = metadata_bits / dense_words
+    occupancy = payload_words + metadata_bits / word_bits
+    return (
+        payload_fraction if compressed else 1.0,
+        bits_per_element / metadata_word_bits,
+        occupancy,
+        worst_payload_words + worst_bits / word_bits,
+        dense_words / occupancy if occupancy > 0 else float("inf"),
+    )
 
 
 #: Memo for :func:`analyze_tile_format`, keyed by
@@ -101,14 +213,8 @@ def analyze_tile_format(
 
     Results are memoised module-wide when the density model exposes a
     content key (``cache_key()``); callers must treat the returned
-    :class:`TileOccupancy` as read-only.
-
-    Walks format ranks outer to inner. At each rank, the expected count
-    of nonempty coordinates equals the number of coordinate positions
-    times the probability that the subtree hanging below one position
-    is nonempty (from the density model). Uncompressed ranks materialise
-    every position of every stored fiber; compressed ranks keep only
-    nonempty ones.
+    :class:`TileOccupancy` as read-only. The per-rank arithmetic is
+    :func:`occupancy_terms`.
     """
     density_digest = spec_digest(density)
     if density_digest is None:
@@ -126,63 +232,23 @@ def _analyze_tile_format(
     rank_extents: tuple[int, ...],
     density: DensityModel,
 ) -> TileOccupancy:
-    extents = fmt.group_extents(rank_extents)
-    # The memoised (type name, repr, flattened_ranks) entry per rank;
-    # its repr names the rank without rebuilding it on every call.
-    rank_keys = fmt.cache_key()
-    dense_words = int(prod(extents))
-    # Statistically-largest occupancy (Sec 5.4): capacity is sized for
-    # mean + 3 sigma, not the absolute worst case.
+    extents, subtrees, dense_words = compile_tile_format(fmt, rank_extents)
     max_nnz = density.quantile_occupancy(dense_words)
-
-    per_rank: list[RankOccupancy] = []
-    metadata_bits = 0.0
-    worst_metadata_bits = 0.0
-    stored_fibers = 1.0
-    worst_stored_fibers = 1.0
-    positions_so_far = 1  # coordinate positions down to current rank
-    stored_positions = 1.0
-    worst_stored_positions = 1.0
-
-    for rank_index, rank in enumerate(fmt.ranks):
-        fiber_shape = extents[rank_index]
-        positions_so_far *= fiber_shape
-        subtree = int(prod(extents[rank_index + 1 :]))
-        # Expected nonempty coordinates at this rank across the tile.
-        p_nonempty = density.prob_nonempty(subtree)
-        nonempty = positions_so_far * p_nonempty
-        worst_nonempty = float(min(positions_so_far, max_nnz))
-
-        bits = rank.format.metadata_bits(fiber_shape, stored_fibers, nonempty)
-        worst_bits = rank.format.metadata_bits(
-            fiber_shape, worst_stored_fibers, worst_nonempty
-        )
-        metadata_bits += bits
-        worst_metadata_bits += worst_bits
-        per_rank.append(
-            RankOccupancy(
-                format_name=rank_keys[rank_index][1],
-                fiber_shape=fiber_shape,
-                stored_fibers=stored_fibers,
-                nonempty_elements=nonempty,
-                metadata_bits=bits,
-            )
-        )
-
-        if rank.format.compressed:
-            stored_positions = nonempty
-            worst_stored_positions = worst_nonempty
-        else:
-            stored_positions = stored_fibers * fiber_shape
-            worst_stored_positions = worst_stored_fibers * fiber_shape
-        stored_fibers = stored_positions
-        worst_stored_fibers = worst_stored_positions
-
+    p_nonempty = [density.prob_nonempty(size) for size in subtrees]
+    per_rank: list[tuple] = []
+    payload, bits, worst_payload, worst_bits = occupancy_terms(
+        fmt.ranks, extents, p_nonempty, max_nnz, per_rank
+    )
+    # The format's memoised (type name, repr, flattened_ranks) entry
+    # per rank names the rank without rebuilding its repr.
     return TileOccupancy(
         dense_words=dense_words,
-        payload_words=stored_positions,
-        metadata_bits=metadata_bits,
-        worst_payload_words=worst_stored_positions,
-        worst_metadata_bits=worst_metadata_bits,
-        per_rank=per_rank,
+        payload_words=payload,
+        metadata_bits=bits,
+        worst_payload_words=worst_payload,
+        worst_metadata_bits=worst_bits,
+        per_rank=[
+            RankOccupancy(key[1], *terms)
+            for key, terms in zip(fmt.cache_key(), per_rank)
+        ],
     )

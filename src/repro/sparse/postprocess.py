@@ -51,17 +51,24 @@ Planned walk
 
 Which flows exist, which SAF leaders pair with them at which tile
 shapes, and which formats apply depend only on (einsum, architecture,
-mapping, SAFs); only the probabilities and tile-format analyses depend
-on densities. A :class:`SparsePlan` is that density-free structure,
-built once by a recording walk (:meth:`SparsePlan.build`). Evaluating
-it (``analyze_sparse(dense, safs, plan=plan)``) answers its density
-and leader-tile probability queries and its tile-format queries, then
-runs the split arithmetic as numpy gathers over the same expressions
-as the batch flush. A plan holds no workload or density model, only
+mapping, SAFs); only the probabilities depend on densities. A
+:class:`SparsePlan` is that density-free structure, built once by a
+recording walk (:meth:`SparsePlan.build`), with each slot's tile format
+compiled into per-rank integers
+(:func:`~repro.sparse.format_analyzer.compile_tile_format`). Evaluating
+it (``analyze_sparse(dense, safs, plan=plan)``) answers one value table
+of density queries — densities, leader tiles' P(nonempty), and the
+format ranks' P(nonempty) and tile quantiles — computes each slot's
+format scalings with the format analyzer's own per-rank loop (no
+``TileOccupancy`` and no tile-format stage lookup), then runs the split
+arithmetic as numpy gathers over the same expressions as the batch
+flush. A plan holds no workload, density model or format object, only
 tuples of atomics and numpy arrays, so one plan serves every density
 point of a mapping, and a cached plan keeps almost nothing alive for
 the cyclic collector. The engine caches plans in its ``"plan"`` stage
-under :func:`sparse_plan_key`.
+under :func:`sparse_plan_key`. The walk keeps resolving formats through
+:func:`~repro.sparse.format_analyzer.analyze_tile_format` and its
+stage.
 
 :func:`sparse_analysis_key` derives the content key under which a whole
 :class:`~repro.sparse.traffic.SparseTraffic` is memoised by the
@@ -79,7 +86,13 @@ from repro.common.cache import digest, spec_digest
 from repro.common.util import prod
 from repro.dataflow.nest_analysis import DenseTraffic, dense_analysis_key
 from repro.sparse.density import DensityModel, UniformDensity
-from repro.sparse.format_analyzer import TileOccupancy, analyze_tile_format
+from repro.sparse.format_analyzer import (
+    TileOccupancy,
+    analyze_tile_format,
+    compile_tile_format,
+    format_scalars,
+    occupancy_terms,
+)
 from repro.sparse.formats import dense_format
 from repro.sparse.gating_skipping import (
     FlowClassification,
@@ -177,10 +190,10 @@ def sparse_plan_key(dense_key: bytes, safs: SAFSpec) -> bytes:
 
 
 class _LevelFormatInfo:
-    """Cached per-(level, tensor) format scaling factors."""
+    """Cached per-(level, tensor) format scaling factors (the walk's;
+    a plan computes the same five scalars without this object)."""
 
     __slots__ = (
-        "occupancy",
         "compressed",
         "payload_fraction",
         "metadata_words_per_element",
@@ -196,14 +209,14 @@ class _LevelFormatInfo:
         metadata_word_bits: int,
         compressed: bool,
     ):
-        self.occupancy = occupancy
         self.compressed = compressed
-        self.payload_fraction = occupancy.payload_fraction if compressed else 1.0
-        bits_per_elem = occupancy.metadata_bits_per_element()
-        self.metadata_words_per_element = bits_per_elem / metadata_word_bits
-        self.occupancy_words = occupancy.occupancy_words(word_bits)
-        self.worst_occupancy_words = occupancy.worst_occupancy_words(word_bits)
-        self.compression_rate = occupancy.compression_rate(word_bits)
+        (
+            self.payload_fraction,
+            self.metadata_words_per_element,
+            self.occupancy_words,
+            self.worst_occupancy_words,
+            self.compression_rate,
+        ) = occupancy.scalars(word_bits, metadata_word_bits, compressed)
 
 
 def _is_compressed(safs: SAFSpec, level: str, tensor: str) -> bool:
@@ -838,6 +851,15 @@ class _FormatHandle:
 #: entry of an evaluation's payload column.
 _UNIT_PAYLOAD = -1
 
+#: Query kinds of a plan's value table. A leader tile and a format rank
+#: ask P(nonempty) in different terms (a shape tuple, an int size), and
+#: coordinate-dependent density models answer the two differently, so
+#: the kinds never share an entry.
+_DENSITY = 0  # the tensor's density
+_TILE = 1  # P(leader tile nonempty), argument: index into ``shapes``
+_SIZE = 2  # P(subtree of ``argument`` elements nonempty)
+_QUANTILE = 3  # quantile_occupancy of a tile of ``argument`` words
+
 
 class _PlanBuilder:
     """Records the walk instead of resolving it: the resolver and the
@@ -848,7 +870,9 @@ class _PlanBuilder:
     into the slot table (every slot is a dense (level, tensor) pair,
     and so is every format query) — and every emitted row a ``(total,
     class, format)`` triple in its tag's columns, with its target
-    accumulator (``4 * slot + field``) in the scatter order.
+    accumulator (``4 * slot + field``) in the scatter order. Freezing
+    the record compiles each slot's tile format and adds its density
+    queries to the value table.
     """
 
     def __init__(
@@ -862,6 +886,7 @@ class _PlanBuilder:
         self.safs = safs
         self.analyzer = analyzer
         self.sparse = sparse
+        #: ``(tensor, kind, argument)`` -> value index.
         self.values: dict[tuple, int] = {}
         self.classes: dict[tuple[int, ...], int] = {}
         self.formats: dict[tuple[str, str], _FormatHandle] = {}
@@ -877,15 +902,22 @@ class _PlanBuilder:
 
     # Resolver side --------------------------------------------------
 
-    def _value(self, tensor: str, shape: tuple[int, ...] | None) -> int:
-        key = (tensor, shape)
+    def _value(self, tensor: str, kind: int, argument) -> int:
+        key = (tensor, kind, argument)
         index = self.values.get(key)
         if index is None:
             index = self.values[key] = len(self.values)
         return index
 
     def classify(self, queries: list[LeaderQuery]) -> int:
-        ids = [self._value(q.leader, q.shape) for q in queries]
+        # A query without a shape keeps at single-element granularity:
+        # its keep is the leader's density.
+        ids = [
+            self.density(q.leader)
+            if q.shape is None
+            else self._value(q.leader, _TILE, q.shape)
+            for q in queries
+        ]
         compiled = leader_groups(queries, ids)
         index = self.classes.get(compiled)
         if index is None:
@@ -899,7 +931,7 @@ class _PlanBuilder:
         return self.classify(self.analyzer.update_queries())
 
     def density(self, tensor: str) -> int:
-        return self._value(tensor, None)
+        return self._value(tensor, _DENSITY, 0)
 
     def fmt(self, level: str, tensor: str) -> _FormatHandle:
         key = (level, tensor)
@@ -975,20 +1007,37 @@ class _PlanBuilder:
         keys = list(self.sparse.actions)
         slot_of = {key: slot for slot, key in enumerate(keys)}
         dense = self.dense
-        shapes = [dense.at(*key).tile_rank_extents for key in keys]
         formats = []
-        for key in keys:
-            arch_level = dense.arch.level(key[0])
+        tile_extents = []
+        tile_queries = []
+        for level, tensor in keys:
+            arch_level = dense.arch.level(level)
+            rank_extents = dense.at(level, tensor).tile_rank_extents
+            fmt = self.safs.format_for(level, tensor) or dense_format(
+                len(rank_extents)
+            )
+            extents, subtrees, dense_words = compile_tile_format(
+                fmt, rank_extents
+            )
+            tile_extents += extents
+            tile_queries += [
+                self._value(tensor, _SIZE, size) for size in subtrees
+            ]
             formats += [
                 arch_level.word_bits,
                 arch_level.metadata_word_bits,
-                self.formats[key].compressed,
+                self.formats[level, tensor].compressed,
+                dense_words,
+                self._value(tensor, _QUANTILE, dense_words),
+                len(tile_extents),
             ]
+        shapes = []
         values = []
-        for tensor, shape in self.values:
-            values += [tensor, -1 if shape is None else len(shapes)]
-            if shape is not None:
-                shapes.append(shape)
+        for tensor, kind, argument in self.values:
+            if kind == _TILE:
+                shapes.append(argument)
+                argument = len(shapes) - 1
+            values += [tensor, kind, argument]
         columns = []
         for rows in self.rows:
             if not rows:
@@ -1008,6 +1057,8 @@ class _PlanBuilder:
         return SparsePlan(
             slots=tuple([name for key in keys for name in key]),
             formats=tuple(formats),
+            tile_extents=tuple(tile_extents),
+            tile_queries=tuple(tile_queries),
             values=tuple(values),
             shapes=tuple(shapes),
             classes=tuple(self.classes),
@@ -1033,12 +1084,21 @@ class SparsePlan:
       walk's first-``at()`` order; slot ``i`` is also format query
       ``i``, since the walk asks for the format of every dense
       (level, tensor) pair and of nothing else;
-    * ``formats``: ``(word bits, metadata word bits, compressed)*`` per
-      slot; its tile's rank extents are ``shapes[i]``;
-    * ``values``: ``(tensor, shape index)*`` queries, the density of
-      ``tensor`` for index ``-1``, else P(``tensor`` tile of
-      ``shapes[index]`` nonempty);
-    * ``shapes``: rank extents, the slots' tiles then the leader tiles;
+    * ``formats``: ``(word bits, metadata word bits, compressed, dense
+      words, quantile, end)*`` per slot: ``quantile`` is the value
+      index of the tile's ``quantile_occupancy``, and the slot's format
+      ranks are ``[previous end, end)`` of the next two fields;
+    * ``tile_extents``: every slot's tile format compiled by
+      :func:`~repro.sparse.format_analyzer.compile_tile_format`, one
+      grouped fiber extent per format rank;
+    * ``tile_queries``: per format rank, the value index of P(the
+      subtree below one of its positions nonempty);
+    * ``values``: ``(tensor, kind, argument)*`` queries, deduplicated:
+      the density of ``tensor`` (``_DENSITY``), P(leader tile of
+      ``shapes[argument]`` nonempty) (``_TILE``), P(``argument``
+      elements nonempty) (``_SIZE``), or the ``quantile_occupancy`` of
+      ``argument`` words (``_QUANTILE``);
+    * ``shapes``: rank extents of the leader tiles;
     * ``classes``: compiled classifications, the :func:`~repro.sparse.
       gating_skipping.leader_groups` of each over value indices;
     * ``compute``: ``(dense computes, class)``;
@@ -1058,6 +1118,8 @@ class SparsePlan:
 
     slots: tuple[str, ...]
     formats: tuple[int | bool, ...]
+    tile_extents: tuple[int, ...]
+    tile_queries: tuple[int, ...]
     values: tuple[str | int, ...]
     shapes: tuple[tuple[int, ...], ...]
     classes: tuple[tuple[int, ...], ...]
@@ -1083,13 +1145,18 @@ class SparsePlan:
         ensure_output_density(workload)
         density_of = workload.density_of
         shapes = self.shapes
-        pairs = iter(self.values)
-        values = [
-            density_of(tensor).density
-            if shape < 0
-            else density_of(tensor).prob_nonempty(shapes[shape])
-            for tensor, shape in zip(pairs, pairs)
-        ]
+        values = []
+        queries = iter(self.values)
+        for tensor, kind, argument in zip(queries, queries, queries):
+            model = density_of(tensor)
+            if kind == _SIZE:
+                values.append(model.prob_nonempty(argument))
+            elif kind == _TILE:
+                values.append(model.prob_nonempty(shapes[argument]))
+            elif kind == _QUANTILE:
+                values.append(model.quantile_occupancy(argument))
+            else:
+                values.append(model.density)
         actual: list[float] = []
         gated: list[float] = []
         skipped: list[float] = []
@@ -1099,20 +1166,38 @@ class SparsePlan:
             gated.append(g)
             skipped.append(s)
         keys = iter(self.slots)
-        bits = iter(self.formats)
         slots = list(zip(keys, keys))
-        infos = [
-            _format_info(
-                safs, level, tensor, extents, density_of(tensor),
-                word_bits, metadata_word_bits, compressed,
+        # Each slot's five format scalars, from the compiled tile and
+        # the value table: the tile-format analysis without its stage.
+        format_for = safs.format_for
+        tile_extents = self.tile_extents
+        tile_queries = self.tile_queries
+        entries = iter(self.formats)
+        tiles = []
+        start = 0
+        for (
+            (level, tensor), word_bits, metadata_word_bits, compressed,
+            dense_words, quantile, end,
+        ) in zip(slots, *[entries] * 6):
+            extents = tile_extents[start:end]
+            fmt = format_for(level, tensor) or dense_format(len(extents))
+            terms = occupancy_terms(
+                fmt.ranks,
+                extents,
+                [values[index] for index in tile_queries[start:end]],
+                values[quantile],
             )
-            for (level, tensor), extents, word_bits, metadata_word_bits,
-            compressed in zip(slots, shapes, bits, bits, bits)
-        ]
+            tiles.append(
+                format_scalars(
+                    dense_words, terms, word_bits, metadata_word_bits,
+                    compressed,
+                )
+            )
+            start = end
 
         fa, fg, fs = np.array(actual), np.array(gated), np.array(skipped)
-        payload = np.array([info.payload_fraction for info in infos] + [1.0])
-        words = np.array([info.metadata_words_per_element for info in infos])
+        payload = np.array([tile[0] for tile in tiles] + [1.0])
+        words = np.array([tile[1] for tile in tiles])
         (
             skip_t, skip_c, skip_f,
             gate_t, gate_c, gate_f,
@@ -1161,17 +1246,19 @@ class SparsePlan:
         sparse = SparseTraffic()
         for slot, key in enumerate(slots):
             i = 4 * slot
-            actions = LevelTensorActions(
+            _, _, occupancy, worst_occupancy, compression_rate = tiles[slot]
+            sparse.actions[key] = LevelTensorActions(
                 key[1],
                 key[0],
                 ActionBreakdown(acc_a[i], acc_g[i], acc_s[i]),
                 ActionBreakdown(acc_a[i + 1], acc_g[i + 1], acc_s[i + 1]),
                 ActionBreakdown(acc_a[i + 2], acc_g[i + 2], acc_s[i + 2]),
                 ActionBreakdown(acc_a[i + 3], acc_g[i + 3], acc_s[i + 3]),
-                intersection_checks=checks[slot],
+                occupancy,
+                worst_occupancy,
+                compression_rate,
+                checks[slot],
             )
-            _set_occupancy(actions, infos[slot])
-            sparse.actions[key] = actions
         computes, cls = self.compute
         _set_compute(sparse, computes, actual[cls], gated[cls], skipped[cls])
         return sparse

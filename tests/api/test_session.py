@@ -247,6 +247,37 @@ class TestSessionLifecycle:
             assert session.evaluator.search_budget == 1
             assert session.evaluator.search_seed == -5
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"parallel": "2"},
+            {"parallel": True},
+            {"parallel": 2.5},
+            {"workers": True},
+            {"workers": "2"},
+            {"worker_timeout": -1},
+            {"worker_timeout": 0},
+            {"worker_timeout": "30"},
+            {"worker_timeout": True},
+            {"worker_timeout": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_pool_knobs(self, knobs):
+        # Each used to be accepted as given or fail with a TypeError.
+        (name,) = knobs
+        with pytest.raises(SpecError, match=name):
+            Session(**knobs)
+
+    def test_accepts_pool_knobs(self):
+        for knobs in (
+            {"parallel": 2, "workers": 2, "worker_timeout": 5},
+            {"workers": ["127.0.0.1:7001"], "worker_timeout": 0.5},
+            {"workers": None},
+        ):
+            with Session(**knobs):
+                pass
+
 
 class TestPersistentTier:
     def test_warm_start_on_first_use_and_spill_on_close(self, tmp_path):
@@ -355,6 +386,46 @@ class TestSearchJobs:
         assert job.objective is _edp
         assert job.candidates == [design.mapping]
         assert outcome.found and outcome.budget is None
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"budget": "8"},
+            {"budget": 8.0},
+            {"batch_size": 0},
+            {"batch_size": True},
+            {"parallel": 0},
+            {"parallel": "2"},
+            {"shards": 0},
+            {"seed": "1"},
+            {"seed": 1.0},
+        ],
+        ids=repr,
+    )
+    def test_search_rejects_bad_integer_knobs(self, knobs):
+        # "8" used to raise a TypeError, batch_size=0 was clamped to 1,
+        # parallel/shards=0 fell back to the defaults, and seed="1"
+        # seeded a different stream than seed=1.
+        design, workload = load_design(FULL_SPEC)
+        (name,) = knobs
+        with Session() as session:
+            with pytest.raises(SpecError, match=name):
+                session.search(design, workload, **knobs)
+
+    def test_search_job_knobs_are_checked_after_overrides(self):
+        from repro import SearchJob
+
+        design, workload = load_design(FULL_SPEC)
+        with Session() as session:
+            with pytest.raises(SpecError, match="batch_size"):
+                session.search(SearchJob(design, workload, batch_size=0))
+            outcome = session.search(
+                SearchJob(design, workload, batch_size=0),
+                batch_size=2,
+                budget=4,
+                seed=-3,
+            )
+        assert outcome.found and outcome.budget == 4 and outcome.seed == -3
 
     def test_search_rejects_non_search_jobs(self):
         design, workload = load_design(FULL_SPEC)

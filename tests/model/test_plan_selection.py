@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import MapspaceConstraints, Session, Workload, matmul
+from repro.common.cache import global_cache
 from repro.common.errors import ValidationError
 from repro.designs import eyeriss, toy
+from repro.sparse.format_analyzer import TILE_FORMAT_STAGE
 from repro.sparse.postprocess import SparsePlan
 from repro.workload.nets import alexnet
 
@@ -54,6 +56,19 @@ class TestSelectionRule:
         assert [r.to_json() for r in results] == [
             r.to_json() for r in expected
         ]
+
+    def test_planned_points_skip_the_tile_format_stage(self):
+        # A plan compiles its tile formats: only the first, walked
+        # point looks up the process-global tile-format stage.
+        stage = global_cache().stage(TILE_FORMAT_STAGE)
+        points = _points()
+        with Session(sparse_vectorized=True) as session:
+            session.evaluate(*points[0])
+            walked = stage.hits + stage.misses
+            for point in points[1:]:
+                session.evaluate(*point)
+            assert _counters(session)["plan"] == (48, 1)
+        assert stage.hits + stage.misses == walked
 
     def test_plan_stage_is_always_reported(self):
         with Session() as session:

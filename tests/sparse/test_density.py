@@ -74,6 +74,46 @@ class TestUniform:
         with pytest.raises(SpecError):
             UniformDensity(1.2)
 
+    @pytest.mark.parametrize(
+        "density", ["0.5", None, True, False, np.bool_(True), [0.5]],
+        ids=repr,
+    )
+    def test_rejects_non_real_density(self, density):
+        # "0.5" used to fail with a TypeError; True was accepted.
+        with pytest.raises(SpecError, match="density"):
+            UniformDensity(density, 64)
+
+    @pytest.mark.parametrize(
+        "size", [True, 64.0, "64", np.float64(64.0)], ids=repr
+    )
+    def test_rejects_bad_tensor_size(self, size):
+        with pytest.raises(SpecError, match="tensor_size"):
+            UniformDensity(0.5, size)
+
+    def test_equal_models_share_one_digest(self):
+        # The digest follows the key's repr: 1 and 1.0, or numpy
+        # scalars, used to digest apart from equal plain floats.
+        from repro.common.cache import spec_digest
+
+        plain = UniformDensity(1.0, 64)
+        for model in (
+            UniformDensity(1, 64),
+            UniformDensity(np.float64(1.0), np.int64(64)),
+            UniformDensity(np.float32(1.0), np.int32(64)),
+        ):
+            assert model.cache_key() == plain.cache_key()
+            assert spec_digest(model) == spec_digest(plain)
+            assert type(model.density) is float
+            assert type(model.tensor_size) is int
+            assert model.prob_empty(4) == plain.prob_empty(4)
+
+    def test_nonzero_count_is_computed_once(self):
+        # An attribute, not a property re-rounding on every query.
+        model = UniformDensity(0.25, 64)
+        assert vars(model)["_nnz"] == 16
+        assert model.max_occupancy(64) == 16
+        assert vars(UniformDensity(0.25))["_nnz"] is None
+
     @given(
         st.integers(min_value=1, max_value=60),
         st.floats(min_value=0.05, max_value=0.95),
