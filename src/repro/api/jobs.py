@@ -131,14 +131,14 @@ def _objective_to_wire(objective):
     return _pack(objective)
 
 
-def _objective_from_wire(blob):
+def _objective_from_wire(blob, unpack=_unpack):
     """Inverse of :func:`_objective_to_wire`: spec data passes through
     verbatim (validated; the engine resolves it at search time), pickle
-    blobs are decoded for trusted/legacy senders."""
+    blobs are decoded with ``unpack`` for trusted/legacy senders."""
     if blob is None:
         return None
     if isinstance(blob, dict) and blob.get("encoding") == "pickle":
-        return _unpack(blob)
+        return unpack(blob)
     resolve_objective(blob)  # validate names early; SpecError on junk
     return blob
 
@@ -243,12 +243,16 @@ class EvaluateJob:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EvaluateJob":
+    def from_dict(cls, data: dict, *, unpack=_unpack) -> "EvaluateJob":
+        """Rebuild from a :meth:`to_dict` envelope. ``unpack`` swaps the
+        payload decoder the way ``pack`` swaps the encoder (see
+        :func:`job_from_dict`)."""
+
         def build() -> "EvaluateJob":
             mapping = data["mapping"]
             return cls(
-                design=_unpack(data["design"]),
-                workload=_unpack(data["workload"]),
+                design=unpack(data["design"]),
+                workload=unpack(data["workload"]),
                 mapping=None if mapping is None else Mapping.from_spec(mapping),
             )
 
@@ -336,14 +340,14 @@ class SearchJob:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SearchJob":
+    def from_dict(cls, data: dict, *, unpack=_unpack) -> "SearchJob":
         def build() -> "SearchJob":
             num = partial(_wire_int, "search-job")
             candidates = data["candidates"]
             return cls(
-                design=_unpack(data["design"]),
-                workload=_unpack(data["workload"]),
-                objective=_objective_from_wire(data["objective"]),
+                design=unpack(data["design"]),
+                workload=unpack(data["workload"]),
+                objective=_objective_from_wire(data["objective"], unpack),
                 candidates=(
                     None
                     if candidates is None
@@ -435,14 +439,14 @@ class SearchShardJob:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SearchShardJob":
+    def from_dict(cls, data: dict, *, unpack=_unpack) -> "SearchShardJob":
         def build() -> "SearchShardJob":
             num = partial(_wire_int, "search-shard-job", optional=False)
             candidates = data["candidates"]
             return cls(
-                design=_unpack(data["design"]),
-                workload=_unpack(data["workload"]),
-                objective=_objective_from_wire(data["objective"]),
+                design=unpack(data["design"]),
+                workload=unpack(data["workload"]),
+                objective=_objective_from_wire(data["objective"], unpack),
                 search_id=data["search_id"],
                 shard_id=num("shard", data["shard"]),
                 start=num("start", data["start"]),
@@ -498,13 +502,13 @@ class NetworkJob:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NetworkJob":
+    def from_dict(cls, data: dict, *, unpack=_unpack) -> "NetworkJob":
         def build() -> "NetworkJob":
             num = partial(_wire_int, "network-job")
             return cls(
-                design=_unpack(data["design"]),
-                layers=_unpack(data["layers"]) or [],
-                densities_for=_unpack(data["densities_for"]),
+                design=unpack(data["design"]),
+                layers=unpack(data["layers"]) or [],
+                densities_for=unpack(data["densities_for"]),
                 parallel=num("parallel", data["parallel"]),
             )
 
@@ -543,12 +547,12 @@ class FusedJob:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FusedJob":
+    def from_dict(cls, data: dict, *, unpack=_unpack) -> "FusedJob":
         def build() -> "FusedJob":
             num = partial(_wire_int, "fused-job")
             fused = data.get("fused")
             return cls(
-                design=_unpack(data["design"]),
+                design=unpack(data["design"]),
                 graph=EinsumGraph.from_dict(data["graph"]),
                 densities=data.get("densities"),
                 fused=(
@@ -560,9 +564,17 @@ class FusedJob:
         return _job_envelope(data, "fused-job", build)
 
 
-def job_from_dict(data: dict):
+def job_from_dict(data: dict, *, unpack=_unpack):
     """Rebuild any job from its :meth:`to_dict` envelope, dispatching
-    on the ``kind`` tag."""
+    on the ``kind`` tag.
+
+    ``unpack`` decodes every payload field: designs, workloads, network
+    layers and ``densities_for`` (which may be ``None``), and pickled
+    objectives. The default returns fresh objects on every call. The
+    serving daemon passes its table of decoded payloads, which returns
+    one shared object per distinct payload, so decoded specs are frozen
+    by contract (see ``docs/serving.md``, "Payload interning").
+    """
     if not isinstance(data, dict):
         raise SpecError(
             f"serialized job must be a dict, got {type(data).__name__}"
@@ -580,7 +592,7 @@ def job_from_dict(data: dict):
         raise SpecError(
             f"unknown job kind {kind!r}; expected one of {sorted(kinds)}"
         )
-    return cls.from_dict(data)
+    return cls.from_dict(data, unpack=unpack)
 
 
 def job_resendable(job) -> bool:

@@ -18,6 +18,9 @@ Architecture (see ``docs/serving.md`` for the operator view):
   control: a bounded queue ordered oldest-deadline-first, with an
   explicit ``overloaded`` error envelope once the queue is full —
   the daemon sheds load instead of buffering without bound,
+* job payloads decode once per distinct payload: a bounded table of
+  decoded designs and workloads, keyed by their encoded bytes, is
+  shared by every connection (:class:`_PayloadTable`),
 * every engine pass is bracketed with
   :meth:`Session.cache_stats(since=...)
   <repro.api.session.Session.cache_stats>` checkpoints, so cache hits
@@ -39,11 +42,12 @@ import itertools
 import os
 import socket
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 
-from repro.api.jobs import SearchJob, SearchShardJob, job_from_dict
+from repro.api.jobs import SearchJob, SearchShardJob, _unpack, job_from_dict
 from repro.api.session import Session
 from repro.distributed.plan import WitnessBoard, WitnessSnapshot
 from repro.search.objective import resolve_objective
@@ -58,6 +62,14 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["ServeConfig", "ReproServer"]
+
+#: Distinct decoded payloads the daemon holds, least recently used
+#: evicted first.
+PAYLOAD_TABLE_ENTRIES = 128
+#: Payloads whose encoded ``data`` is longer than this (characters of
+#: base64) bypass the table: decoded for every job and never held, so a
+#: whole ``ActualDataDensity`` tensor is never pinned.
+PAYLOAD_MAX_CHARS = 1 << 20
 
 
 @dataclass
@@ -111,6 +123,66 @@ class _Client:
         self.trusted = trusted
 
 
+_MISSING = object()
+
+
+class _PayloadTable:
+    """One decoded object per distinct job payload.
+
+    Keyed by the blob's exact encoded ``data`` string, so every job
+    that carries the same bytes, from any connection and whether inline
+    or through a ref stub, gets the object decoded the first time, with
+    its memoised content digests already warm. The objects are shared
+    by every job and every cached result that references them, so they
+    are frozen by contract: the engine's only in-place writes
+    (``Workload.density_of`` defaults, ``ensure_output_density``) are
+    idempotent and fixed by content.
+
+    Thread-safe: the evaluate lane and the pool workers decode
+    concurrently. A miss decodes under the lock, so each held payload
+    decodes exactly once. A payload that fails to decode raises its
+    :class:`SpecError` and is never entered.
+    """
+
+    def __init__(self) -> None:
+        self._lock = Lock()
+        self._objects: OrderedDict[str, object] = OrderedDict()
+        self.decoded = 0  #: payloads unpickled: misses and oversized ones.
+        self.hits = 0
+
+    def unpack(self, blob):
+        """The ``unpack`` hook of :func:`~repro.api.jobs.job_from_dict`."""
+        data = None
+        if isinstance(blob, dict) and blob.get("encoding") == "pickle":
+            data = blob.get("data")
+        if not isinstance(data, str):
+            return _unpack(blob)  # a None field, or a blob it rejects
+        if len(data) > PAYLOAD_MAX_CHARS:
+            obj = _unpack(blob)
+            with self._lock:
+                self.decoded += 1
+            return obj
+        with self._lock:
+            obj = self._objects.get(data, _MISSING)
+            if obj is not _MISSING:
+                self._objects.move_to_end(data)
+                self.hits += 1
+                return obj
+            obj = self._objects[data] = _unpack(blob)
+            self.decoded += 1
+            if len(self._objects) > PAYLOAD_TABLE_ENTRIES:
+                self._objects.popitem(last=False)
+            return obj
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "payloads_decoded": self.decoded,
+                "payload_hits": self.hits,
+                "payloads_held": len(self._objects),
+            }
+
+
 @dataclass(order=True)
 class _QueueEntry:
     """One admitted search/network job, heap-ordered oldest-deadline
@@ -135,6 +207,7 @@ class ReproServer:
         self.config = config or ServeConfig()
         self.session = Session(**session_kwargs)
         self._engine_lock = Lock()
+        self._payloads = _PayloadTable()
         self._clients: dict[str, _Client] = {}
         self._client_seq = itertools.count(1)
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -408,6 +481,7 @@ class ReproServer:
                     "search_jobs": self._search_jobs,
                     "search_objectives": dict(self._search_objectives),
                     "shard_jobs": self._shard_jobs,
+                    **self._payloads.stats(),
                 },
             )
         elif op == "witness-update":
@@ -446,10 +520,12 @@ class ReproServer:
         Clients may tag a packed payload with a content-digest ``ref``
         (stored here per connection) and send later copies as
         ``{"encoding": "ref"}`` stubs; this rewrites stubs back to the
-        stored blob with dict lookups only — the expensive unpickling
-        still happens off-loop. A ref this connection never carried in
-        full is a :class:`SpecError` (the client's reconnect logic
-        re-sends payloads in full on a fresh connection).
+        stored blob with dict lookups only. Decoding happens off-loop,
+        through the daemon's :class:`_PayloadTable`, which keys on the
+        blob's bytes and never on its client-chosen ref. A ref this
+        connection never carried in full is a :class:`SpecError` (the
+        client's reconnect logic re-sends payloads in full on a fresh
+        connection).
         """
         if not isinstance(job_dict, dict):
             return  # the lane's decoder reports the malformed envelope
@@ -533,7 +609,9 @@ class ReproServer:
             entries = []
             for client, request_id, job_dict, fields in batch:
                 try:
-                    job = job_from_dict(job_dict)
+                    job = job_from_dict(
+                        job_dict, unpack=self._payloads.unpack
+                    )
                 except ReproError as exc:
                     responses.append((client, encode_line(
                         {"id": request_id, "error": error_to_envelope(exc)}
@@ -634,7 +712,7 @@ class ReproServer:
     def _run_single(self, entry: _QueueEntry) -> None:
         client, request_id = entry.client, entry.request_id
         try:
-            job = job_from_dict(entry.job)
+            job = job_from_dict(entry.job, unpack=self._payloads.unpack)
             if isinstance(job, SearchJob):
                 # Attribute the search to the objective that will score
                 # it, so server-stats can break search traffic down the

@@ -194,6 +194,23 @@ def _tile_size(shape: TileShape) -> int:
     return size
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: a non-bool integral (numpy integers
+    pass), so equal models share one content key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``: a non-bool real (numpy scalars pass),
+    so equal models share one content key (``1`` and ``1.0`` repr
+    differently)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 class DensityModel(ABC):
     """Base class for all statistical density models."""
 
@@ -285,21 +302,11 @@ class UniformDensity(DensityModel):
     """
 
     def __init__(self, density: float, tensor_size: int | None = None):
-        # Stored as a float and an int, so numpy scalars work and equal
-        # models share one content key (1 and 1.0 repr differently).
-        if isinstance(density, bool) or not isinstance(density, numbers.Real):
-            raise SpecError(f"density must be a real number, got {density!r}")
-        density = float(density)
+        density = _real("density", density)
         if not 0.0 <= density <= 1.0:
             raise SpecError(f"density must be in [0, 1], got {density}")
         if tensor_size is not None:
-            if isinstance(tensor_size, bool) or not isinstance(
-                tensor_size, numbers.Integral
-            ):
-                raise SpecError(
-                    f"tensor_size must be an integer, got {tensor_size!r}"
-                )
-            tensor_size = operator.index(tensor_size)
+            tensor_size = _integer("tensor_size", tensor_size)
             if tensor_size <= 0:
                 raise SpecError(
                     f"tensor_size must be positive, got {tensor_size}"
@@ -383,6 +390,8 @@ class FixedStructuredDensity(DensityModel):
     """
 
     def __init__(self, nonzeros_per_block: int, block_size: int):
+        nonzeros_per_block = _integer("nonzeros_per_block", nonzeros_per_block)
+        block_size = _integer("block_size", block_size)
         if nonzeros_per_block < 0 or block_size <= 0:
             raise SpecError(
                 f"invalid structure {nonzeros_per_block}:{block_size}"
@@ -464,6 +473,7 @@ class StructuredNMDensity(DensityModel):
     """
 
     def __init__(self, n: int, m: int):
+        n, m = _integer("n", n), _integer("m", m)
         if m <= 0 or n < 0:
             raise SpecError(f"invalid N:M structure {n}:{m}")
         if n > m:
@@ -568,6 +578,9 @@ class BandedDensity(DensityModel):
         band_width: int,
         fill_density: float = 1.0,
     ):
+        rows, cols = _integer("rows", rows), _integer("cols", cols)
+        band_width = _integer("band_width", band_width)
+        fill_density = _real("fill_density", fill_density)
         if rows <= 0 or cols <= 0:
             raise SpecError(f"matrix shape must be positive, got {rows}x{cols}")
         if band_width < 0:

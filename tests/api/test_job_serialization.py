@@ -22,7 +22,7 @@ from repro.api import (
     Session,
     job_from_dict,
 )
-from repro.api.jobs import JOB_SCHEMA_VERSION
+from repro.api.jobs import JOB_SCHEMA_VERSION, _pack, _unpack
 from repro.common.errors import SpecError
 from repro.io.yaml_spec import load_design
 from repro.workload.nets import alexnet
@@ -172,6 +172,7 @@ class TestEnvelopeValidation:
 def _envelope(kind: str) -> dict:
     design, workload = load_design(FULL_SPEC)
     job = {
+        "evaluate-job": lambda: EvaluateJob(design, workload),
         "search-job": lambda: SearchJob(design, workload),
         "search-shard-job": lambda: SearchShardJob(
             design, workload, search_id="s", stop=4, total=8
@@ -226,3 +227,53 @@ class TestWireIntegers:
         if nullable:
             data[name] = None
             assert job_from_dict(data).to_dict()[name] is None
+
+
+JOB_KINDS = [
+    "evaluate-job",
+    "search-job",
+    "search-shard-job",
+    "network-job",
+    "fused-job",
+]
+
+
+class TestUnpackHook:
+    """``job_from_dict(data, unpack=...)`` swaps the payload decoder,
+    the way ``to_dict(pack=...)`` swaps the encoder."""
+
+    def test_default_decodes_fresh_objects(self):
+        data = _envelope("evaluate-job")
+        first, second = job_from_dict(data), job_from_dict(data)
+        assert first.design is not second.design
+        assert first.workload is not second.workload
+        assert first.design.name == second.design.name
+
+    @pytest.mark.parametrize("kind", JOB_KINDS)
+    def test_hook_sees_every_pickled_field(self, kind):
+        data = _envelope(kind)
+        if "objective" in data:
+            data["objective"] = _wire(_pack(edp_objective))
+        pickled = [
+            value
+            for value in data.values()
+            if isinstance(value, dict) and value.get("encoding") == "pickle"
+        ]
+        seen = []
+        memo = {}
+
+        def unpack(blob):
+            seen.append(blob)
+            if blob is None:
+                return None
+            if blob["data"] not in memo:
+                memo[blob["data"]] = _unpack(blob)
+            return memo[blob["data"]]
+
+        first = job_from_dict(data, unpack=unpack)
+        assert all(any(b is value for b in seen) for value in pickled)
+        assert all(b is None or any(b is v for v in pickled) for b in seen)
+        # What the hook returns is what the job holds.
+        second = job_from_dict(data, unpack=unpack)
+        assert first.design is second.design
+        assert len(memo) == len({value["data"] for value in pickled})

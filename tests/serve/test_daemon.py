@@ -11,6 +11,8 @@ in-process :class:`Session`.
 from __future__ import annotations
 
 import asyncio
+import socket
+import sys
 import threading
 
 import pytest
@@ -26,6 +28,7 @@ from repro.api import (
     Session,
     connect,
 )
+from repro.api.jobs import _pack
 from repro.common.errors import (
     MappingError,
     OverloadedError,
@@ -33,6 +36,13 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.io.yaml_spec import load_design
+from repro.serve import server as server_module
+from repro.serve.protocol import (
+    decode_line,
+    encode_line,
+    error_from_envelope,
+    result_from_dict,
+)
 from repro.serve.server import ReproServer, ServeConfig
 from repro.workload.nets import alexnet
 from tests.io.test_yaml_spec import FULL_SPEC
@@ -495,3 +505,271 @@ class TestServerStats:
         assert stats["evaluate_batch_mean"] >= 1
         assert stats["engine_seconds"] > 0
         assert stats["clients"] >= 1
+
+
+PAYLOAD_KEYS = ("payloads_decoded", "payload_hits", "payloads_held")
+
+
+class _Wire:
+    """A raw protocol connection, for frames :class:`RemoteSession`
+    never sends (malformed pickles, a reused ref with new bytes)."""
+
+    def __init__(self, address: str):
+        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sock.settimeout(60)
+        self._sock.connect(address.removeprefix("unix://"))
+        self._rfile = self._sock.makefile("rb")
+        self._next_id = 0
+
+    def request(self, **message) -> dict:
+        self._next_id += 1
+        self._sock.sendall(encode_line({"id": self._next_id, **message}))
+        while True:
+            response = decode_line(self._rfile.readline())
+            if response["id"] == self._next_id and "progress" not in response:
+                return response
+
+    def evaluate(self, design_blob: dict, workload_blob: dict) -> dict:
+        return self.request(
+            job={
+                "schema": 1,
+                "kind": "evaluate-job",
+                "design": design_blob,
+                "workload": workload_blob,
+                "mapping": None,
+            }
+        )
+
+    def payload_stats(self) -> dict:
+        stats = self.request(op="server-stats")["ok"]
+        return {key: stats[key] for key in PAYLOAD_KEYS}
+
+    def close(self) -> None:
+        self._rfile.close()
+        self._sock.close()
+
+
+def _workloads(count: int) -> list:
+    """``count`` workloads on FULL_SPEC's einsum, each its own payload."""
+    _, workload = load_design(FULL_SPEC)
+    return [
+        Workload.uniform(workload.einsum, {"A": 0.1 + 0.05 * i, "B": 0.5})
+        for i in range(count)
+    ]
+
+
+def _in_process(pairs) -> list[dict]:
+    """In-process results for ``(design, workload)`` pairs. Run after
+    the remote jobs: evaluating fills the objects' memos, which would
+    change their pickled bytes."""
+    with Session() as local:
+        return [local.evaluate(d, w).to_dict() for d, w in pairs]
+
+
+class TestDecodeOnce:
+    """The daemon decodes each distinct payload once, keyed by its
+    bytes, and shares the object across jobs and connections."""
+
+    def test_connections_share_decoded_payloads(self, daemon):
+        design, _ = load_design(FULL_SPEC)
+        workloads = _workloads(2)
+        pairs = [(design, w) for w in (*workloads, workloads[0])]
+        with connect(daemon.address) as probe:
+            before = probe.server_stats(timeout=10)
+        results = []
+        for _ in range(2):
+            with connect(daemon.address) as session:
+                handles = session.submit_many(
+                    [EvaluateJob(d, w) for d, w in pairs]
+                )
+                results.append(
+                    [h.result(timeout=60).to_dict() for h in handles]
+                )
+            with connect(daemon.address) as probe:
+                stats = probe.server_stats(timeout=10)
+            # One design and two workloads, whichever connection.
+            assert stats["payloads_decoded"] - before["payloads_decoded"] == 3
+            assert stats["payloads_held"] == 3
+        assert stats["payload_hits"] - before["payload_hits"] == 12 - 3
+        expected = _in_process(pairs)
+        assert results == [expected, expected]
+
+    def test_malformed_pickle_fails_only_its_job(self, daemon):
+        design, workload = load_design(FULL_SPEC)
+        wire = _Wire(daemon.address)
+        try:
+            good = wire.evaluate(_pack(design), _pack(workload))
+            assert "result" in good
+            before = wire.payload_stats()
+            for data in ("bm90IGEgcGlja2xl", "%%% not base64 %%%", 7):
+                # The design decodes first, so its failure stops the
+                # job before the workload is looked up.
+                response = wire.evaluate(
+                    {"encoding": "pickle", "data": data}, _pack(workload)
+                )
+                error = error_from_envelope(response["error"])
+                assert type(error) is SpecError
+                assert "cannot decode job payload" in str(error)
+                assert wire.payload_stats() == before
+            # The connection survives, and the next good job works.
+            again = wire.evaluate(_pack(design), _pack(workload))
+        finally:
+            wire.close()
+        assert again["result"] == good["result"]
+        expected = _in_process([(design, workload)])[0]
+        assert result_from_dict(again["result"]).to_dict() == expected
+
+    def test_reused_ref_with_new_bytes(self, daemon):
+        design, _ = load_design(FULL_SPEC)
+        first, second = _workloads(2)
+        wire = _Wire(daemon.address)
+        try:
+            results = [
+                wire.evaluate(
+                    {**_pack(design), "ref": "d"},
+                    {**_pack(first), "ref": "w"},
+                ),
+                # The same ref, different bytes: the table keys on the
+                # bytes, never on the client's ref.
+                wire.evaluate(
+                    {"encoding": "ref", "ref": "d"},
+                    {**_pack(second), "ref": "w"},
+                ),
+                wire.evaluate(
+                    {"encoding": "ref", "ref": "d"},
+                    {"encoding": "ref", "ref": "w"},
+                ),
+            ]
+        finally:
+            wire.close()
+        expected = _in_process(
+            [(design, first), (design, second), (design, second)]
+        )
+        assert [
+            result_from_dict(r["result"]).to_dict() for r in results
+        ] == expected
+        assert expected[0] != expected[1]
+
+    def test_table_stays_bounded(self, daemon, monkeypatch):
+        monkeypatch.setattr(server_module, "PAYLOAD_TABLE_ENTRIES", 3)
+        design, _ = load_design(FULL_SPEC)
+        workloads = _workloads(5)
+        # Every workload twice, the second round after its entry was
+        # evicted: each is decoded again, and results stay correct.
+        pairs = [(design, w) for w in workloads * 2]
+        wire = _Wire(daemon.address)
+        try:
+            results = []
+            for d, w in pairs:
+                results.append(wire.evaluate(_pack(d), _pack(w)))
+                assert wire.payload_stats()["payloads_held"] <= 3
+            stats = wire.payload_stats()
+        finally:
+            wire.close()
+        assert [
+            result_from_dict(r["result"]).to_dict() for r in results
+        ] == _in_process(pairs)
+        assert stats["payloads_decoded"] == 1 + 2 * len(workloads)
+        assert stats["payloads_held"] == 3
+
+    def test_oversized_payload_is_never_held(self, daemon, monkeypatch):
+        design, workload = load_design(FULL_SPEC)
+        design_blob, workload_blob = _pack(design), _pack(workload)
+        limit = len(design_blob["data"]) - 1
+        assert len(workload_blob["data"]) <= limit
+        monkeypatch.setattr(server_module, "PAYLOAD_MAX_CHARS", limit)
+        wire = _Wire(daemon.address)
+        try:
+            results = [
+                wire.evaluate(design_blob, workload_blob) for _ in range(3)
+            ]
+            stats = wire.payload_stats()
+        finally:
+            wire.close()
+        # The design decodes for every job; only the workload is held.
+        assert stats == {
+            "payloads_decoded": 3 + 1,
+            "payload_hits": 2,
+            "payloads_held": 1,
+        }
+        expected = _in_process([(design, workload)])[0]
+        assert all(
+            result_from_dict(r["result"]).to_dict() == expected
+            for r in results
+        )
+
+    def test_table_is_thread_safe(self):
+        # The lane and the pool workers share one table: a lost update
+        # would break the counts, a double decode the object identity.
+        blobs = [_pack(w) for w in _workloads(6)]
+        table = server_module._PayloadTable()
+        seen = [[] for _ in range(8)]
+        rounds = 200
+
+        def worker(i):
+            for r in range(rounds):
+                seen[i].append(table.unpack(blobs[(i + r) % len(blobs)]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert table.stats() == {
+            "payloads_decoded": 6,
+            "payload_hits": 8 * rounds - 6,
+            "payloads_held": 6,
+        }
+        assert len({id(obj) for objs in seen for obj in objs}) == 6
+
+    def test_repeated_search_and_network_jobs(self, tmp_path):
+        from repro.designs import eyeriss
+
+        d = _Daemon(
+            ServeConfig(port=None, unix_path=str(tmp_path / "once.sock")),
+            check_capacity=False,
+            search_budget=8,
+        )
+        try:
+            design, workload = load_design(FULL_SPEC)
+            net_design = eyeriss.eyeriss_design()
+            layers = alexnet()[:2]
+            with connect(d.address) as session:
+                searches = [
+                    session.search(SearchJob(design, workload)).to_dict()
+                    for _ in range(2)
+                ]
+                networks = [
+                    session.evaluate_network(
+                        net_design, layers, uniform_densities
+                    ).to_dict()
+                    for _ in range(2)
+                ]
+                stats = session.server_stats(timeout=10)
+            with Session(check_capacity=False, search_budget=8) as local:
+                local_searches = [
+                    local.search(SearchJob(design, workload)).to_dict()
+                    for _ in range(2)
+                ]
+                local_networks = [
+                    local.evaluate_network(
+                        net_design, layers, uniform_densities
+                    ).to_dict()
+                    for _ in range(2)
+                ]
+        finally:
+            d.stop()
+        assert searches == local_searches
+        assert networks == local_networks
+        # design + workload, then design + layers + densities_for; the
+        # repeats decode nothing.
+        assert stats["payloads_decoded"] == 5
+        assert stats["payload_hits"] == 5

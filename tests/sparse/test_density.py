@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
+from repro.common.cache import spec_digest
 from repro.common.errors import SpecError
 from repro.sparse.density import (
     ActualDataDensity,
     BandedDensity,
     FixedStructuredDensity,
+    StructuredNMDensity,
     UniformDensity,
     effectual_compute_fraction,
     intersection_nonempty_probability,
@@ -93,8 +95,6 @@ class TestUniform:
     def test_equal_models_share_one_digest(self):
         # The digest follows the key's repr: 1 and 1.0, or numpy
         # scalars, used to digest apart from equal plain floats.
-        from repro.common.cache import spec_digest
-
         plain = UniformDensity(1.0, 64)
         for model in (
             UniformDensity(1, 64),
@@ -161,6 +161,39 @@ class TestFixedStructured:
         with pytest.raises(SpecError):
             FixedStructuredDensity(5, 4)
 
+    @pytest.mark.parametrize(
+        "args", [(True, 4), (2, True), (2.0, 4), (2, 4.0), ("2", 4)], ids=repr
+    )
+    def test_rejects_non_integer_structure(self, args):
+        # True was accepted into the key, 2.0 keyed apart from 2, and
+        # "2" raised a TypeError.
+        with pytest.raises(SpecError, match="must be an integer"):
+            FixedStructuredDensity(*args)
+
+    def test_equal_models_share_one_digest(self):
+        plain = FixedStructuredDensity(2, 4)
+        model = FixedStructuredDensity(np.int64(2), np.int32(4))
+        assert model.cache_key() == plain.cache_key()
+        assert spec_digest(model) == spec_digest(plain)
+        assert type(model.nonzeros_per_block) is int
+
+
+class TestStructuredNMArguments:
+    @pytest.mark.parametrize(
+        "args", [(2.0, 4), (2.5, 4), (True, 4), (2, "4")], ids=repr
+    )
+    def test_rejects_non_integer_structure(self, args):
+        # 2.5:4 was accepted with density 0.625; 2.0:4 digested apart
+        # from 2:4.
+        with pytest.raises(SpecError, match="must be an integer"):
+            StructuredNMDensity(*args)
+
+    def test_equal_models_share_one_digest(self):
+        plain = StructuredNMDensity(2, 4)
+        model = StructuredNMDensity(np.int16(2), np.int64(4))
+        assert model.cache_key() == plain.cache_key()
+        assert spec_digest(model) == spec_digest(plain)
+
     def test_matches_generated_data(self):
         from repro.tensor.generator import structured_sparse_matrix
 
@@ -196,6 +229,34 @@ class TestBanded:
             half.expected_occupancy((4, 4)),
             full.expected_occupancy((4, 4)) / 2,
         )
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((16, 16, 2, "0.5"), "fill_density"),
+            ((16, 16, 2, True), "fill_density"),
+            ((16, 16, 2, None), "fill_density"),
+            ((16.0, 16, 2), "rows"),
+            ((16, True, 2), "cols"),
+            ((16, 16, 2.0), "band_width"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_argument_types(self, args, name):
+        # "0.5" and 16.0 raised TypeError tracebacks; True was keyed.
+        with pytest.raises(SpecError, match=name):
+            BandedDensity(*args)
+
+    def test_equal_models_share_one_digest(self):
+        plain = BandedDensity(16, 16, 2, 1.0)
+        for model in (
+            BandedDensity(16, 16, 2, 1),
+            BandedDensity(np.int64(16), np.int32(16), np.int8(2)),
+            BandedDensity(16, 16, 2, np.float64(1.0)),
+        ):
+            assert model.cache_key() == plain.cache_key()
+            assert spec_digest(model) == spec_digest(plain)
+            assert type(model.fill_density) is float
 
     def test_matches_generated_band(self):
         model = BandedDensity(32, 32, band_width=2)
