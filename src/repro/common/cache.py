@@ -345,11 +345,11 @@ class AnalysisCache:
 # ----------------------------------------------------------------------
 # Persistent on-disk tier
 
-#: Bump when the snapshot payload layout or the key scheme (not the
-#: cached *content*) changes incompatibly; older ``v<N>`` directories
-#: are then ignored, and the first write of each process sweeps them
+#: Bump when the snapshot payload layout, the key scheme or a stage's
+#: value type changes incompatibly; older ``v<N>`` directories are then
+#: ignored, and the first write of each process sweeps them
 #: (:meth:`ObjectStore.prune_stale_versions`).
-PERSISTENT_SCHEMA_VERSION = 2
+PERSISTENT_SCHEMA_VERSION = 3
 
 #: Store roots whose stale version trees this process already swept.
 _PRUNED_ROOTS: set[Path] = set()

@@ -9,8 +9,12 @@ them a measurable share of mapspace-search time.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+
+from repro.common.errors import SpecError
 
 
 def prod(values: Iterable[float]) -> float:
@@ -23,6 +27,15 @@ def prod(values: Iterable[float]) -> float:
     for value in values:
         result = result * value
     return result
+
+
+def spec_int(name: str, value) -> int:
+    """``value`` as an ``int``: a non-bool integral (numpy integers
+    pass), so equal specs share one content key; anything else is a
+    :class:`~repro.common.errors.SpecError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def ceil_div(numerator: int, denominator: int) -> int:

@@ -182,19 +182,12 @@ def load_workload(source) -> Workload:
 
 
 def _parse_format(desc) -> FormatSpec:
-    """Parse a format: a classic name ('CSR') or a rank list
-    ('B-UOP-RLE', optionally with flattening like 'B^3-RLE')."""
+    """Parse a format: a classic name ('CSR'), a rank list
+    ('B-UOP-RLE', optionally with flattening like 'B^3-RLE'), or a list
+    of rank mappings (``{rank: CP, coord_bits: 2, flattened_ranks:
+    1}``). A malformed rank fails with a :class:`SpecError` naming it."""
     if isinstance(desc, list):
-        ranks = []
-        for item in desc:
-            item = dict(item)
-            kind = item.pop("rank")
-            flattened = item.pop("flattened_ranks", 1)
-            cls = _RANK_FORMATS.get(kind)
-            if cls is None:
-                raise SpecError(f"unknown rank format {kind!r}")
-            ranks.append(FormatRank(cls(**item), flattened_ranks=flattened))
-        return FormatSpec(ranks)
+        return FormatSpec([_parse_rank(item) for item in desc])
     text = str(desc)
     try:
         return classic_format(text)
@@ -202,16 +195,37 @@ def _parse_format(desc) -> FormatSpec:
         pass
     ranks = []
     for token in text.split("-"):
-        if "^" in token:
-            kind, _sep, count = token.partition("^")
-            flattened = int(count)
-        else:
-            kind, flattened = token, 1
+        kind, caret, count = token.partition("^")
         cls = _RANK_FORMATS.get(kind.upper())
         if cls is None:
             raise SpecError(f"unknown rank format {kind!r} in {text!r}")
-        ranks.append(FormatRank(cls(), flattened_ranks=flattened))
+        flattened = 1
+        if caret:
+            flattened = int(count) if count.isdecimal() else count
+        try:
+            ranks.append(FormatRank(cls(), flattened_ranks=flattened))
+        except SpecError as exc:
+            raise SpecError(f"format rank {token!r} in {text!r}: {exc}")
     return FormatSpec(ranks)
+
+
+def _parse_rank(item) -> FormatRank:
+    """One ``{rank: <name>, <parameter>: <value>, ...}`` item of a rank
+    list: the rank format's own parameters plus ``flattened_ranks``."""
+    if not isinstance(item, dict) or not isinstance(item.get("rank"), str):
+        raise SpecError(
+            f"format rank {item!r} must be a mapping with a 'rank' name"
+        )
+    params = dict(item)
+    kind = params.pop("rank")
+    cls = _RANK_FORMATS.get(kind)
+    if cls is None:
+        raise SpecError(f"unknown rank format {kind!r} in {item!r}")
+    flattened = params.pop("flattened_ranks", 1)
+    try:
+        return FormatRank(cls(**params), flattened_ranks=flattened)
+    except (TypeError, SpecError) as exc:  # TypeError: unknown parameter
+        raise SpecError(f"format rank {item!r}: {exc}") from exc
 
 
 def load_saf_spec(source) -> SAFSpec:

@@ -34,6 +34,7 @@ import itertools
 import socket
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.api.jobs import (
@@ -53,6 +54,13 @@ from repro.serve.protocol import (
     error_from_envelope,
     result_from_dict,
 )
+from repro.serve.server import PAYLOAD_TABLE_ENTRIES
+
+#: Packed payloads a session keeps (object, digest, blob), least
+#: recently used evicted first: as many as the daemon's decoded-payload
+#: table holds. An evicted object is re-pickled on its next use; its
+#: digest is unchanged, so the daemon still receives a ref stub.
+PACK_MEMO_ENTRIES = PAYLOAD_TABLE_ENTRIES
 
 __all__ = ["connect", "RemoteSession", "RemoteHandle"]
 
@@ -210,10 +218,10 @@ class RemoteSession:
         #: request id -> (handle, encoded request); kept until the
         #: response lands so a reconnect can resend everything pending.
         self._inflight: dict[int, tuple[RemoteHandle, bytes]] = {}
-        #: payload interning: id(obj) -> (obj, digest, packed blob).
-        #: Holding the object keeps its id stable; DSE clients reuse a
-        #: handful of designs/workloads, so this stays small.
-        self._blob_packs: dict[int, tuple[object, str, dict]] = {}
+        #: payload interning: id(obj) -> (obj, digest, packed blob),
+        #: an LRU of PACK_MEMO_ENTRIES. Holding the object keeps its id
+        #: stable while it is memoised.
+        self._blob_packs: OrderedDict[int, tuple] = OrderedDict()
         #: digests the *current* connection has carried in full; the
         #: set resets on reconnect so refs never dangle server-side.
         self._sent_refs: set[str] = set()
@@ -330,12 +338,15 @@ class RemoteSession:
         workload, thousands of mappings — this removes the dominant
         per-job pickling and wire cost on both ends.
         """
-        entry = self._blob_packs.get(id(obj))
+        packs = self._blob_packs
+        entry = packs.get(id(obj))
         if entry is None or entry[0] is not obj:
             blob = _pack(obj)
             ref = digest(blob["data"].encode("ascii")).hex()
-            entry = (obj, ref, blob)
-            self._blob_packs[id(obj)] = entry
+            entry = packs[id(obj)] = (obj, ref, blob)
+            if len(packs) > PACK_MEMO_ENTRIES:
+                packs.popitem(last=False)
+        packs.move_to_end(id(obj))
         _obj, ref, blob = entry
         if ref in self._sent_refs:
             return {"encoding": "ref", "ref": ref}

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from functools import lru_cache
@@ -40,7 +39,7 @@ import numpy as np
 
 from repro.common.cache import digest
 from repro.common.errors import SpecError
-from repro.common.util import prod
+from repro.common.util import prod, spec_int
 
 TileShape = int | Sequence[int]
 
@@ -194,14 +193,6 @@ def _tile_size(shape: TileShape) -> int:
     return size
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``: a non-bool integral (numpy integers
-    pass), so equal models share one content key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SpecError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def _real(name: str, value) -> float:
     """``value`` as a ``float``: a non-bool real (numpy scalars pass),
     so equal models share one content key (``1`` and ``1.0`` repr
@@ -306,7 +297,7 @@ class UniformDensity(DensityModel):
         if not 0.0 <= density <= 1.0:
             raise SpecError(f"density must be in [0, 1], got {density}")
         if tensor_size is not None:
-            tensor_size = _integer("tensor_size", tensor_size)
+            tensor_size = spec_int("tensor_size", tensor_size)
             if tensor_size <= 0:
                 raise SpecError(
                     f"tensor_size must be positive, got {tensor_size}"
@@ -390,8 +381,8 @@ class FixedStructuredDensity(DensityModel):
     """
 
     def __init__(self, nonzeros_per_block: int, block_size: int):
-        nonzeros_per_block = _integer("nonzeros_per_block", nonzeros_per_block)
-        block_size = _integer("block_size", block_size)
+        nonzeros_per_block = spec_int("nonzeros_per_block", nonzeros_per_block)
+        block_size = spec_int("block_size", block_size)
         if nonzeros_per_block < 0 or block_size <= 0:
             raise SpecError(
                 f"invalid structure {nonzeros_per_block}:{block_size}"
@@ -473,7 +464,7 @@ class StructuredNMDensity(DensityModel):
     """
 
     def __init__(self, n: int, m: int):
-        n, m = _integer("n", n), _integer("m", m)
+        n, m = spec_int("n", n), spec_int("m", m)
         if m <= 0 or n < 0:
             raise SpecError(f"invalid N:M structure {n}:{m}")
         if n > m:
@@ -578,8 +569,8 @@ class BandedDensity(DensityModel):
         band_width: int,
         fill_density: float = 1.0,
     ):
-        rows, cols = _integer("rows", rows), _integer("cols", cols)
-        band_width = _integer("band_width", band_width)
+        rows, cols = spec_int("rows", rows), spec_int("cols", cols)
+        band_width = spec_int("band_width", band_width)
         fill_density = _real("fill_density", fill_density)
         if rows <= 0 or cols <= 0:
             raise SpecError(f"matrix shape must be positive, got {rows}x{cols}")

@@ -11,79 +11,28 @@ The analysis splits into a density-free half and a density half.
 extents, subtree sizes, dense words) from the format and the tile shape
 alone; :func:`occupancy_terms` is the one per-rank loop that combines
 them with the density model's answers, and :func:`format_scalars`
-turns its totals into the five scalings the sparse step reads. :func:`analyze_tile_format` runs both halves and
-memoises the :class:`TileOccupancy` in the process-global
-``"tile-format"`` stage; it serves the sparse walk (first-seen
-mappings, searches, network layers) and direct callers. A planned
-sparse evaluation (:class:`~repro.sparse.postprocess.SparsePlan`)
-compiles the first half once per plan and calls the same loop and
-scalings per density point, without a :class:`TileOccupancy` or a
-stage lookup.
+turns its totals into the five scalings the sparse step reads.
+
+:func:`analyze_tile_format` runs both halves and memoises the result, a
+flat tuple of five numbers, in the process-global ``"tile-format"``
+stage; it serves the sparse walk (first-seen mappings, searches,
+network layers) and direct callers. A tuple of atomics is untracked by
+the cyclic collector at its first collection, so a full stage adds
+nothing to a full collection's scan. A planned sparse evaluation
+(:class:`~repro.sparse.postprocess.SparsePlan`) compiles the first half
+once per plan and calls the same loop and scalings per density point,
+without a stage lookup. Per-rank terms exist only inside the loop; pass
+``occupancy_terms(..., per_rank=rows)`` to collect them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from repro.common.cache import digest, global_cache, spec_digest
 from repro.common.util import prod
 from repro.sparse.density import DensityModel
 from repro.sparse.formats import FormatRank, FormatSpec
-
-
-@dataclass
-class RankOccupancy:
-    """Occupancy contribution of one format rank."""
-
-    format_name: str
-    fiber_shape: int
-    stored_fibers: float
-    nonempty_elements: float
-    metadata_bits: float
-
-
-@dataclass
-class TileOccupancy:
-    """Expected/worst-case storage occupancy of one tile in one format.
-
-    ``payload_words`` counts the data values materialised (compressed
-    formats store only nonzeros); ``metadata_bits`` is the total
-    encoding overhead. ``dense_words`` is the uncompressed tile size for
-    compression-rate computations.
-    """
-
-    dense_words: int
-    payload_words: float
-    metadata_bits: float
-    worst_payload_words: float
-    worst_metadata_bits: float
-    per_rank: list[RankOccupancy] = field(default_factory=list)
-
-    def scalars(
-        self, word_bits: int, metadata_word_bits: int, compressed: bool
-    ) -> tuple[float, float, float, float, float]:
-        """The tile's :func:`format_scalars` at a level's word widths."""
-        return format_scalars(
-            self.dense_words,
-            (
-                self.payload_words,
-                self.metadata_bits,
-                self.worst_payload_words,
-                self.worst_metadata_bits,
-            ),
-            word_bits,
-            metadata_word_bits,
-            compressed,
-        )
-
-    def compression_rate(self, word_bits: int) -> float:
-        """Dense words divided by encoded words (higher = better)."""
-        return self.scalars(word_bits, 1, True)[4]
-
-    def metadata_bits_per_element(self) -> float:
-        """Metadata bits accompanying one dense element's worth of tile."""
-        return self.scalars(1, 1, True)[1]
 
 
 def compile_tile_format(
@@ -208,12 +157,16 @@ def analyze_tile_format(
     fmt: FormatSpec,
     rank_extents: tuple[int, ...],
     density: DensityModel,
-) -> TileOccupancy:
+) -> tuple[int, float, float, float, float]:
     """Statistically characterise one tile's encoded occupancy.
 
+    Returns ``(dense words, payload words, metadata bits, worst payload
+    words, worst metadata bits)``: the uncompressed tile size, the data
+    values materialised (compressed formats store only nonzeros), the
+    total encoding overhead, and their worst cases. ``format_scalars(
+    tile[0], tile[1:], ...)`` turns it into the sparse step's scalings.
     Results are memoised module-wide when the density model exposes a
-    content key (``cache_key()``); callers must treat the returned
-    :class:`TileOccupancy` as read-only. The per-rank arithmetic is
+    content key (``cache_key()``). The per-rank arithmetic is
     :func:`occupancy_terms`.
     """
     density_digest = spec_digest(density)
@@ -231,24 +184,10 @@ def _analyze_tile_format(
     fmt: FormatSpec,
     rank_extents: tuple[int, ...],
     density: DensityModel,
-) -> TileOccupancy:
+) -> tuple[int, float, float, float, float]:
     extents, subtrees, dense_words = compile_tile_format(fmt, rank_extents)
     max_nnz = density.quantile_occupancy(dense_words)
     p_nonempty = [density.prob_nonempty(size) for size in subtrees]
-    per_rank: list[tuple] = []
-    payload, bits, worst_payload, worst_bits = occupancy_terms(
-        fmt.ranks, extents, p_nonempty, max_nnz, per_rank
-    )
-    # The format's memoised (type name, repr, flattened_ranks) entry
-    # per rank names the rank without rebuilding its repr.
-    return TileOccupancy(
-        dense_words=dense_words,
-        payload_words=payload,
-        metadata_bits=bits,
-        worst_payload_words=worst_payload,
-        worst_metadata_bits=worst_bits,
-        per_rank=[
-            RankOccupancy(key[1], *terms)
-            for key, terms in zip(fmt.cache_key(), per_rank)
-        ],
+    return (dense_words,) + occupancy_terms(
+        fmt.ranks, extents, p_nonempty, max_nnz
     )

@@ -21,6 +21,20 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.common.errors import SpecError
+from repro.common.util import spec_int
+
+
+def _store_count(spec, name: str, optional: bool = False) -> None:
+    """Check a frozen spec's bit width or rank count ``name`` and store
+    it as an ``int`` >= 1 (``None`` passes when ``optional``), so equal
+    formats share one repr and digest."""
+    value = getattr(spec, name)
+    if value is None and optional:
+        return
+    value = spec_int(name, value)
+    if value < 1:
+        raise SpecError(f"{name} must be at least 1, got {value}")
+    object.__setattr__(spec, name, value)
 
 
 def _coord_bits(fiber_shape: int) -> int:
@@ -112,6 +126,9 @@ class CoordinatePayload(RankFormat):
 
     coord_bits: int | None = None
 
+    def __post_init__(self) -> None:
+        _store_count(self, "coord_bits", optional=True)
+
     def metadata_bits(
         self, fiber_shape: int, stored_fibers: float, nonempty_elements: float
     ) -> float:
@@ -134,8 +151,7 @@ class RunLengthEncoding(RankFormat):
     run_bits: int = 4
 
     def __post_init__(self) -> None:
-        if self.run_bits <= 0:
-            raise SpecError(f"run_bits must be positive, got {self.run_bits}")
+        _store_count(self, "run_bits")
 
     def metadata_bits(
         self, fiber_shape: int, stored_fibers: float, nonempty_elements: float
@@ -173,6 +189,9 @@ class UncompressedOffsetPairs(RankFormat):
 
     offset_bits: int | None = None
 
+    def __post_init__(self) -> None:
+        _store_count(self, "offset_bits", optional=True)
+
     def metadata_bits(
         self, fiber_shape: int, stored_fibers: float, nonempty_elements: float
     ) -> float:
@@ -199,10 +218,7 @@ class FormatRank:
     flattened_ranks: int = 1
 
     def __post_init__(self) -> None:
-        if self.flattened_ranks <= 0:
-            raise SpecError(
-                f"flattened_ranks must be positive, got {self.flattened_ranks}"
-            )
+        _store_count(self, "flattened_ranks")
 
 
 @dataclass

@@ -59,16 +59,17 @@ compiled into per-rank integers
 it (``analyze_sparse(dense, safs, plan=plan)``) answers one value table
 of density queries — densities, leader tiles' P(nonempty), and the
 format ranks' P(nonempty) and tile quantiles — computes each slot's
-format scalings with the format analyzer's own per-rank loop (no
-``TileOccupancy`` and no tile-format stage lookup), then runs the split
-arithmetic as numpy gathers over the same expressions as the batch
-flush. A plan holds no workload, density model or format object, only
-tuples of atomics and numpy arrays, so one plan serves every density
-point of a mapping, and a cached plan keeps almost nothing alive for
-the cyclic collector. The engine caches plans in its ``"plan"`` stage
-under :func:`sparse_plan_key`. The walk keeps resolving formats through
+format scalings with the format analyzer's own per-rank loop and
+:func:`~repro.sparse.format_analyzer.format_scalars` (no tile-format
+stage lookup), then runs the split arithmetic as numpy gathers over the
+same expressions as the batch flush. A plan holds no workload, density
+model or format object, only tuples of atomics and numpy arrays, so one
+plan serves every density point of a mapping, and a cached plan keeps
+almost nothing alive for the cyclic collector. The engine caches plans
+in its ``"plan"`` stage under :func:`sparse_plan_key`. The walk keeps
+resolving formats through
 :func:`~repro.sparse.format_analyzer.analyze_tile_format` and its
-stage.
+stage, whose flat tuple it hands to the same ``format_scalars``.
 
 :func:`sparse_analysis_key` derives the content key under which a whole
 :class:`~repro.sparse.traffic.SparseTraffic` is memoised by the
@@ -87,7 +88,6 @@ from repro.common.util import prod
 from repro.dataflow.nest_analysis import DenseTraffic, dense_analysis_key
 from repro.sparse.density import DensityModel, UniformDensity
 from repro.sparse.format_analyzer import (
-    TileOccupancy,
     analyze_tile_format,
     compile_tile_format,
     format_scalars,
@@ -204,10 +204,8 @@ class _LevelFormatInfo:
 
     def __init__(
         self,
-        occupancy: TileOccupancy,
-        word_bits: int,
-        metadata_word_bits: int,
         compressed: bool,
+        scalars: tuple[float, float, float, float, float],
     ):
         self.compressed = compressed
         (
@@ -216,7 +214,7 @@ class _LevelFormatInfo:
             self.occupancy_words,
             self.worst_occupancy_words,
             self.compression_rate,
-        ) = occupancy.scalars(word_bits, metadata_word_bits, compressed)
+        ) = scalars
 
 
 def _is_compressed(safs: SAFSpec, level: str, tensor: str) -> bool:
@@ -238,11 +236,12 @@ def _format_info(
     spec's format there (``compressed`` per :func:`_is_compressed`),
     uncompressed when it names none."""
     fmt = safs.format_for(level, tensor) or dense_format(len(rank_extents))
+    tile = analyze_tile_format(fmt, rank_extents, density)
     return _LevelFormatInfo(
-        analyze_tile_format(fmt, rank_extents, density),
-        word_bits,
-        metadata_word_bits,
         compressed,
+        format_scalars(
+            tile[0], tile[1:], word_bits, metadata_word_bits, compressed
+        ),
     )
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import Workload, matmul
@@ -18,6 +20,28 @@ from repro.common.cache import (
     repro_code_hash,
 )
 from repro.designs import toy
+from repro.model.engine import persistent_state_key
+from repro.sparse.density import (
+    ActualDataDensity,
+    BandedDensity,
+    FixedStructuredDensity,
+    StructuredNMDensity,
+    UniformDensity,
+)
+from repro.sparse.format_analyzer import (
+    TILE_FORMAT_STAGE,
+    analyze_tile_format,
+    clear_tile_format_cache,
+)
+from repro.sparse.formats import (
+    CoordinatePayload,
+    FormatRank,
+    FormatSpec,
+    RunLengthEncoding,
+    UncompressedOffsetPairs,
+    classic_format,
+    dense_format,
+)
 
 
 class TestStageCache:
@@ -292,3 +316,74 @@ class TestGlobalCache:
         stage = global_cache().stage("tile-format")
         assert len(stage) >= 1
         assert stage.hits >= 1
+
+
+class TestTileFormatValues:
+    """The process-global tile-format stage holds one flat tuple of
+    five numbers per tile, which the cyclic collector untracks at its
+    first collection, so a full stage costs full collections nothing."""
+
+    MODELS = [
+        UniformDensity(0.3, 4096),
+        FixedStructuredDensity(2, 4),
+        StructuredNMDensity(2, 8),
+        BandedDensity(64, 64, 4, 0.5),
+        ActualDataDensity(
+            (np.random.default_rng(3).random((64, 64)) < 0.2).astype(float)
+        ),
+    ]
+    FORMATS = [
+        classic_format("CSR"),
+        classic_format("COO"),
+        classic_format("CSB"),
+        dense_format(2),
+        FormatSpec(
+            [
+                FormatRank(UncompressedOffsetPairs(offset_bits=6)),
+                FormatRank(CoordinatePayload(coord_bits=2)),
+                FormatRank(RunLengthEncoding(3)),
+            ]
+        ),
+    ]
+    EXTENTS = [(8, 8), (4, 16), (16, 16), (2, 32), (64,)]
+
+    def test_stage_values_are_untracked_after_one_collection(self):
+        clear_tile_format_cache()
+        stage = global_cache().stage(TILE_FORMAT_STAGE)
+        calls = 0
+        for model in self.MODELS:
+            for fmt in self.FORMATS:
+                for extents in self.EXTENTS:
+                    analyze_tile_format(fmt, extents, model)
+                    calls += 1
+        assert stage.misses == len(stage) == calls  # all distinct
+        gc.collect()
+        values = [value for _, value in stage.export_entries(None)]
+        assert len(values) == calls
+        assert {(type(value), len(value)) for value in values} == {(tuple, 5)}
+        tracked = [value for value in values if gc.is_tracked(value)]
+        assert tracked == []
+
+    def test_spill_and_warm_start_round_trip_tile_formats(self, tmp_path):
+        # A tree of the previous schema, whose tile-format values were
+        # objects: the first write of the process sweeps it.
+        stale = tmp_path / "v2" / "ns"
+        stale.mkdir(parents=True)
+        (stale / "x.pkl").write_bytes(b"a snapshot of TileOccupancy values")
+        design = toy.bitmask_design()
+        workload = Workload.uniform(matmul(16, 16, 16), {"A": 0.3, "B": 0.5})
+        store = PersistentCache(tmp_path)
+        clear_tile_format_cache()
+        stage = global_cache().stage(TILE_FORMAT_STAGE)
+        with Session(persistent=store) as session:
+            expected = session.evaluate(design, workload).to_json()
+        assert not (tmp_path / "v2").exists()
+        exported = stage.export_entries(None)
+        assert exported  # the first evaluation walked its tile formats
+        snapshot = store.load(persistent_state_key(design, [workload]))
+        assert snapshot[TILE_FORMAT_STAGE] == exported
+        clear_tile_format_cache()
+        with Session(persistent=store) as session:
+            assert session.evaluate(design, workload).to_json() == expected
+            assert session.warm_loaded > 0
+        assert stage.export_entries(None) == exported

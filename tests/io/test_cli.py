@@ -195,3 +195,36 @@ class TestDensitiesBoundary:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:") and needle in lines[0]
+
+
+class TestFormatBoundary:
+    """A malformed ``safs.formats`` entry exits 2 with one ``error:``
+    line naming the offending rank (no traceback, no negative
+    metadata)."""
+
+    @pytest.mark.parametrize(
+        "fmt,needle",
+        [
+            ([{"rank": "CP", "coord_bits": "3"}], "coord_bits"),
+            ([{"rank": "CP", "bogus": 1}], "bogus"),
+            ([{"rank": "B", "coord_bits": 3}], "coord_bits"),
+            ([{"coord_bits": 3}], "'rank'"),
+            (["CP"], "'CP'"),
+            ("B^x-CP", "B^x"),
+            ([{"rank": "CP", "coord_bits": -2}], "coord_bits"),
+        ],
+        ids=[
+            "str-bits", "unknown-key", "foreign-key", "no-rank",
+            "not-a-mapping", "text-count", "negative-bits",
+        ],
+    )
+    def test_bad_format_exits_2(self, tmp_path, capsys, fmt, needle):
+        spec = yaml.safe_load(FULL_SPEC)
+        spec["safs"]["formats"][0]["format"] = fmt
+        path = tmp_path / "format.yaml"
+        path.write_text(yaml.safe_dump(spec))
+        assert main(["evaluate", str(path), "--cold"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:") and needle in lines[0]
+        assert "format rank" in lines[0]

@@ -93,6 +93,37 @@ class TestWorkload:
             load_workload({"workload": {"kernel": "fft"}})
 
 
+#: Malformed format descriptions, each with a piece of the offending
+#: item that the SpecError must name.
+BAD_FORMATS = [
+    pytest.param([{"rank": "CP", "coord_bits": "3"}], "'3'", id="str-bits"),
+    pytest.param([{"rank": "CP", "bogus": 1}], "bogus", id="unknown-key"),
+    pytest.param(
+        [{"rank": "B", "coord_bits": 3}], "coord_bits", id="foreign-key"
+    ),
+    pytest.param([{"coord_bits": 3}], "{'coord_bits': 3}", id="no-rank"),
+    pytest.param([{"rank": "U"}, "CP"], "'CP'", id="not-a-mapping"),
+    pytest.param("B^x-CP", "'B^x'", id="text-count"),
+    pytest.param("B^0-CP", "'B^0'", id="text-zero-count"),
+    pytest.param(
+        [{"rank": "CP", "coord_bits": -2}], "coord_bits", id="negative-bits"
+    ),
+    pytest.param([{"rank": "CP", "coord_bits": 0}], "coord_bits", id="zero"),
+    pytest.param(
+        [{"rank": "UOP", "offset_bits": -1}], "offset_bits", id="uop"
+    ),
+    pytest.param(
+        [{"rank": "CP", "coord_bits": True}], "coord_bits", id="bool-bits"
+    ),
+    pytest.param([{"rank": "RLE", "run_bits": 2.5}], "run_bits", id="rle"),
+    pytest.param(
+        [{"rank": "B", "flattened_ranks": 2.0}],
+        "flattened_ranks",
+        id="float-count",
+    ),
+]
+
+
 class TestFormats:
     def test_classic_name(self):
         assert _parse_format("CSR").describe() == "UOP-CP"
@@ -116,6 +147,12 @@ class TestFormats:
     def test_unknown_rank(self):
         with pytest.raises(SpecError):
             _parse_format("B-XYZ")
+
+    @pytest.mark.parametrize("desc,needle", BAD_FORMATS)
+    def test_malformed_rank_names_the_item(self, desc, needle):
+        with pytest.raises(SpecError, match="format rank") as info:
+            _parse_format(desc)
+        assert needle in str(info.value)
 
 
 class TestSAFs:

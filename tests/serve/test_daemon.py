@@ -36,6 +36,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.io.yaml_spec import load_design
+from repro.serve import client as client_module
 from repro.serve import server as server_module
 from repro.serve.protocol import (
     decode_line,
@@ -773,3 +774,45 @@ class TestDecodeOnce:
         # repeats decode nothing.
         assert stats["payloads_decoded"] == 5
         assert stats["payload_hits"] == 5
+
+
+class TestClientPackMemo:
+    """``RemoteSession``'s pack memo is an LRU as large as the daemon's
+    decoded-payload table: a long sweep of distinct workloads does not
+    pin every packed object, and an evicted object is re-pickled but
+    still crosses the wire as a ref stub."""
+
+    def test_memo_stays_bounded_and_refs_survive_eviction(self, daemon):
+        bound = client_module.PACK_MEMO_ENTRIES
+        assert bound == server_module.PAYLOAD_TABLE_ENTRIES == 128
+        design, base = load_design(FULL_SPEC)
+        count = 500
+        workloads = [
+            Workload.uniform(base.einsum, {"A": 0.1 + 0.8 * i / count})
+            for i in range(count)
+        ]
+        with connect(daemon.address) as session:
+            results = []
+            for start in range(0, count, 100):
+                chunk = workloads[start : start + 100]
+                handles = session.submit_many(
+                    [EvaluateJob(design, w) for w in chunk]
+                )
+                results += [h.result(timeout=120).to_dict() for h in handles]
+                assert len(session._blob_packs) <= bound
+            (connection,) = daemon.server._clients.values()
+            held = len(connection.blobs)
+            assert held == count + 1  # every payload crossed once, in full
+            # The first workload left the memo long ago; sending it
+            # again re-pickles it, but its digest was sent, so the
+            # daemon receives a stub and stores nothing new.
+            assert id(workloads[0]) not in session._blob_packs
+            wire = session._job_wire(EvaluateJob(design, workloads[0]))
+            assert wire["workload"]["encoding"] == "ref"
+            again = session.submit(EvaluateJob(design, workloads[0]))
+            again = again.result(timeout=60).to_dict()
+            assert len(connection.blobs) == held
+            assert len(session._blob_packs) <= bound
+        expected = _in_process([(design, w) for w in workloads])
+        assert results == expected
+        assert again == expected[0]

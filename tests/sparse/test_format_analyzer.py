@@ -1,4 +1,10 @@
-"""Tests for the format analyzer: tile occupancy and compression."""
+"""Tests for the format analyzer: tile occupancy and compression.
+
+``analyze_tile_format`` returns one flat tuple, ``(dense words, payload
+words, metadata bits, worst payload words, worst metadata bits)``; the
+per-rank terms are seen through ``compile_tile_format`` plus
+``occupancy_terms(..., per_rank=rows)``.
+"""
 
 import math
 
@@ -11,6 +17,9 @@ from repro.sparse.format_analyzer import (
     TILE_FORMAT_STAGE,
     analyze_tile_format,
     clear_tile_format_cache,
+    compile_tile_format,
+    format_scalars,
+    occupancy_terms,
 )
 from repro.sparse.formats import (
     Bitmask,
@@ -24,14 +33,51 @@ from repro.sparse.formats import (
 )
 
 
+DENSE_WORDS, PAYLOAD, METADATA_BITS, WORST_PAYLOAD, WORST_BITS = range(5)
+
+
+def compression_rate(tile, word_bits: int) -> float:
+    """Dense words over encoded words of ``word_bits``."""
+    return format_scalars(tile[0], tile[1:], word_bits, 1, True)[4]
+
+
+def per_rank(fmt: FormatSpec, rank_extents, density) -> list[dict]:
+    """Each format rank's name and terms, outer to inner, from the
+    analyzer's own per-rank loop; checks that the loop's totals are
+    what ``analyze_tile_format`` returns."""
+    extents, subtrees, dense_words = compile_tile_format(fmt, rank_extents)
+    rows: list[tuple] = []
+    terms = occupancy_terms(
+        fmt.ranks,
+        extents,
+        [density.prob_nonempty(size) for size in subtrees],
+        density.quantile_occupancy(dense_words),
+        per_rank=rows,
+    )
+    assert (dense_words,) + terms == analyze_tile_format(
+        fmt, rank_extents, density
+    )
+    assert len(rows) == len(fmt.ranks)
+    return [
+        {
+            "format_name": repr(rank.format),
+            "fiber_shape": row[0],
+            "stored_fibers": row[1],
+            "nonempty_elements": row[2],
+            "metadata_bits": row[3],
+        }
+        for rank, row in zip(fmt.ranks, rows)
+    ]
+
+
 class TestDense:
     def test_dense_tile_no_overhead(self):
-        occ = analyze_tile_format(
+        tile = analyze_tile_format(
             dense_format(2), (8, 8), UniformDensity(0.5, 64)
         )
-        assert occ.payload_words == 64
-        assert occ.metadata_bits == 0
-        assert occ.compression_rate(16) == 1.0
+        assert tile[PAYLOAD] == 64
+        assert tile[METADATA_BITS] == 0
+        assert compression_rate(tile, 16) == 1.0
 
 
 class TestBitmaskFormat:
@@ -39,37 +85,39 @@ class TestBitmaskFormat:
         fmt = FormatSpec([FormatRank(Bitmask(), flattened_ranks=2)])
         sparse = analyze_tile_format(fmt, (8, 8), UniformDensity(0.1, 64))
         dense = analyze_tile_format(fmt, (8, 8), UniformDensity(0.9, 64))
-        assert sparse.metadata_bits == dense.metadata_bits == 64
+        assert sparse[METADATA_BITS] == dense[METADATA_BITS] == 64
 
     def test_payload_scales_with_density(self):
         fmt = FormatSpec([FormatRank(Bitmask(), flattened_ranks=2)])
-        occ = analyze_tile_format(fmt, (8, 8), UniformDensity(0.25, 64))
-        assert math.isclose(occ.payload_words, 16.0)
+        tile = analyze_tile_format(fmt, (8, 8), UniformDensity(0.25, 64))
+        assert math.isclose(tile[PAYLOAD], 16.0)
 
     def test_compression_beats_dense_when_sparse(self):
         fmt = FormatSpec([FormatRank(Bitmask(), flattened_ranks=2)])
-        occ = analyze_tile_format(fmt, (8, 8), UniformDensity(0.25, 64))
-        assert occ.compression_rate(16) > 1.0
+        tile = analyze_tile_format(fmt, (8, 8), UniformDensity(0.25, 64))
+        assert compression_rate(tile, 16) > 1.0
 
 
 class TestCSR:
     def test_csr_structure(self):
         density = UniformDensity(0.25, 64)
-        occ = analyze_tile_format(classic_format("CSR"), (8, 8), density)
+        fmt = classic_format("CSR")
+        tile = analyze_tile_format(fmt, (8, 8), density)
         # Payload = expected nonzeros.
-        assert math.isclose(occ.payload_words, 16.0)
+        assert math.isclose(tile[PAYLOAD], 16.0)
         # UOP row pointers + CP column ids for each nonzero.
-        assert [r.format_name for r in occ.per_rank] == ["UOP", "CP"]
-        uop, cp = occ.per_rank
-        assert uop.format_name == "UOP"
-        assert uop.metadata_bits >= 9  # (8+1) offsets
-        assert cp.format_name == "CP"
-        assert math.isclose(cp.metadata_bits, 16 * 3)  # 3b columns
+        ranks = per_rank(fmt, (8, 8), density)
+        assert [r["format_name"] for r in ranks] == ["UOP", "CP"]
+        uop, cp = ranks
+        assert uop["format_name"] == "UOP"
+        assert uop["metadata_bits"] >= 9  # (8+1) offsets
+        assert cp["format_name"] == "CP"
+        assert math.isclose(cp["metadata_bits"], 16 * 3)  # 3b columns
 
     def test_worst_case_exceeds_expected(self):
         density = UniformDensity(0.25, 4096)
-        occ = analyze_tile_format(classic_format("CSR"), (16, 16), density)
-        assert occ.worst_payload_words > occ.payload_words
+        tile = analyze_tile_format(classic_format("CSR"), (16, 16), density)
+        assert tile[WORST_PAYLOAD] > tile[PAYLOAD]
 
 
 class TestHierarchicalPruning:
@@ -80,19 +128,17 @@ class TestHierarchicalPruning:
             [FormatRank(CoordinatePayload()), FormatRank(CoordinatePayload())]
         )
         density = UniformDensity(0.05, 256)
-        occ = analyze_tile_format(fmt, (16, 16), density)
-        row_rank = occ.per_rank[0]
-        assert row_rank.nonempty_elements < 16
+        row_rank = per_rank(fmt, (16, 16), density)[0]
+        assert row_rank["nonempty_elements"] < 16
 
     def test_uncompressed_outer_keeps_all_fibers(self):
         fmt = FormatSpec(
             [FormatRank(Bitmask()), FormatRank(RunLengthEncoding(4))]
         )
         density = UniformDensity(0.5, 64)
-        occ = analyze_tile_format(fmt, (8, 8), density)
         # The RLE rank sees 'stored fibers' = nonempty rows only
         # (bitmask prunes), but metadata for rank0 covers all 8.
-        assert occ.per_rank[0].metadata_bits == 8
+        assert per_rank(fmt, (8, 8), density)[0]["metadata_bits"] == 8
 
 
 class TestActualDataAgreement:
@@ -100,16 +146,17 @@ class TestActualDataAgreement:
         data = np.zeros((8, 8))
         data[0, :4] = 1.0
         model = ActualDataDensity(data)
-        occ = analyze_tile_format(classic_format("CSR"), (8, 8), model)
-        assert math.isclose(occ.payload_words, 4.0)
+        tile = analyze_tile_format(classic_format("CSR"), (8, 8), model)
+        assert math.isclose(tile[PAYLOAD], 4.0)
 
     def test_metadata_bits_per_element(self):
         data = np.zeros((4, 4))
         data[0, 0] = 1.0
-        occ = analyze_tile_format(
+        tile = analyze_tile_format(
             classic_format("CSR"), (4, 4), ActualDataDensity(data)
         )
-        assert occ.metadata_bits_per_element() == occ.metadata_bits / 16
+        bits_per_element = format_scalars(tile[0], tile[1:], 1, 1, True)[1]
+        assert bits_per_element == tile[METADATA_BITS] / 16
 
 
 class TestTileFormatMemo:
@@ -132,4 +179,5 @@ class TestTileFormatMemo:
         second = analyze_tile_format(second_spec, (16, 16), density)
         assert (stage.hits, stage.misses) == (1, 1)
         assert second is first
-        assert [r.format_name for r in second.per_rank] == ["UOP", "CP(3b)"]
+        ranks = per_rank(second_spec, (16, 16), density)
+        assert [r["format_name"] for r in ranks] == ["UOP", "CP(3b)"]

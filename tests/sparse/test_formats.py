@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.common.cache import spec_digest
 from repro.common.errors import SpecError
 from repro.sparse.formats import (
     Bitmask,
@@ -98,6 +100,87 @@ class TestFormatSpec:
     def test_flattened_ranks_positive(self):
         with pytest.raises(SpecError):
             FormatRank(Bitmask(), flattened_ranks=0)
+
+
+class TestRankParameters:
+    """Bit widths and rank counts are ints >= 1 (``coord_bits`` and
+    ``offset_bits`` may be ``None``), checked at construction; equal
+    formats share one repr and one digest."""
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: CoordinatePayload(coord_bits=True), "coord_bits"),
+            (lambda: CoordinatePayload(coord_bits=-2), "coord_bits"),
+            (lambda: CoordinatePayload(coord_bits=0), "coord_bits"),
+            (lambda: CoordinatePayload(coord_bits="3"), "coord_bits"),
+            (lambda: CoordinatePayload(coord_bits=2.0), "coord_bits"),
+            (lambda: UncompressedOffsetPairs(offset_bits=-1), "offset_bits"),
+            (lambda: UncompressedOffsetPairs(offset_bits=0), "offset_bits"),
+            (lambda: UncompressedOffsetPairs(offset_bits=8.0), "offset_bits"),
+            (lambda: RunLengthEncoding(run_bits=2.5), "run_bits"),
+            (lambda: RunLengthEncoding(run_bits="4"), "run_bits"),
+            (lambda: RunLengthEncoding(run_bits=None), "run_bits"),
+            (lambda: RunLengthEncoding(run_bits=True), "run_bits"),
+            (
+                lambda: FormatRank(Bitmask(), flattened_ranks="2"),
+                "flattened_ranks",
+            ),
+            (
+                lambda: FormatRank(Bitmask(), flattened_ranks=2.0),
+                "flattened_ranks",
+            ),
+            (
+                lambda: FormatRank(Bitmask(), flattened_ranks=True),
+                "flattened_ranks",
+            ),
+        ],
+        ids=[
+            "cp-bool", "cp-negative", "cp-zero", "cp-str", "cp-float",
+            "uop-negative", "uop-zero", "uop-float",
+            "rle-fraction", "rle-str", "rle-none", "rle-bool",
+            "flattened-str", "flattened-float", "flattened-bool",
+        ],
+    )
+    def test_bad_parameter_is_a_spec_error(self, build, name):
+        with pytest.raises(SpecError, match=name):
+            build()
+
+    def test_negative_width_never_yields_negative_metadata(self):
+        # These used to be accepted: -9.625 bits for a 16-wide CP
+        # tile, and -17 bits for a UOP fiber.
+        for build in (
+            lambda: CoordinatePayload(coord_bits=-2),
+            lambda: UncompressedOffsetPairs(offset_bits=-1),
+        ):
+            with pytest.raises(SpecError, match="at least 1"):
+                build()
+
+    def test_numpy_ints_are_stored_as_int(self):
+        cp = CoordinatePayload(coord_bits=np.int64(3))
+        uop = UncompressedOffsetPairs(offset_bits=np.int32(6))
+        rle = RunLengthEncoding(run_bits=np.int16(4))
+        rank = FormatRank(Bitmask(), flattened_ranks=np.int64(2))
+        for value in (cp.coord_bits, uop.offset_bits, rle.run_bits):
+            assert type(value) is int
+        assert type(rank.flattened_ranks) is int
+        assert cp == CoordinatePayload(coord_bits=3)
+
+    def test_equal_formats_share_one_digest(self):
+        def spec(bits, count) -> FormatSpec:
+            return FormatSpec(
+                [
+                    FormatRank(
+                        CoordinatePayload(coord_bits=bits),
+                        flattened_ranks=count,
+                    ),
+                    FormatRank(RunLengthEncoding(run_bits=bits)),
+                ]
+            )
+
+        plain, numpy = spec(3, 2), spec(np.int64(3), np.int64(2))
+        assert repr(plain) == repr(numpy) == "FormatSpec(CP(3b)^2-RLE(3b))"
+        assert spec_digest(plain) == spec_digest(numpy)
 
 
 class TestTable2Compositions:
