@@ -19,22 +19,23 @@ ad-hoc per-module caches it grew out of:
   hit/miss accounting. Values are treated as **read-only** by
   convention: a hit returns the stored object itself.
 * :class:`AnalysisCache` — a registry of named stages. The evaluation
-  engine owns one (stages ``"dense"``, ``"sparse"``, ``"plan"``, and
-  the micro-model stages ``"validity"``/``"latency"``/``"energy"``); the
-  process-global instance from :func:`global_cache` hosts stages whose
-  results are safely shared by every evaluator in the process (stage
-  ``"tile-format"``).
+  engine owns one (stages ``"dense"``, ``"sparse"`` — whose value is
+  the sparse analysis together with its micro-model tail — ``"plan"``,
+  ``"candidates"`` and ``"fused"``); the process-global instance from
+  :func:`global_cache` hosts stages whose results are safely shared by
+  every evaluator in the process (stage ``"tile-format"``).
 * :class:`PersistentCache` — an on-disk tier that spills
   :meth:`AnalysisCache.export_state` snapshots to a versioned store
   (default ``~/.cache/repro/``) so repeated CLI runs, network
   fan-outs, and CI jobs start warm instead of cold.
 
-Adding a new stage (e.g. micro energy/latency memoisation) takes three
-steps: derive a digest from the stage's *actual* inputs, pick a
-stage name and default size in :data:`DEFAULT_STAGE_SIZES`, and wrap
-the computation in ``cache.stage(name).get_or_compute(key, fn)``. See
-``docs/caching.md`` for the key-composition rules and invalidation
-story.
+Adding a new stage takes three steps: derive a digest from the
+stage's *actual* inputs, pick a stage name and default size in
+:data:`DEFAULT_STAGE_SIZES`, and wrap the computation in
+``cache.stage(name).get_or_compute(key, fn)``. A computation that is a
+pure function of an existing stage's value belongs in that value, not
+in a stage of its own under the same key. See ``docs/caching.md`` for
+the key-composition rules and invalidation story.
 
 Warm workers: :meth:`AnalysisCache.export_state` snapshots the
 most-recently-used entries of every stage into a picklable payload and
@@ -68,11 +69,6 @@ DEFAULT_STAGE_SIZES = {
     # hit normally finds its plan.
     "plan": 1024,
     "tile-format": 16384,
-    # Micro-model stages: one entry per distinct sparse analysis, so
-    # they are sized to track the sparse stage.
-    "validity": 4096,
-    "latency": 4096,
-    "energy": 4096,
     # Sampled candidate streams (mapspace search): each entry is a
     # whole list of mappings (up to the search budget), so the stage is
     # kept small — one entry per distinct (constraints, einsum, arch,
@@ -301,9 +297,6 @@ class AnalysisCache:
     def sparse(self) -> StageCache:
         return self.stage("sparse")
 
-    def stage_names(self) -> list[str]:
-        return sorted(self._stages)
-
     def is_dirty(self) -> bool:
         """True when any stage holds content no snapshot has captured."""
         return any(stage.dirty for stage in self._stages.values())
@@ -349,7 +342,7 @@ class AnalysisCache:
 #: value type changes incompatibly; older ``v<N>`` directories are then
 #: ignored, and the first write of each process sweeps them
 #: (:meth:`ObjectStore.prune_stale_versions`).
-PERSISTENT_SCHEMA_VERSION = 3
+PERSISTENT_SCHEMA_VERSION = 4
 
 #: Store roots whose stale version trees this process already swept.
 _PRUNED_ROOTS: set[Path] = set()

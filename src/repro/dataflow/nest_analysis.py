@@ -82,10 +82,6 @@ class TensorTraffic:
     update_writes: float = 0.0
 
     @property
-    def total_accesses(self) -> float:
-        return self.reads + self.writes
-
-    @property
     def transfer_reads(self) -> float:
         """Reads serving bulk tile transfers (not compute-feed/RMW)."""
         return self.reads - self.compute_feed_reads - self.rmw_reads
@@ -123,13 +119,6 @@ class DenseTraffic:
                 f"{level!r}; kept levels: "
                 f"{[k for k in self.traffic if k[1] == tensor]}"
             ) from None
-
-    def levels_keeping(self, tensor: str) -> list[str]:
-        return [lvl for (lvl, t) in self.traffic if t == tensor]
-
-    @property
-    def per_instance_computes(self) -> float:
-        return self.computes / self.utilized_compute_instances
 
 
 def dense_analysis_key(

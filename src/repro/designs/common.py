@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.common.util import divisors
 from repro.workload.einsum import EinsumSpec
 from repro.workload.nets import NetLayer
@@ -25,13 +23,6 @@ def split_factor(bound: int, inner_target: int) -> tuple[int, int]:
     return bound // inner, inner
 
 
-def split_three(bound: int, inner: int, middle: int) -> tuple[int, int, int]:
-    """Split ``bound`` into (outer, middle, inner) honoring targets."""
-    rest, inner_f = split_factor(bound, inner)
-    outer_f, middle_f = split_factor(rest, middle)
-    return outer_f, middle_f, inner_f
-
-
 def conv_as_gemm(layer: NetLayer) -> EinsumSpec:
     """Lower a conv layer to the GEMM its im2col form computes.
 
@@ -47,11 +38,6 @@ def conv_as_gemm(layer: NetLayer) -> EinsumSpec:
     k = d.get("c", 1) * d.get("r", 1) * d.get("s", 1)
     n = d.get("n", 1) * d.get("p", 1) * d.get("q", 1)
     return matmul(m, k, n, name=f"{spec.name}_gemm")
-
-
-def pow2_floor(value: int) -> int:
-    """Largest power of two <= value (>= 1)."""
-    return 1 << max(0, int(math.floor(math.log2(max(1, value)))))
 
 
 def generic_einsum_mapping(workload, arch):

@@ -228,22 +228,50 @@ def _parse_rank(item) -> FormatRank:
         raise SpecError(f"format rank {item!r}: {exc}") from exc
 
 
+def _saf_entries(spec: dict, section: str) -> list[dict]:
+    """The ``safs.<section>`` list; every entry must be a mapping."""
+    entries = spec.get(section, [])
+    if not isinstance(entries, list):
+        raise SpecError(f"safs.{section} must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SpecError(f"safs.{section} entry {entry!r} is not a mapping")
+    return entries
+
+
 def load_saf_spec(source) -> SAFSpec:
-    """Build a :class:`SAFSpec` from its YAML description."""
+    """Build a :class:`SAFSpec` from its YAML description. A malformed
+    ``formats`` or ``actions`` entry fails with a :class:`SpecError`
+    naming it."""
     spec = _as_dict(source)
     spec = spec.get("safs", spec)
     formats = {}
-    for entry in spec.get("formats", []):
+    for entry in _saf_entries(spec, "formats"):
+        missing = [f for f in ("level", "tensor", "format") if f not in entry]
+        if missing:
+            raise SpecError(
+                f"safs.formats entry {entry!r} lacks "
+                f"{', '.join(map(repr, missing))}"
+            )
         formats[(entry["level"], entry["tensor"])] = _parse_format(
             entry["format"]
         )
     storage_safs = []
     compute_safs = []
-    for entry in spec.get("actions", []):
+    kinds = [kind.value for kind in SAFKind]
+    for entry in _saf_entries(spec, "actions"):
+        if entry.get("kind") not in kinds:
+            raise SpecError(
+                f"safs.actions entry {entry!r}: 'kind' must be one of {kinds}"
+            )
         kind = SAFKind(entry["kind"])
         conditioned = tuple(entry.get("condition_on", ()))
         if entry.get("unit") == "compute" or "target" not in entry:
             compute_safs.append(ComputeSAF(kind, conditioned))
+        elif "level" not in entry:
+            raise SpecError(
+                f"safs.actions entry {entry!r} has a 'target' but no 'level'"
+            )
         else:
             storage_safs.append(
                 StorageSAF(kind, entry["target"], conditioned, entry["level"])

@@ -9,14 +9,6 @@ from repro.accelergy.library import build_component
 from repro.arch.spec import Architecture
 from repro.sparse.traffic import ActionBreakdown, SparseTraffic
 
-#: Name of the energy stage in the engine's
-#: :class:`~repro.common.cache.AnalysisCache`. An :class:`EnergyResult`
-#: is a pure function of the architecture (which fixes the Accelergy
-#: component costs) and the sparse analysis, both embedded in the
-#: sparse content key, so the engine memoises whole results — a hit
-#: also skips constructing the Accelergy backend.
-ENERGY_STAGE = "energy"
-
 
 @dataclass
 class EnergyResult:

@@ -15,13 +15,6 @@ from repro.arch.spec import Architecture
 from repro.dataflow.nest_analysis import DenseTraffic
 from repro.sparse.traffic import SparseTraffic
 
-#: Name of the latency stage in the engine's
-#: :class:`~repro.common.cache.AnalysisCache`. A :class:`LatencyResult`
-#: is a pure function of the architecture, the dense analysis, and the
-#: sparse analysis — all embedded in the sparse content key — so the
-#: engine memoises whole results under it.
-LATENCY_STAGE = "latency"
-
 
 @dataclass
 class LatencyResult:

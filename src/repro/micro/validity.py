@@ -13,14 +13,6 @@ from repro.arch.spec import Architecture
 from repro.common.errors import ValidationError
 from repro.sparse.traffic import SparseTraffic
 
-#: Name of the validity stage in the engine's
-#: :class:`~repro.common.cache.AnalysisCache`. Usage reports are a pure
-#: function of the sparse analysis and the architecture (both embedded
-#: in the sparse content key), so the engine memoises them — computed
-#: with ``raise_on_invalid=False`` so hits can serve the raising and
-#: non-raising callers alike (see :func:`overflow_error`).
-VALIDITY_STAGE = "validity"
-
 
 @dataclass
 class LevelUsage:

@@ -26,19 +26,18 @@ and over with different SAF configurations:
   :class:`~repro.common.cache.AnalysisCache` whose named stages memoise
   whole pipeline steps by content key: the ``"dense"`` stage reuses
   dataflow analyses across SAF/density variants of a mapping (keys
-  exclude densities; hits rebind the caller's workload), the ``"sparse"``
-  stage reuses entire :class:`~repro.sparse.traffic.SparseTraffic`
-  results across repeated evaluations of one (mapping, SAF, density)
-  point — e.g. SAF sweeps that revisit density levels, or network
-  layers sharing shapes — and the micro-model stages (``"validity"``,
-  ``"latency"``, ``"energy"``) memoise the model's tail under the same
-  sparse content key, so a sparse-stage hit short-circuits the entire
-  evaluation. A sparse miss whose dense analysis came from the dense
-  stage (its mapping recurs) evaluates a density-free
-  :class:`~repro.sparse.postprocess.SparsePlan` from the ``"plan"``
-  stage instead of re-walking every flow. Pass ``cache=None`` to
-  disable, or share one instance across evaluators to pool hits.
-  Cached results are read-only by convention.
+  exclude densities; hits rebind the caller's workload), and the
+  ``"sparse"`` stage reuses one ``(sparse, usage, latency, energy)``
+  record per (mapping, SAF, density) point — e.g. SAF sweeps that
+  revisit density levels, or network layers sharing shapes. The micro
+  tail (validity, latency, energy) is a pure function of the sparse
+  analysis, so it is computed once with it (:func:`_sparse_record`)
+  and a warm evaluation makes two lookups. A sparse miss whose dense
+  analysis came from the dense stage (its mapping recurs) evaluates a
+  density-free :class:`~repro.sparse.postprocess.SparsePlan` from the
+  ``"plan"`` stage instead of re-walking every flow. Pass
+  ``cache=None`` to disable, or share one instance across evaluators
+  to pool hits. Cached results are read-only by convention.
 * persistent tier — pass ``persistent=PersistentCache(...)`` (and call
   :meth:`Evaluator.warm_start` / :meth:`Evaluator.spill_cache`, or let
   :meth:`Evaluator._evaluate_network` do both around its fan-out) to
@@ -69,9 +68,9 @@ and over with different SAF configurations:
   through the pool initializer. Parallel mode requires picklable
   designs/workloads/objectives (module-level functions, not lambdas).
 * one batched path — :meth:`Evaluator._evaluate_batch` runs a list of
-  jobs stage by stage: one stacked dense pass, one stacked sparse flush
-  per walk context, then the micro tail per job, with per-job results,
-  errors, and cache statistics identical to the serial loop. The
+  jobs stage by stage: one stacked dense pass, then one stacked sparse
+  flush per walk context (each miss with its micro tail), with per-job
+  results, errors, and cache statistics identical to the serial loop. The
   serving daemon's micro-batches and every mapspace-search block
   (:meth:`Evaluator._evaluate_block`) go through it; single evaluations
   take the per-call path (:meth:`Evaluator._evaluate`).
@@ -119,13 +118,9 @@ from repro.mapping.mapspace import (
     MapspaceConstraints,
     sampled_candidates_key,
 )
-from repro.micro.energy import ENERGY_STAGE, compute_energy
-from repro.micro.latency import LATENCY_STAGE, compute_latency
-from repro.micro.validity import (
-    VALIDITY_STAGE,
-    check_validity,
-    overflow_error,
-)
+from repro.micro.energy import compute_energy
+from repro.micro.latency import compute_latency
+from repro.micro.validity import check_validity, overflow_error
 from repro.model.result import EvaluationResult
 from repro.search.evolutionary import (
     EvolutionConfig,
@@ -363,6 +358,26 @@ def _accelergy_for(arch: Architecture) -> Accelergy:
     return backend
 
 
+def _sparse_record(dense: DenseTraffic, sparse: SparseTraffic) -> tuple:
+    """The ``"sparse"`` stage's value: ``(sparse, usage, latency,
+    energy)``.
+
+    The micro-architectural step (Sec 5.4) turns the sparse action
+    counts into validity, cycles and energy on the architecture the
+    dense analysis carries, so the record is a pure function of the
+    sparse content key. Usage is computed with ``raise_on_invalid=False``
+    so one record serves capacity-checking and permissive evaluators
+    alike; :meth:`Evaluator._finish_evaluation` re-raises.
+    """
+    arch = dense.arch
+    return (
+        sparse,
+        check_validity(arch, sparse, raise_on_invalid=False),
+        compute_latency(arch, dense, sparse),
+        compute_energy(arch, sparse, _accelergy_for(arch)),
+    )
+
+
 @dataclass
 class Evaluator:
     """Runs the three-step Sparseloop model.
@@ -542,45 +557,43 @@ class Evaluator:
         safs: SAFSpec,
         dense_key: bytes | None = None,
         reused: bool = False,
-    ) -> tuple[SparseTraffic, bytes | None]:
-        """Sparse post-processing, returning ``(sparse, key)``.
+    ) -> tuple:
+        """Sparse post-processing and the micro tail, returning the
+        ``(sparse, usage, latency, energy)`` record
+        (:func:`_sparse_record`).
 
-        The whole :class:`SparseTraffic` is memoised by
-        :func:`~repro.sparse.postprocess.sparse_analysis_key`; hits
-        return the stored (read-only) object. Uncacheable density
-        models (no content key) fall back to recomputing and return a
-        ``None`` key, which also opts the micro-model stages out. The
-        key is handed back so the micro stages can reuse it: a sparse
-        analysis fully determines validity, latency, and energy (the
-        architecture key rides inside it via the dense key).
+        The record is memoised by :func:`~repro.sparse.postprocess.
+        sparse_analysis_key`; hits return the stored (read-only)
+        objects. Uncacheable density models (no content key) fall back
+        to recomputing.
 
         A miss whose dense analysis was ``reused`` from the dense stage
         evaluates the mapping's plan (:meth:`_sparse_plan`): the mapping
         recurs, so its structure will be reused again. A first-seen
         mapping walks, since building a plan costs more than one walk.
         """
-        if self.cache is None:
-            return (
-                analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
-                None,
-            )
-        key = sparse_analysis_key(dense, safs, dense_key)
+        key = None
+        if self.cache is not None:
+            key = sparse_analysis_key(dense, safs, dense_key)
         if key is None:
-            return (
+            return _sparse_record(
+                dense,
                 analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
-                None,
             )
         stage = self.cache.sparse
-        sparse = stage.get(key)
-        if sparse is None:
+        record = stage.get(key)
+        if record is None:
             plan = None
             if reused and self.sparse_vectorized:
                 plan = self._sparse_plan(dense, safs, dense_key)
-            sparse = analyze_sparse(
-                dense, safs, vectorized=self.sparse_vectorized, plan=plan
+            record = _sparse_record(
+                dense,
+                analyze_sparse(
+                    dense, safs, vectorized=self.sparse_vectorized, plan=plan
+                ),
             )
-            stage.put(key, sparse)
-        return sparse, key
+            stage.put(key, record)
+        return record
 
     def _sparse_plan(
         self, dense: DenseTraffic, safs: SAFSpec, dense_key: bytes
@@ -596,96 +609,34 @@ class Evaluator:
             stage.put(key, plan)
         return plan
 
-    # ------------------------------------------------------------------
-    # Micro-model stages (validity / latency / energy)
-
-    def _staged_validity(
-        self, design: Design, sparse: SparseTraffic, sparse_key: bytes | None
-    ):
-        """:func:`check_validity` through the ``"validity"`` stage.
-
-        The usage report is cached with ``raise_on_invalid=False`` so
-        one entry serves both capacity-checking and permissive
-        evaluators; when this evaluator checks capacity, the first
-        overflowing level (in architecture order, matching the uncached
-        scan) re-raises the identical :class:`ValidationError`.
-        """
-        if self.cache is None or sparse_key is None:
-            return check_validity(
-                design.arch, sparse, raise_on_invalid=self.check_capacity
-            )
-        usage = self.cache.stage(VALIDITY_STAGE).get_or_compute(
-            sparse_key,
-            lambda: check_validity(
-                design.arch, sparse, raise_on_invalid=False
-            ),
-        )
-        if self.check_capacity:
-            for level in design.arch.levels:
-                report = usage[level.name]
-                if not report.fits:
-                    raise overflow_error(report)
-        return usage
-
-    def _staged_latency(
-        self,
-        design: Design,
-        dense: DenseTraffic,
-        sparse: SparseTraffic,
-        sparse_key: bytes | None,
-    ):
-        """:func:`compute_latency` through the ``"latency"`` stage."""
-        if self.cache is None or sparse_key is None:
-            return compute_latency(design.arch, dense, sparse)
-        return self.cache.stage(LATENCY_STAGE).get_or_compute(
-            sparse_key, lambda: compute_latency(design.arch, dense, sparse)
-        )
-
-    def _staged_energy(
-        self, design: Design, sparse: SparseTraffic, sparse_key: bytes | None
-    ):
-        """:func:`compute_energy` through the ``"energy"`` stage; the
-        Accelergy backend itself is memoised per architecture
-        (:func:`_accelergy_for`), so neither path re-derives the
-        per-action energy tables."""
-        if self.cache is None or sparse_key is None:
-            return compute_energy(
-                design.arch, sparse, _accelergy_for(design.arch)
-            )
-        return self.cache.stage(ENERGY_STAGE).get_or_compute(
-            sparse_key,
-            lambda: compute_energy(
-                design.arch, sparse, _accelergy_for(design.arch)
-            ),
-        )
-
     def _evaluate_mapping(
         self, design: Design, workload: Workload, mapping: Mapping
     ) -> EvaluationResult:
         dense, dense_key, reused = self._dense_analysis_keyed(
             design, workload, mapping
         )
-        sparse, sparse_key = self._sparse_analysis_keyed(
+        record = self._sparse_analysis_keyed(
             dense, design.safs, dense_key, reused
         )
-        return self._finish_evaluation(
-            design, workload, dense, sparse, sparse_key
-        )
+        return self._finish_evaluation(design, workload, dense, record)
 
     def _finish_evaluation(
         self,
         design: Design,
         workload: Workload,
         dense: DenseTraffic,
-        sparse: SparseTraffic,
-        sparse_key: bytes | None,
+        record: tuple,
     ) -> EvaluationResult:
-        """The micro-model tail shared by every evaluation path (the
-        per-call pipeline and the batched one), so the bit-identical
-        contract hangs on one implementation."""
-        usage = self._staged_validity(design, sparse, sparse_key)
-        latency = self._staged_latency(design, dense, sparse, sparse_key)
-        energy = self._staged_energy(design, sparse, sparse_key)
+        """Build the result from a sparse record, shared by every
+        evaluation path (the per-call pipeline and the batched one).
+        When this evaluator checks capacity, the first overflowing level
+        (in architecture order) raises the :class:`ValidationError` that
+        :func:`check_validity` would have raised."""
+        sparse, usage, latency, energy = record
+        if self.check_capacity:
+            for report in usage.values():
+                if not report.fits:
+                    raise overflow_error(report)
         return EvaluationResult(
             design_name=design.name,
             workload_name=workload.name or workload.einsum.name,
@@ -1581,7 +1532,7 @@ class Evaluator:
         self,
         entries: Sequence[tuple[DenseTraffic, SAFSpec, bytes | None, bool]],
         memos: dict | None = None,
-    ) -> list[tuple[SparseTraffic, bytes | None] | ReproError]:
+    ) -> list[tuple | ReproError]:
         """:meth:`_sparse_analysis_keyed` over many ``(dense, safs,
         dense_key, reused)`` entries at once (dense keys and reuse flags
         as the dense stage returns them).
@@ -1604,13 +1555,14 @@ class Evaluator:
         (caching disabled, uncacheable densities) have no content
         identity to group on and flush together without a memo.
 
-        Should a stacked pass or a plan fail, nothing is installed, the
-        sparse and plan lookups are rolled back, and every entry
-        recounts through the serial oracle, so the error lands on
-        exactly the entry that caused it. Returns one ``(sparse, key)``
-        pair or :class:`~repro.common.errors.ReproError` per entry;
-        values, cache statistics, and shared-object identity for
-        duplicates match the serial loop exactly.
+        Should a stacked pass, a plan or a micro tail fail, nothing is
+        installed, the sparse and plan lookups are rolled back, and
+        every entry recounts through the serial oracle, so the error
+        lands on exactly the entry that caused it. Returns one
+        ``(sparse, usage, latency, energy)`` record or
+        :class:`~repro.common.errors.ReproError` per entry; values,
+        cache statistics, and shared-object identity for duplicates
+        match the serial loop exactly.
         """
         stage = self.cache.sparse if self.cache is not None else None
         counters = (stage.hits, stage.misses) if stage is not None else None
@@ -1658,7 +1610,7 @@ class Evaluator:
             if position in walked:
                 groups.setdefault(contexts[position], []).append(position)
         built: dict[int, SparsePlan] = {}
-        computed: dict[int, SparseTraffic] | None = {}
+        computed: dict[int, SparseTraffic] = {}
         try:
             plans = dict(plan_hits)
             for index in plan_misses:
@@ -1681,9 +1633,13 @@ class Evaluator:
                     memo=memo,
                 )
                 computed.update(zip(positions, flushed))
+            records = {
+                position: _sparse_record(entries[position][0], sparse)
+                for position, sparse in computed.items()
+            }
         except ReproError:
-            computed = None
-        if computed is None:
+            records = None
+        if records is None:
             if stage is not None:
                 stage.hits, stage.misses = counters
             if plan_stage is not None:
@@ -1695,16 +1651,14 @@ class Evaluator:
         for index, plan in built.items():
             plan_stage.put(plan_keys[index], plan)
         out: list = [None] * len(entries)
-        for position, sparse in hits.items():
-            out[position] = (sparse, keys[position])
+        for position, record in hits.items():
+            out[position] = record
         for position in misses:
-            sparse = computed[position]
-            key = keys[position]
-            if key is not None:
-                stage.put(key, sparse)
-            out[position] = (sparse, key)
+            record = out[position] = records[position]
+            if keys[position] is not None:
+                stage.put(keys[position], record)
             for follower in followers.get(position, ()):
-                out[follower] = (sparse, keys[follower])
+                out[follower] = record
         return out
 
     def _evaluate_batch(
@@ -1720,9 +1674,9 @@ class Evaluator:
         path), the dense misses stack through one
         :meth:`_dense_analysis_batch` pass, the sparse misses through
         :meth:`_sparse_analysis_batch` (a plan per recurring mapping,
-        one flush per walk context for the rest; ``memos`` is passed
-        through), and the micro tail finishes each
-        job. Every per-job outcome — including
+        one flush per walk context for the rest, each miss with its
+        micro tail; ``memos`` is passed through), and each job's result
+        is built from its record. Every per-job outcome — including
         :class:`~repro.common.errors.ReproError` failures such as
         capacity overflows — matches a serial :meth:`_evaluate` call
         bit for bit, and so do the cache statistics; only the grouping
@@ -1762,22 +1716,22 @@ class Evaluator:
                 outcomes[index] = (None, dense)
             else:
                 analysed.append((index, design, workload, *dense))
-        sparses = self._sparse_analysis_batch(
+        records = self._sparse_analysis_batch(
             [
                 (dense, design.safs, dense_key, reused)
                 for _i, design, _w, dense, dense_key, reused in analysed
             ],
             memos=memos,
         )
-        for (index, design, workload, dense, _key, _reused), sparse in zip(
-            analysed, sparses
+        for (index, design, workload, dense, _key, _reused), record in zip(
+            analysed, records
         ):
-            if isinstance(sparse, ReproError):
-                outcomes[index] = (None, sparse)
+            if isinstance(record, ReproError):
+                outcomes[index] = (None, record)
                 continue
             try:
                 result = self._finish_evaluation(
-                    design, workload, dense, *sparse
+                    design, workload, dense, record
                 )
             except ReproError as exc:
                 outcomes[index] = (None, exc)
@@ -2140,18 +2094,11 @@ class Evaluator:
         if dense_key not in self.cache.dense:
             self.cache.dense.put(dense_key, replace(dense, workload=None))
         sparse_key = sparse_analysis_key(dense, design.safs, dense_key)
-        if sparse_key is None:
-            return
-        stage_values = (
-            ("sparse", result.sparse),
-            (VALIDITY_STAGE, result.usage),
-            (LATENCY_STAGE, result.latency),
-            (ENERGY_STAGE, result.energy),
-        )
-        for name, value in stage_values:
-            stage = self.cache.stage(name)
-            if value is not None and sparse_key not in stage:
-                stage.put(sparse_key, value)
+        if sparse_key is not None and sparse_key not in self.cache.sparse:
+            self.cache.sparse.put(
+                sparse_key,
+                (result.sparse, result.usage, result.latency, result.energy),
+            )
 
     # ------------------------------------------------------------------
     # Warm-worker cache shipping and the persistent tier

@@ -275,12 +275,6 @@ class DensityModel(ABC):
         k = max(1, round(conditional))
         return [(0, p_empty), (k, 1.0 - p_empty)]
 
-    def expected_occupancy_given_nonempty(self, shape: TileShape) -> float:
-        p_empty = self.prob_empty(shape)
-        if p_empty >= 1.0:
-            return 0.0
-        return self.expected_occupancy(shape) / (1.0 - p_empty)
-
 
 class UniformDensity(DensityModel):
     """Uniformly random nonzero placement (Table 4, row 2).

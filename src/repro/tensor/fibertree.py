@@ -55,9 +55,6 @@ class Fiber:
                 return p
         return None
 
-    def iter_nonempty(self) -> Iterator[tuple[int, object]]:
-        yield from zip(self.coords, self.payloads)
-
 
 class FiberTree:
     """A fibertree over a dense numpy array.

@@ -8,7 +8,9 @@ preserve conservation laws that hold for any dataflow:
 * skipping never increases cycles, gating never changes them,
 * classification fractions stay within [0, 1],
 * on every bundled sweep family, a sparser point never does more
-  actual compute than a denser one.
+  actual compute than a denser one, energy is the action counts times
+  the energy reference table, and a repeated point is one cached
+  record.
 """
 
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Session, Workload, matmul
+from repro.accelergy.backend import Accelergy
+from repro.accelergy.library import build_component
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.dataflow import analyze_dataflow
 from repro.mapping.mapspace import Mapper, MapspaceConstraints
@@ -197,6 +201,47 @@ def _assert_partitions(result) -> None:
     assert all(0.0 <= fraction <= 1.0 for fraction in sparse.compute_fractions)
 
 
+ACTION_KINDS = ("actual", "gated", "skipped")
+#: Per-level action counts and the ERT action each one is charged as.
+STORAGE_ACTIONS = (
+    ("data_reads", "read"),
+    ("data_writes", "write"),
+    ("metadata_reads", "metadata_read"),
+    ("metadata_writes", "metadata_write"),
+)
+
+
+def _assert_energy_is_actions_times_ert(result, arch) -> None:
+    """Σ actions × ERT, per component, from a fresh Accelergy backend
+    and the result's own sparse analysis."""
+    ert = Accelergy(arch)
+    check_pj = build_component("intersection").energy_per_action("check")
+    sparse = result.sparse
+    expected = {
+        arch.compute.name: sum(
+            getattr(sparse.compute, kind) * ert.compute.action_energy(kind)
+            for kind in ACTION_KINDS
+        )
+    }
+    for level in arch.levels:
+        storage = ert.storage(level.name)
+        total = 0.0
+        for actions in sparse.level_actions(level.name):
+            total += actions.intersection_checks * check_pj
+            for counts, action in STORAGE_ACTIONS:
+                breakdown = getattr(actions, counts)
+                total += sum(
+                    getattr(breakdown, kind)
+                    * storage.action_energy(action, kind)
+                    for kind in ACTION_KINDS
+                )
+        expected[level.name] = total
+    assert result.energy.per_component == pytest.approx(expected, rel=1e-9)
+    assert result.energy_pj == pytest.approx(
+        sum(expected.values()), rel=1e-9
+    )
+
+
 @given(
     index=st.integers(min_value=0, max_value=FAMILY_COUNT - 1),
     high=st.floats(min_value=0.05, max_value=1.0),
@@ -206,13 +251,26 @@ def _assert_partitions(result) -> None:
 def test_family_invariants_across_a_density_pair(index, high, ratio):
     """Every sweep family, a denser then a sparser point on one
     Session: the second reuses the dense analysis, so it takes the
-    planned walk. Both conserve traffic, and lowering density never
-    raises actual compute."""
+    planned walk. Both conserve traffic, their energy is Σ actions ×
+    ERT, and lowering density never raises actual compute. A third
+    evaluation of the sparser point is one sparse-stage hit that
+    returns the very objects of the second."""
+    design, _ = _family_point(index, high)
     with Session(check_capacity=False) as session:
         dense_point = session.evaluate(*_family_point(index, high))
         sparse_point = session.evaluate(*_family_point(index, high * ratio))
+        before = session.cache_stats()
+        again = session.evaluate(*_family_point(index, high * ratio))
+        delta = session.cache_stats(since=before)
     _assert_partitions(dense_point)
     _assert_partitions(sparse_point)
+    _assert_energy_is_actions_times_ert(dense_point, design.arch)
+    _assert_energy_is_actions_times_ert(sparse_point, design.arch)
     assert sparse_point.sparse.compute.actual <= (
         dense_point.sparse.compute.actual * (1 + 1e-12)
     )
+    assert (delta["sparse"]["hits"], delta["sparse"]["misses"]) == (1, 0)
+    assert delta["plan"]["hits"] == delta["plan"]["misses"] == 0
+    assert again.usage is sparse_point.usage
+    assert again.latency is sparse_point.latency
+    assert again.energy is sparse_point.energy

@@ -18,7 +18,11 @@ from repro.model.result import (
     EvaluationResult,
     SearchResult,
 )
-from tests.io.test_yaml_spec import FULL_SPEC
+from tests.io.test_yaml_spec import (
+    BAD_SAF_ENTRIES,
+    FULL_SPEC,
+    spec_with_bad_safs,
+)
 
 
 @pytest.fixture
@@ -228,3 +232,18 @@ class TestFormatBoundary:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:") and needle in lines[0]
         assert "format rank" in lines[0]
+
+
+class TestSAFBoundary:
+    """A malformed ``safs`` entry (not a mapping, a missing field, an
+    unknown ``kind``, a ``target`` without a ``level``) exits 2 with
+    one ``error:`` line naming it, not a traceback."""
+
+    @pytest.mark.parametrize("path,value,needle", BAD_SAF_ENTRIES)
+    def test_bad_saf_entry_exits_2(self, tmp_path, capsys, path, value, needle):
+        spec_file = tmp_path / "safs.yaml"
+        spec_file.write_text(yaml.safe_dump(spec_with_bad_safs(path, value)))
+        assert main(["evaluate", str(spec_file), "--cold"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:") and needle in lines[0]

@@ -155,6 +155,51 @@ class TestFormats:
         assert needle in str(info.value)
 
 
+#: Malformed ``safs`` input: ``(path, value, needle)`` sets
+#: ``spec["safs"]`` at ``path`` to ``value``; the error must name the
+#: offending entry through ``needle``.
+BAD_SAF_ENTRIES = [
+    pytest.param(("formats", 0), "A@Buffer:CSR", "'A@Buffer:CSR'",
+                 id="format-not-a-mapping"),
+    pytest.param(("formats", 0), {"level": "Buffer", "tensor": "A"},
+                 "'format'", id="no-format"),
+    pytest.param(("formats", 0), {"tensor": "A", "format": "CSR"},
+                 "'level'", id="no-level"),
+    pytest.param(("formats", 0), {"level": "Buffer", "format": "CSR"},
+                 "'tensor'", id="no-tensor"),
+    pytest.param(("formats",), {"level": "Buffer"}, "must be a list",
+                 id="formats-not-a-list"),
+    pytest.param(
+        ("actions", 0),
+        {"kind": "skipp", "target": "B", "condition_on": ["A"],
+         "level": "Buffer"},
+        "'skipp'",
+        id="unknown-kind",
+    ),
+    pytest.param(("actions", 1), {"unit": "compute"}, "'kind'",
+                 id="no-kind"),
+    pytest.param(
+        ("actions", 0),
+        {"kind": "skip", "target": "B", "condition_on": ["A"]},
+        "no 'level'",
+        id="target-without-level",
+    ),
+    pytest.param(("actions", 0), "skip B <- A", "'skip B <- A'",
+                 id="action-not-a-mapping"),
+]
+
+
+def spec_with_bad_safs(path, value) -> dict:
+    """:data:`FULL_SPEC` with ``spec["safs"]`` set to ``value`` at
+    ``path``."""
+    spec = yaml.safe_load(FULL_SPEC)
+    parent = spec["safs"]
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return spec
+
+
 class TestSAFs:
     def test_round_trip(self):
         safs = load_saf_spec(FULL_SPEC)
@@ -162,6 +207,12 @@ class TestSAFs:
         assert safs.storage_safs[0].kind is SAFKind.SKIP
         assert safs.storage_safs[0].target == "B"
         assert safs.compute_safs[0].kind is SAFKind.GATE
+
+    @pytest.mark.parametrize("path,value,needle", BAD_SAF_ENTRIES)
+    def test_malformed_entry_names_it(self, path, value, needle):
+        with pytest.raises(SpecError, match="safs") as info:
+            load_saf_spec(spec_with_bad_safs(path, value))
+        assert needle in str(info.value)
 
 
 class TestMapping:

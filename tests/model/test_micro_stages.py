@@ -1,13 +1,13 @@
-"""Micro-model cache stages and the persistent tier, through the engine.
+"""The micro-model tail in the sparse record, and the persistent tier.
 
-The ``validity``/``latency``/``energy`` stages memoise the model's
-tail under the sparse content key, so a sparse-stage hit
-short-circuits the entire evaluation. These tests prove the staged
+The ``"sparse"`` stage's value is one ``(sparse, usage, latency,
+energy)`` record per sparse content key, so a sparse-stage hit
+short-circuits the entire evaluation. These tests prove the cached
 path is bit-identical to the uncached pipeline across every bundled
-design, that hit/miss accounting behaves, that capacity errors replay
-exactly from cached usage reports, and that snapshots survive a
-spill/reload round trip through :class:`PersistentCache` (including
-the corrupted-file fallback).
+design, that a warm evaluation makes exactly two lookups, that
+capacity errors replay exactly from cached usage reports, and that
+snapshots survive a spill/reload round trip through
+:class:`PersistentCache` (including the corrupted-file fallback).
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ import pytest
 
 from repro import Design, Evaluator, Workload, matmul
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
-from repro.common.cache import PersistentCache
+from repro.common.cache import (
+    PERSISTENT_SCHEMA_VERSION,
+    PersistentCache,
+    StageCache,
+)
 from repro.common.errors import ValidationError
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.micro.energy import ENERGY_STAGE
-from repro.micro.latency import LATENCY_STAGE
-from repro.micro.validity import VALIDITY_STAGE
+from repro.model import engine
 from repro.model.engine import persistent_state_key
 from repro.sparse.density import UniformDensity
 from repro.sparse.saf import SAFSpec
 from tests.sparse.test_vectorized_equivalence import CASE_IDS, CASES
-
-MICRO_STAGES = (VALIDITY_STAGE, LATENCY_STAGE, ENERGY_STAGE)
 
 
 def _matmul_point():
@@ -70,40 +70,53 @@ def assert_results_identical(a, b):
         assert a.usage[level].per_tensor == b.usage[level].per_tensor
 
 
-class TestMicroStageAccounting:
-    def test_second_evaluation_hits_all_micro_stages(self):
+def _members(record, result) -> bool:
+    """Whether ``record`` holds ``result``'s very sparse, usage,
+    latency and energy objects."""
+    parts = (result.sparse, result.usage, result.latency, result.energy)
+    return len(record) == 4 and all(a is b for a, b in zip(record, parts))
+
+
+class TestSparseRecordAccounting:
+    def test_second_evaluation_is_one_sparse_hit(self):
         design, workload = _matmul_point()
         evaluator = Evaluator()
         first = evaluator._evaluate(design, workload)
         second = evaluator._evaluate(design, workload)
-        for name in MICRO_STAGES:
-            stats = evaluator.cache.stage(name).stats()
-            assert stats["misses"] == 1, (name, stats)
-            assert stats["hits"] == 1, (name, stats)
+        stats = evaluator.cache.sparse.stats()
+        assert stats["misses"] == 1, stats
+        assert stats["hits"] == 1, stats
         # Hits return the stored objects themselves (read-only reuse).
+        assert first.sparse is second.sparse
         assert first.latency is second.latency
         assert first.energy is second.energy
         assert first.usage is second.usage
+        # One record per sparse key, and no stage of its own per step.
+        (record,) = [v for _, v in evaluator.cache.sparse.export_entries()]
+        assert _members(record, first)
+        assert {"validity", "latency", "energy"}.isdisjoint(
+            evaluator.cache.stats()
+        )
 
     def test_stage_results_keyed_by_sparse_content(self):
         design, workload = _matmul_point()
         evaluator = Evaluator()
-        evaluator._evaluate(design, workload)
+        first = evaluator._evaluate(design, workload)
         other = Workload.uniform(matmul(128, 128, 128), {"A": 0.3, "B": 0.2})
-        evaluator._evaluate(design, other)
-        for name in MICRO_STAGES:
-            stats = evaluator.cache.stage(name).stats()
-            assert stats["misses"] == 2, (name, stats)
-            assert stats["hits"] == 0, (name, stats)
+        second = evaluator._evaluate(design, other)
+        stats = evaluator.cache.sparse.stats()
+        assert stats["misses"] == 2, stats
+        assert stats["hits"] == 0, stats
+        assert first.energy is not second.energy
 
-    def test_cache_none_bypasses_micro_stages(self):
+    def test_cache_none_bypasses_the_record(self):
         design, workload = _matmul_point()
         evaluator = Evaluator(cache=None)
         evaluator._evaluate(design, workload)
         evaluator._evaluate(design, workload)  # recomputes; nothing cached
         assert evaluator.cache is None
 
-    def test_uncacheable_density_opts_micro_stages_out(self):
+    def test_uncacheable_density_opts_the_record_out(self):
         class OpaqueDensity(UniformDensity):
             def cache_key(self):
                 return None
@@ -113,24 +126,86 @@ class TestMicroStageAccounting:
             0.2, workload.einsum.tensor_size("A")
         )
         evaluator = Evaluator()
-        evaluator._evaluate(design, workload)
-        evaluator._evaluate(design, workload)
-        for name in MICRO_STAGES:
-            assert len(evaluator.cache.stage(name)) == 0, name
+        first = evaluator._evaluate(design, workload)
+        second = evaluator._evaluate(design, workload)
+        assert len(evaluator.cache.sparse) == 0
+        assert first.energy is not second.energy
+        assert_results_identical(first, second)
+
+
+class TestLookupCounts:
+    """What a warm and a cold evaluation pay in stage lookups."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        seen: list[str] = []
+        original = StageCache.get
+
+        def counted(stage, key):
+            seen.append(stage.name)
+            return original(stage, key)
+
+        monkeypatch.setattr(StageCache, "get", counted)
+        return seen
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("a warm hit computed something")
+
+        for name in names:
+            monkeypatch.setattr(engine, name, fail)
+
+    def test_repeated_evaluate_makes_two_lookups_and_computes_nothing(
+        self, lookups, monkeypatch
+    ):
+        design, workload = _matmul_point()
+        evaluator = Evaluator()
+        first = evaluator._evaluate(design, workload)
+        self._forbid(
+            monkeypatch,
+            "analyze_dataflow", "analyze_sparse", "check_validity",
+            "compute_latency", "compute_energy", "_accelergy_for",
+        )
+        lookups.clear()
+        second = evaluator._evaluate(design, workload)
+        assert lookups == ["dense", "sparse"]
+        assert second.energy is first.energy
+
+    def test_sparse_miss_looks_up_dense_sparse_and_plan_only(self, lookups):
+        def own(names):
+            # A walk's tile formats come from the process-global stage.
+            return [name for name in names if name != "tile-format"]
+
+        design, workload = _matmul_point()
+        evaluator = Evaluator()
+        evaluator._evaluate(design, workload)  # first-seen mapping: walks
+        assert own(lookups) == ["dense", "sparse"]
+        for density in (0.3, 0.4):
+            lookups.clear()
+            evaluator._evaluate(
+                design,
+                Workload.uniform(
+                    matmul(128, 128, 128), {"A": density, "B": 0.2}
+                ),
+            )
+            if evaluator.sparse_vectorized:  # plan miss, then plan hit
+                assert lookups == ["dense", "sparse", "plan"], density
+            else:  # the scalar oracle walks every miss
+                assert own(lookups) == ["dense", "sparse"], density
 
 
 class TestBitIdenticalAcrossDesigns:
     @pytest.mark.parametrize("name,design,workload", CASES, ids=CASE_IDS)
-    def test_staged_equals_uncached(self, name, design, workload):
-        staged = Evaluator(check_capacity=False)
+    def test_cached_equals_uncached(self, name, design, workload):
+        cached = Evaluator(check_capacity=False)
         uncached = Evaluator(check_capacity=False, cache=None)
-        cold = staged._evaluate(design, workload)
-        warm = staged._evaluate(design, workload)  # micro stages hit
+        cold = cached._evaluate(design, workload)
+        warm = cached._evaluate(design, workload)  # the record hits
         plain = uncached._evaluate(design, workload)
         assert_results_identical(cold, plain)
         assert_results_identical(warm, plain)
-        for stage in MICRO_STAGES:
-            assert staged.cache.stage(stage).hits >= 1, (name, stage)
+        assert cached.cache.sparse.hits >= 1, name
 
 
 class TestValidityErrorReplay:
@@ -165,7 +240,7 @@ class TestValidityErrorReplay:
         with pytest.raises(ValidationError) as warm:
             evaluator._evaluate(design, workload)
         assert str(warm.value) == str(cold.value)
-        assert evaluator.cache.stage(VALIDITY_STAGE).hits == 1
+        assert evaluator.cache.sparse.hits == 1
         # The uncached pipeline raises the same message too.
         with pytest.raises(ValidationError) as plain:
             Evaluator(cache=None)._evaluate(design, workload)
@@ -203,10 +278,24 @@ class TestPersistentRoundTrip:
         warm = second._evaluate(design, workload)
         assert_results_identical(cold, warm)
         # Every stage of the reloaded evaluation is a pure hit.
-        for name in ("dense", "sparse", *MICRO_STAGES):
+        for name in ("dense", "sparse"):
             stats = second.cache.stage(name).stats()
             assert stats["hits"] >= 1, (name, stats)
             assert stats["misses"] == 0, (name, stats)
+
+    def test_first_spill_prunes_the_v3_tree(self, tmp_path):
+        """The record changed the sparse stage's value type, so
+        schema 4 snapshots replace schema 3 ones."""
+        assert PERSISTENT_SCHEMA_VERSION == 4
+        stale = tmp_path / "v3" / "ns"
+        stale.mkdir(parents=True)
+        (stale / "x.pkl").write_bytes(b"a snapshot of SparseTraffic values")
+        design, workload = _matmul_point()
+        evaluator = Evaluator(persistent=PersistentCache(root=tmp_path))
+        evaluator._evaluate(design, workload)
+        assert evaluator.spill_cache(self._key(design, workload)) is not None
+        assert not (tmp_path / "v3").exists()
+        assert (tmp_path / "v4").is_dir()
 
     def test_keys_are_stable_across_equal_content(self, tmp_path):
         design, workload = _matmul_point()
@@ -265,10 +354,10 @@ class TestPersistentRoundTrip:
         parent = Evaluator()
         results = parent._evaluate_many([(design, workload)] * 3, parallel=2)
         assert len(parent.cache.sparse) == 1
-        for name in MICRO_STAGES:
-            assert len(parent.cache.stage(name)) == 1, name
+        (record,) = [v for _, v in parent.cache.sparse.export_entries()]
         serial = parent._evaluate(design, workload)  # pure hits now
         assert parent.cache.sparse.hits >= 1
+        assert _members(record, serial)
         assert_results_identical(serial, results[0])
         assert_results_identical(
             serial, Evaluator(cache=None)._evaluate(design, workload)
