@@ -152,6 +152,7 @@ def _bench_sparse_postprocess() -> dict:
     the batched arithmetic and the sparse-analysis cache stage.
     """
     from repro.sparse.postprocess import analyze_sparse
+    from repro.sparse.traffic import unpack_sparse
 
     pairs = _sparse_stage_pairs()
     for vectorized in (False, True):  # shared warmup for both paths
@@ -167,14 +168,15 @@ def _bench_sparse_postprocess() -> dict:
 
     evaluator = Evaluator()
     t0 = time.perf_counter()
-    fast = None
+    record = None
     for _ in range(SPARSE_ROUNDS):
         for dense, safs in pairs:
-            fast = evaluator._sparse_analysis_keyed(dense, safs)[0]
+            record = evaluator._sparse_analysis_keyed(dense, safs)
     fast_seconds = time.perf_counter() - t0
 
     # The fast path must agree bit-for-bit with the oracle (spot check
     # on the last pair; the test suite covers every bundled design).
+    fast = unpack_sparse(record.layout.slots, record.values)
     assert fast.compute.actual == oracle.compute.actual
     assert fast.compute.gated == oracle.compute.gated
     for key, actions in oracle.actions.items():

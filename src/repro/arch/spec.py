@@ -9,9 +9,32 @@ energy-model component it is built from.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from repro.common.errors import SpecError
+from repro.common.util import spec_int
+
+
+def _check_count(owner: str, name: str, value) -> None:
+    """``value`` must be an integer of at least 1 (not converted, so
+    the content key keeps what the spec gave)."""
+    if spec_int(f"{owner}: {name}", value) < 1:
+        raise SpecError(f"{owner}: {name} must be at least 1, got {value!r}")
+
+
+def _check_positive(owner: str, name: str, value) -> None:
+    """``value`` must be ``None`` or a positive non-bool real."""
+    if value is None:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not value > 0
+    ):
+        raise SpecError(
+            f"{owner}: {name} must be a positive number or null, got {value!r}"
+        )
 
 
 @dataclass
@@ -58,12 +81,13 @@ class StorageLevel:
     spatial_reduction: bool = True
 
     def __post_init__(self) -> None:
-        if self.instances <= 0:
-            raise SpecError(f"level {self.name!r}: instances must be positive")
-        if self.word_bits <= 0 or self.metadata_word_bits <= 0:
-            raise SpecError(f"level {self.name!r}: word widths must be positive")
-        if self.capacity_words is not None and self.capacity_words <= 0:
-            raise SpecError(f"level {self.name!r}: capacity must be positive")
+        owner = f"level {self.name!r}"
+        _check_count(owner, "instances", self.instances)
+        _check_count(owner, "word_bits", self.word_bits)
+        _check_count(owner, "metadata_word_bits", self.metadata_word_bits)
+        _check_positive(owner, "capacity_words", self.capacity_words)
+        _check_positive(owner, "read_bandwidth", self.read_bandwidth)
+        _check_positive(owner, "write_bandwidth", self.write_bandwidth)
 
 
 @dataclass
@@ -76,8 +100,7 @@ class ComputeLevel:
     component_attrs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.instances <= 0:
-            raise SpecError("compute instances must be positive")
+        _check_count(f"compute {self.name!r}", "instances", self.instances)
 
 
 @dataclass

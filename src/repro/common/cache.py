@@ -20,8 +20,9 @@ ad-hoc per-module caches it grew out of:
   convention: a hit returns the stored object itself.
 * :class:`AnalysisCache` — a registry of named stages. The evaluation
   engine owns one (stages ``"dense"``, ``"sparse"`` — whose value is
-  the sparse analysis together with its micro-model tail — ``"plan"``,
-  ``"candidates"`` and ``"fused"``); the process-global instance from
+  one flat record of the sparse analysis and its micro-model tail —
+  ``"plan"``, ``"candidates"`` and ``"fused"``, plus the einsum-only
+  factory memo ``mappings``); the process-global instance from
   :func:`global_cache` hosts stages whose results are safely shared by
   every evaluator in the process (stage ``"tile-format"``).
 * :class:`PersistentCache` — an on-disk tier that spills
@@ -86,6 +87,9 @@ DEFAULT_STAGE_SIZE = 1024
 #: Default cap on entries exported *per stage* when shipping cache
 #: state to worker processes; bounds the pickle payload.
 DEFAULT_EXPORT_LIMIT = 512
+
+#: Entries :attr:`AnalysisCache.mappings` holds before it is cleared.
+MAPPING_MEMO_SIZE = 1024
 
 
 def digest(data: bytes) -> bytes:
@@ -266,6 +270,11 @@ class AnalysisCache:
     def __init__(self, stage_sizes: dict[str, int] | None = None):
         self._stage_sizes = dict(stage_sizes or {})
         self._stages: dict[str, StageCache] = {}
+        #: The engine's einsum-only factory memo: (factory, einsum
+        #: digest, architecture digest) -> (mapping, dense key), at most
+        #: :data:`MAPPING_MEMO_SIZE` entries. Not a stage: it is not
+        #: counted, spilled or shipped.
+        self.mappings: dict = {}
 
     def stage(self, name: str, maxsize: int | None = None) -> StageCache:
         """The stage named ``name``, created on first use.
@@ -312,6 +321,7 @@ class AnalysisCache:
     def clear(self) -> None:
         for stage in self._stages.values():
             stage.clear()
+        self.mappings.clear()
 
     # ------------------------------------------------------------------
     # Warm-worker state shipping
@@ -342,7 +352,7 @@ class AnalysisCache:
 #: value type changes incompatibly; older ``v<N>`` directories are then
 #: ignored, and the first write of each process sweeps them
 #: (:meth:`ObjectStore.prune_stale_versions`).
-PERSISTENT_SCHEMA_VERSION = 4
+PERSISTENT_SCHEMA_VERSION = 5
 
 #: Store roots whose stale version trees this process already swept.
 _PRUNED_ROOTS: set[Path] = set()

@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.designs.common import split_factor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     CoordinatePayload,
     FormatRank,
@@ -95,6 +95,7 @@ def _prune(loops):
     return [l for l in loops if l.bound > 1]
 
 
+@einsum_only("codesign.reuse_abz")
 def reuse_abz_mapping(workload: Workload, arch) -> Mapping:
     """All tensors tiled for buffer reuse; full k on chip so partial
     sums never spill; B tiles stationary across the m loop."""
@@ -121,6 +122,7 @@ def reuse_abz_mapping(workload: Workload, arch) -> Mapping:
     )
 
 
+@einsum_only("codesign.reuse_az")
 def reuse_az_mapping(workload: Workload, arch) -> Mapping:
     """A and Z reuse the buffer; B streams from DRAM (no on-chip keep)."""
     dims = workload.einsum.dims

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.common.util import divisors
+from repro.model.engine import einsum_only
 from repro.workload.einsum import EinsumSpec
 from repro.workload.nets import NetLayer
 from repro.workload.einsum import matmul
@@ -40,6 +41,7 @@ def conv_as_gemm(layer: NetLayer) -> EinsumSpec:
     return matmul(m, k, n, name=f"{spec.name}_gemm")
 
 
+@einsum_only("common.generic_einsum")
 def generic_einsum_mapping(workload, arch):
     """Shape-agnostic schedule for arbitrary einsums.
 

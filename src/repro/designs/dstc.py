@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.designs.common import split_factor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import Bitmask, FormatRank, FormatSpec
 from repro.sparse.saf import (
     SAFKind,
@@ -81,6 +81,7 @@ def build_architecture(name: str = "dstc") -> Architecture:
     )
 
 
+@einsum_only("dstc.outer_product")
 def outer_product_mapping(workload: Workload, arch) -> Mapping:
     """Output stationary at the accumulators; operands streamed.
 

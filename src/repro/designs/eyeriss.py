@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.designs.common import generic_matmul_mapping, split_factor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     Bitmask,
     FormatRank,
@@ -79,6 +79,7 @@ def onchip_input_format() -> FormatSpec:
     )
 
 
+@einsum_only("eyeriss.row_stationary")
 def row_stationary_mapping(workload: Workload, arch) -> Mapping:
     """Row-stationary flavored conv mapping.
 

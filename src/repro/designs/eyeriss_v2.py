@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.designs.common import generic_matmul_mapping, split_factor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     Bitmask,
     CoordinatePayload,
@@ -68,6 +68,7 @@ def build_architecture() -> Architecture:
     )
 
 
+@einsum_only("eyeriss_v2.pe")
 def pe_mapping(workload: Workload, arch) -> Mapping:
     """Single-PE schedule: weights stream against stationary inputs."""
     dims = dict(workload.einsum.dims)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.designs.common import generic_matmul_mapping, split_factor
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     Bitmask,
     FormatRank,
@@ -72,6 +72,7 @@ def build_architecture() -> Architecture:
     )
 
 
+@einsum_only("scnn.planar_tiled")
 def planar_tiled_mapping(workload: Workload, arch) -> Mapping:
     """Planar tiling over (p, q) across PEs; inputs stationary inside."""
     dims = dict(workload.einsum.dims)

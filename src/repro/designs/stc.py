@@ -25,7 +25,7 @@ from repro.designs.dstc import (
     build_architecture,
 )
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     Bitmask,
     CoordinatePayload,
@@ -70,6 +70,7 @@ def input_bitmask_format() -> FormatSpec:
     return FormatSpec([FormatRank(Uncompressed()), FormatRank(Bitmask())])
 
 
+@einsum_only("stc.stc")
 def stc_mapping(workload: Workload, arch) -> Mapping:
     """Tensor-core GEMM schedule: output tiles accumulate in registers,
     weights resident per k-chunk, inputs streamed dense from SMEM."""

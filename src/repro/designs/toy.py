@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.model.engine import Design
+from repro.model.engine import Design, einsum_only
 from repro.sparse.formats import (
     Bitmask,
     CoordinatePayload,
@@ -57,6 +57,7 @@ def build_architecture(name: str) -> Architecture:
     )
 
 
+@einsum_only("toy.output_stationary")
 def output_stationary_mapping(workload: Workload, arch) -> Mapping:
     """Z stationary in the buffer; k innermost; modest m tiling."""
     dims = workload.einsum.dims

@@ -38,9 +38,8 @@ Example::
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
-
-import yaml
 
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.common.errors import MappingError, SpecError
@@ -59,7 +58,7 @@ from repro.sparse.formats import (
     classic_format,
 )
 from repro.mapping.fused import FusedMapping
-from repro.sparse.saf import ComputeSAF, SAFKind, SAFSpec, StorageSAF
+from repro.sparse.saf import ComputeSAF, SAFKind, SAFSpec, StorageSAF, _tupled
 from repro.workload.einsum import (
     EinsumSpec,
     conv2d,
@@ -88,9 +87,12 @@ _RANK_FORMATS = {
 
 
 def _as_dict(source) -> dict:
-    """Accept a dict, a YAML string, or a path to a YAML file."""
+    """Accept a dict, a YAML string, or a path to a YAML file. yaml is
+    imported only to parse text, so in-process users do not load it."""
     if isinstance(source, dict):
         return source
+    import yaml
+
     if isinstance(source, Path) or (
         isinstance(source, str)
         and "\n" not in source
@@ -118,21 +120,41 @@ def _as_dict(source) -> dict:
     return parsed
 
 
+def _level_fields(entry, section: str, cls) -> dict:
+    """``entry`` as ``cls`` keyword arguments: a mapping whose keys are
+    all fields of ``cls``; anything else is a :class:`SpecError`
+    naming it."""
+    if not isinstance(entry, dict):
+        raise SpecError(f"arch.{section} entry {entry!r} is not a mapping")
+    known = [f.name for f in fields(cls)]
+    unknown = [key for key in entry if key not in known]
+    if unknown:
+        raise SpecError(
+            f"arch.{section} entry {entry.get('name', entry)!r}: unknown "
+            f"key(s) {', '.join(map(repr, unknown))}; known: {known}"
+        )
+    return dict(entry)
+
+
 def load_architecture(source) -> Architecture:
-    """Build an :class:`Architecture` from its YAML description."""
+    """Build an :class:`Architecture` from its YAML description. A
+    storage or compute entry that is not a mapping or names an unknown
+    key fails with a :class:`SpecError` naming it."""
     spec = _as_dict(source)
     spec = spec.get("arch", spec)
     storage_specs = spec.get("storage")
     if not storage_specs:
         raise SpecError("architecture spec needs a 'storage' list")
+    if not isinstance(storage_specs, list):
+        raise SpecError(f"arch.storage must be a list, got {storage_specs!r}")
     levels = []
     for entry in storage_specs:
-        entry = dict(entry)
+        entry = _level_fields(entry, "storage", StorageLevel)
         name = entry.pop("name", None)
         if name is None:
             raise SpecError("every storage level needs a 'name'")
         levels.append(StorageLevel(name, **entry))
-    compute_spec = dict(spec.get("compute", {}))
+    compute_spec = _level_fields(spec.get("compute", {}), "compute", ComputeLevel)
     compute = ComputeLevel(
         name=compute_spec.pop("name", "MAC"), **compute_spec
     )
@@ -265,7 +287,12 @@ def load_saf_spec(source) -> SAFSpec:
                 f"safs.actions entry {entry!r}: 'kind' must be one of {kinds}"
             )
         kind = SAFKind(entry["kind"])
-        conditioned = tuple(entry.get("condition_on", ()))
+        try:
+            conditioned = _tupled(entry.get("condition_on", ()))
+        except SpecError as exc:
+            raise SpecError(
+                f"safs.actions entry {entry!r}: 'condition_on' {exc}"
+            ) from None
         if entry.get("unit") == "compute" or "target" not in entry:
             compute_safs.append(ComputeSAF(kind, conditioned))
         elif "level" not in entry:

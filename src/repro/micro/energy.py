@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 from repro.accelergy.backend import Accelergy
 from repro.accelergy.library import build_component
 from repro.arch.spec import Architecture
-from repro.sparse.traffic import ActionBreakdown, SparseTraffic
+from repro.micro.record import ENERGY_PARTS, RecordLayout, packed
+from repro.sparse.traffic import (
+    COMPUTE_WIDTH,
+    INTERSECTION_CHECKS,
+    SLOT_WIDTH,
+    SparseTraffic,
+)
 
 
 @dataclass
@@ -24,10 +30,69 @@ class EnergyResult:
         return self.per_component.get(name, 0.0)
 
 
-def _breakdown_energy(breakdown: ActionBreakdown, energy_actual: float, gated_fraction: float) -> float:
-    return (
-        breakdown.actual * energy_actual
-        + breakdown.gated * energy_actual * gated_fraction
+def energy_tail(layout: RecordLayout, values: list, backend: Accelergy) -> None:
+    """Write per-slot energy parts, per-component energy and the total.
+
+    Actual actions cost full energy, gated ones the component's idle
+    fraction of it, skipped ones nothing; intersection checks cost the
+    intersection unit's check energy. A slot row holds each channel's
+    actual count at ``row + 3 * channel`` and its gated count next to
+    it (:mod:`repro.sparse.traffic`).
+    """
+    check_pj = build_component("intersection").energy_per_action("check")
+    parts = layout.parts
+    at = layout.energy
+    for index, level in enumerate(layout.levels):
+        spec = backend.storage(level)
+        gated = spec.gated_fraction
+        read, write = spec.read, spec.write
+        metadata_read, metadata_write = spec.metadata_read, spec.metadata_write
+        level_total = 0.0
+        for slot in layout.level_slots[index]:
+            row = COMPUTE_WIDTH + SLOT_WIDTH * slot
+            slot_parts = (
+                values[row + INTERSECTION_CHECKS] * check_pj,
+                values[row] * read + values[row + 1] * read * gated,
+                values[row + 3] * write + values[row + 4] * write * gated,
+                values[row + 6] * metadata_read
+                + values[row + 7] * metadata_read * gated,
+                values[row + 9] * metadata_write
+                + values[row + 10] * metadata_write * gated,
+            )
+            out = parts + len(ENERGY_PARTS) * slot
+            values[out : out + len(ENERGY_PARTS)] = slot_parts
+            for value in slot_parts:
+                level_total += value
+        values[at + index] = level_total
+    compute = backend.compute
+    count = len(layout.levels)
+    values[at + count] = (
+        values[0] * compute.op + values[1] * compute.op * compute.gated_fraction
+    )
+    values[layout.energy_pj] = sum(values[at : at + count + 1])
+
+
+def energy_view(layout: RecordLayout, values) -> EnergyResult:
+    """The :class:`EnergyResult` of a record."""
+    at = layout.energy
+    per_component: dict[str, float] = {}
+    detail: dict[str, dict[str, float]] = {}
+    for index, level in enumerate(layout.levels):
+        level_detail = {}
+        for slot in layout.level_slots[index]:
+            out = layout.parts + len(ENERGY_PARTS) * slot
+            level_detail.update(
+                zip(layout.breakdown_keys[slot], values[out : out + len(ENERGY_PARTS)])
+            )
+        per_component[level] = values[at + index]
+        detail[level] = level_detail
+    compute = values[at + len(layout.levels)]
+    per_component[layout.compute] = compute
+    detail[layout.compute] = {"op": compute}
+    return EnergyResult(
+        total_pj=values[layout.energy_pj],
+        per_component=per_component,
+        per_component_breakdown=detail,
     )
 
 
@@ -36,50 +101,8 @@ def compute_energy(
     sparse: SparseTraffic,
     backend: Accelergy | None = None,
 ) -> EnergyResult:
-    """Total dynamic energy: actual actions at full cost, gated actions
-    at the component's idle fraction, skipped actions free."""
-    backend = backend or Accelergy(arch)
-    per_component: dict[str, float] = {}
-    detail: dict[str, dict[str, float]] = {}
-    check_pj = build_component("intersection").energy_per_action("check")
-
-    for level in arch.levels:
-        spec = backend.storage(level.name)
-        level_total = 0.0
-        level_detail: dict[str, float] = {}
-        for actions in sparse.level_actions(level.name):
-            parts = {
-                "intersection": actions.intersection_checks * check_pj,
-                "read": _breakdown_energy(
-                    actions.data_reads, spec.read, spec.gated_fraction
-                ),
-                "write": _breakdown_energy(
-                    actions.data_writes, spec.write, spec.gated_fraction
-                ),
-                "metadata_read": _breakdown_energy(
-                    actions.metadata_reads, spec.metadata_read, spec.gated_fraction
-                ),
-                "metadata_write": _breakdown_energy(
-                    actions.metadata_writes,
-                    spec.metadata_write,
-                    spec.gated_fraction,
-                ),
-            }
-            for key, value in parts.items():
-                level_detail[f"{actions.tensor}:{key}"] = value
-                level_total += value
-        per_component[level.name] = level_total
-        detail[level.name] = level_detail
-
-    compute_spec = backend.compute
-    compute_energy_pj = _breakdown_energy(
-        sparse.compute, compute_spec.op, compute_spec.gated_fraction
-    )
-    per_component[arch.compute.name] = compute_energy_pj
-    detail[arch.compute.name] = {"op": compute_energy_pj}
-
-    return EnergyResult(
-        total_pj=sum(per_component.values()),
-        per_component=per_component,
-        per_component_breakdown=detail,
-    )
+    """Total dynamic energy (:func:`energy_tail` over ``sparse``'s
+    counts)."""
+    layout, values = packed(arch, sparse)
+    energy_tail(layout, values, backend or Accelergy(arch))
+    return energy_view(layout, values)

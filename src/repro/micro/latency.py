@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from repro.arch.spec import Architecture
 from repro.dataflow.nest_analysis import DenseTraffic
-from repro.sparse.traffic import SparseTraffic
+from repro.micro.record import RecordLayout, packed
+from repro.sparse.traffic import COMPUTE_WIDTH, SLOT_WIDTH, SparseTraffic
 
 
 @dataclass
@@ -36,48 +37,43 @@ class LatencyResult:
         return self.compute_cycles / self.cycles
 
 
-def _level_words(actions, level) -> tuple[float, float]:
-    """Port traffic (read_words, write_words) in data-word equivalents.
-
-    Only *actual* accesses move words through the port; a gated access
-    idles the unit for the cycle (the cycle itself is accounted by the
-    lock-stepped compute), and skipped accesses cost nothing. Metadata
-    occupies the port only when the level streams it in-band.
-    """
-    reads = actions.data_reads.actual
-    writes = actions.data_writes.actual
-    if level.metadata_on_data_port:
-        meta_scale = level.metadata_word_bits / level.word_bits
-        reads += actions.metadata_reads.actual * meta_scale
-        writes += actions.metadata_writes.actual * meta_scale
-    return reads, writes
-
-
-def compute_latency(
-    arch: Architecture,
-    dense: DenseTraffic,
-    sparse: SparseTraffic,
-) -> LatencyResult:
-    """Derive processing cycles with bandwidth throttling.
+def latency_tail(
+    layout: RecordLayout, values: list, arch: Architecture, dense: DenseTraffic
+) -> None:
+    """Write per-component cycles, bandwidth demand, the cycle count
+    and the bottleneck.
 
     Compute cycles = (actual + gated computes) / utilized compute
-    units. Each storage level's cycles = its cycled words / bandwidth,
-    evaluated per instance. The overall latency is the maximum.
+    units. Each storage level's cycles = its port words / bandwidth,
+    per instance. Only *actual* accesses move words through the port; a
+    gated access idles the unit for the cycle (accounted by the
+    lock-stepped compute), and skipped accesses cost nothing. Metadata
+    occupies the port only when the level streams it in-band. The
+    overall latency is the maximum. A slot row holds the actual data
+    reads, data writes, metadata reads and metadata writes at ``row``,
+    ``row + 3``, ``row + 6`` and ``row + 9`` (:mod:`repro.sparse.traffic`).
     """
-    per_component: dict[str, float] = {}
-    demand: dict[str, float] = {}
-
-    compute_cycles = sparse.compute.cycled / dense.utilized_compute_instances
-    per_component[arch.compute.name] = compute_cycles
-
-    for level in arch.levels:
+    compute_cycles = (values[0] + values[1]) / dense.utilized_compute_instances
+    at = layout.latency
+    values[at] = compute_cycles
+    traffic = dense.traffic
+    slots = layout.slots
+    for index, level in enumerate(arch.levels):
+        scale = None
+        if level.metadata_on_data_port:
+            scale = level.metadata_word_bits / level.word_bits
         reads = writes = 0.0
         instances = 1
-        for actions in sparse.level_actions(level.name):
-            r, w = _level_words(actions, level)
+        for slot in layout.level_slots[index]:
+            row = COMPUTE_WIDTH + SLOT_WIDTH * slot
+            r = values[row]
+            w = values[row + 3]
+            if scale is not None:
+                r += values[row + 6] * scale
+                w += values[row + 9] * scale
             reads += r
             writes += w
-            record = dense.traffic.get((level.name, actions.tensor))
+            record = traffic.get((level.name, slots[2 * slot + 1]))
             if record is not None:
                 instances = max(instances, record.instances)
         # Read and write streams overlap on dual-ported storage; the
@@ -87,19 +83,48 @@ def compute_latency(
             read_cycles = reads / instances / level.read_bandwidth
         if level.write_bandwidth is not None:
             write_cycles = writes / instances / level.write_bandwidth
-        per_component[level.name] = max(read_cycles, write_cycles)
+        values[at + 1 + index] = max(read_cycles, write_cycles)
         if compute_cycles > 0:
-            demand[level.name] = (reads + writes) / instances / compute_cycles
-
-    bottleneck = max(per_component, key=per_component.get)
+            values[layout.demand + index] = (
+                (reads + writes) / instances / compute_cycles
+            )
+    per_component = values[at : layout.demand]
+    bottleneck = max(range(len(per_component)), key=per_component.__getitem__)
     cycles = per_component[bottleneck]
     if cycles <= 0.0:
         # Degenerate mapping (no work); report a single cycle.
         cycles = 1.0
+    values[layout.cycles] = cycles
+    values[layout.bottleneck] = bottleneck
+
+
+def latency_view(layout: RecordLayout, values) -> LatencyResult:
+    """The :class:`LatencyResult` of a record."""
+    at = layout.latency
+    compute_cycles = values[at]
+    per_component = {layout.compute: compute_cycles}
+    demand = {}
+    for index, level in enumerate(layout.levels):
+        per_component[level] = values[at + 1 + index]
+        if compute_cycles > 0:
+            demand[level] = values[layout.demand + index]
+    bottleneck = int(values[layout.bottleneck])
     return LatencyResult(
-        cycles=cycles,
-        bottleneck=bottleneck,
+        cycles=values[layout.cycles],
+        bottleneck=layout.compute if bottleneck == 0 else layout.levels[bottleneck - 1],
         per_component=per_component,
         bandwidth_demand=demand,
         compute_cycles=compute_cycles,
     )
+
+
+def compute_latency(
+    arch: Architecture,
+    dense: DenseTraffic,
+    sparse: SparseTraffic,
+) -> LatencyResult:
+    """Derive processing cycles with bandwidth throttling
+    (:func:`latency_tail` over ``sparse``'s counts)."""
+    layout, values = packed(arch, sparse)
+    latency_tail(layout, values, arch, dense)
+    return latency_view(layout, values)

@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 from repro.arch.spec import Architecture
 from repro.common.errors import ValidationError
-from repro.sparse.traffic import SparseTraffic
+from repro.micro.record import RecordLayout, packed
+from repro.sparse.traffic import (
+    COMPUTE_WIDTH,
+    SLOT_WIDTH,
+    WORST_OCCUPANCY,
+    SparseTraffic,
+)
 
 
 @dataclass
@@ -43,6 +49,46 @@ def overflow_error(report: LevelUsage) -> ValidationError:
     )
 
 
+def usage_tail(layout: RecordLayout, values: list) -> None:
+    """Write each level's worst-case used words, summed in slot order,
+    and the index of the first level that does not fit (``-1``)."""
+    overflow = -1
+    at = layout.usage
+    for index, slots in enumerate(layout.level_slots):
+        used = 0.0
+        for slot in slots:
+            used += values[COMPUTE_WIDTH + SLOT_WIDTH * slot + WORST_OCCUPANCY]
+        values[at + index] = used
+        capacity = layout.capacities[index]
+        if overflow < 0 and not (capacity is None or used <= capacity):
+            overflow = index
+    values[layout.overflow] = overflow
+
+
+def level_usage(layout: RecordLayout, values, index: int) -> LevelUsage:
+    """The usage report of storage level ``index``."""
+    slots = layout.slots
+    return LevelUsage(
+        level=layout.levels[index],
+        capacity_words=layout.capacities[index],
+        used_words=values[layout.usage + index],
+        per_tensor={
+            slots[2 * slot + 1]: values[
+                COMPUTE_WIDTH + SLOT_WIDTH * slot + WORST_OCCUPANCY
+            ]
+            for slot in layout.level_slots[index]
+        },
+    )
+
+
+def usage_view(layout: RecordLayout, values) -> dict[str, LevelUsage]:
+    """Every level's usage report, outermost first."""
+    return {
+        level: level_usage(layout, values, index)
+        for index, level in enumerate(layout.levels)
+    }
+
+
 def check_validity(
     arch: Architecture,
     sparse: SparseTraffic,
@@ -54,17 +100,9 @@ def check_validity(
     for the first overflowing level unless ``raise_on_invalid`` is
     False.
     """
-    usage: dict[str, LevelUsage] = {}
-    for level in arch.levels:
-        report = LevelUsage(
-            level=level.name,
-            capacity_words=level.capacity_words,
-            used_words=0.0,
-        )
-        for actions in sparse.level_actions(level.name):
-            report.per_tensor[actions.tensor] = actions.worst_occupancy_words
-            report.used_words += actions.worst_occupancy_words
-        usage[level.name] = report
-        if raise_on_invalid and not report.fits:
-            raise overflow_error(report)
-    return usage
+    layout, values = packed(arch, sparse)
+    usage_tail(layout, values)
+    overflow = values[layout.overflow]
+    if raise_on_invalid and overflow >= 0:
+        raise overflow_error(level_usage(layout, values, overflow))
+    return usage_view(layout, values)

@@ -27,12 +27,16 @@ and over with different SAF configurations:
   whole pipeline steps by content key: the ``"dense"`` stage reuses
   dataflow analyses across SAF/density variants of a mapping (keys
   exclude densities; hits rebind the caller's workload), and the
-  ``"sparse"`` stage reuses one ``(sparse, usage, latency, energy)``
-  record per (mapping, SAF, density) point — e.g. SAF sweeps that
-  revisit density levels, or network layers sharing shapes. The micro
-  tail (validity, latency, energy) is a pure function of the sparse
-  analysis, so it is computed once with it (:func:`_sparse_record`)
-  and a warm evaluation makes two lookups. A sparse miss whose dense
+  ``"sparse"`` stage reuses one flat evaluation record
+  (:class:`~repro.micro.record.EvaluationRecord`) per (mapping, SAF,
+  density) point — e.g. SAF sweeps that revisit density levels, or
+  network layers sharing shapes. The micro tail (validity, latency,
+  energy) is a pure function of the sparse analysis, so it is computed
+  once with it (:func:`_sparse_record`) and a warm evaluation makes two
+  lookups; results build their objects from the record on demand. The
+  bundled mapping factories are registered :func:`einsum_only`, so a
+  warm evaluation of their designs takes its mapping and dense key
+  from a memo instead of calling the factory. A sparse miss whose dense
   analysis came from the dense stage (its mapping recurs) evaluates a
   density-free :class:`~repro.sparse.postprocess.SparsePlan` from the
   ``"plan"`` stage instead of re-walking every flow. Pass
@@ -80,6 +84,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -91,6 +96,7 @@ from repro.accelergy.backend import Accelergy
 from repro.arch.spec import Architecture
 from repro.common.cache import (
     DEFAULT_EXPORT_LIMIT,
+    MAPPING_MEMO_SIZE,
     AnalysisCache,
     PersistentCache,
     StageCache,
@@ -118,9 +124,10 @@ from repro.mapping.mapspace import (
     MapspaceConstraints,
     sampled_candidates_key,
 )
-from repro.micro.energy import compute_energy
-from repro.micro.latency import compute_latency
-from repro.micro.validity import check_validity, overflow_error
+from repro.micro.energy import energy_tail
+from repro.micro.latency import latency_tail
+from repro.micro.record import EvaluationRecord, record_layout
+from repro.micro.validity import level_usage, overflow_error, usage_tail
 from repro.model.result import EvaluationResult
 from repro.search.evolutionary import (
     EvolutionConfig,
@@ -135,15 +142,14 @@ from repro.sparse.postprocess import (
     PLAN_STAGE,
     VECTORIZED_DEFAULT,
     SparsePlan,
-    analyze_sparse,
-    analyze_sparse_batch,
     density_digests,
     ensure_output_density,
+    sparse_actions,
+    sparse_actions_batch,
     sparse_analysis_key,
     sparse_plan_key,
 )
 from repro.sparse.saf import SAFSpec
-from repro.sparse.traffic import SparseTraffic
 from repro.workload.spec import Workload
 
 __all__ = [
@@ -358,24 +364,58 @@ def _accelergy_for(arch: Architecture) -> Accelergy:
     return backend
 
 
-def _sparse_record(dense: DenseTraffic, sparse: SparseTraffic) -> tuple:
-    """The ``"sparse"`` stage's value: ``(sparse, usage, latency,
-    energy)``.
+def _sparse_record(dense: DenseTraffic, actions: tuple) -> EvaluationRecord:
+    """The ``"sparse"`` stage's value: the sparse step's record action
+    part (:func:`~repro.sparse.postprocess.sparse_actions`) completed by
+    the micro-architectural tail.
 
     The micro-architectural step (Sec 5.4) turns the sparse action
     counts into validity, cycles and energy on the architecture the
     dense analysis carries, so the record is a pure function of the
-    sparse content key. Usage is computed with ``raise_on_invalid=False``
-    so one record serves capacity-checking and permissive evaluators
-    alike; :meth:`Evaluator._finish_evaluation` re-raises.
+    sparse content key. The tail formulas (``usage_tail``,
+    ``latency_tail``, ``energy_tail``) write into the same buffer; the
+    first overflowing level is recorded rather than raised, so one
+    record serves capacity-checking and permissive evaluators alike
+    (:meth:`Evaluator._finish_evaluation` raises).
     """
+    slots, values = actions
     arch = dense.arch
-    return (
-        sparse,
-        check_validity(arch, sparse, raise_on_invalid=False),
-        compute_latency(arch, dense, sparse),
-        compute_energy(arch, sparse, _accelergy_for(arch)),
-    )
+    layout = record_layout(arch, slots)
+    values += layout.tail
+    usage_tail(layout, values)
+    latency_tail(layout, values, arch, dense)
+    energy_tail(layout, values, _accelergy_for(arch))
+    return EvaluationRecord(layout, array("d", values))
+
+
+def _rebind(dense: DenseTraffic, workload: Workload | None) -> DenseTraffic:
+    """``dense`` bound to ``workload`` (``None`` strips it, as stage
+    entries are stored: keeping the first-seen workload would pin its
+    density models far beyond their lifetime)."""
+    return replace(dense, workload=workload)
+
+
+#: Bundled mapping factories that read only a workload's einsum (never
+#: its densities or name), by name: the allow-list of factories whose
+#: mapping and dense key the engine memoises per (factory, einsum,
+#: architecture) (:meth:`Evaluator._resolve_mapping`).
+_EINSUM_ONLY: dict[str, MappingFactory] = {}
+
+
+def einsum_only(name: str):
+    """Register a mapping factory as einsum-only under ``name``.
+
+    Only for factories whose mapping is a function of the workload's
+    einsum and the architecture alone. Not public API: user factories
+    keep being called per evaluation.
+    """
+
+    def register(factory: MappingFactory) -> MappingFactory:
+        _EINSUM_ONLY[name] = factory
+        factory._einsum_only = name
+        return factory
+
+    return register
 
 
 @dataclass
@@ -506,7 +546,7 @@ class Evaluator:
         design carries only mapspace constraints, the mapper searches
         for the lowest-EDP valid mapping.
         """
-        mapping = mapping or design.mapping_for(workload)
+        mapping, dense_key = self._resolve_mapping(design, workload, mapping)
         if mapping is None:
             if design.constraints is None:
                 raise SpecError(
@@ -520,10 +560,53 @@ class Evaluator:
                     f"{workload.name!r} within budget {self.search_budget}"
                 )
             return result
-        return self._evaluate_mapping(design, workload, mapping)
+        return self._evaluate_mapping(design, workload, mapping, dense_key)
+
+    def _resolve_mapping(
+        self,
+        design: Design,
+        workload: Workload,
+        mapping: Mapping | None = None,
+    ) -> tuple[Mapping | None, bytes | None]:
+        """The mapping ``workload`` runs under (``mapping`` overrides
+        the design's policy; ``None`` when the design only has
+        constraints) and its dense key when already known.
+
+        A factory registered with :func:`einsum_only` is called once
+        per (factory, einsum, architecture) per cache: its mapping and
+        dense key are memoised in ``cache.mappings``, so a repeated
+        evaluation neither builds a :class:`Mapping` nor digests one.
+        Without a cache, and for any other factory, the factory runs
+        per call, as :meth:`Design.mapping_for` does.
+        """
+        if mapping is not None:
+            return mapping, None
+        factory = design.mapping_factory
+        if (
+            design.mapping is not None
+            or factory is None
+            or self.cache is None
+            or _EINSUM_ONLY.get(getattr(factory, "_einsum_only", None))
+            is not factory
+        ):
+            return design.mapping_for(workload), None
+        memo = self.cache.mappings
+        key = (factory, spec_digest(workload.einsum), spec_digest(design.arch))
+        known = memo.get(key)
+        if known is None:
+            mapping = factory(workload, design.arch)
+            known = (mapping, dense_analysis_key(workload, design.arch, mapping))
+            if len(memo) >= MAPPING_MEMO_SIZE:
+                memo.clear()
+            memo[key] = known
+        return known
 
     def _dense_analysis_keyed(
-        self, design: Design, workload: Workload, mapping: Mapping
+        self,
+        design: Design,
+        workload: Workload,
+        mapping: Mapping,
+        key: bytes | None = None,
     ) -> tuple[DenseTraffic, bytes | None, bool]:
         """Dense analysis through the ``"dense"`` cache stage, returning
         ``(dense, key, reused)``; ``reused`` says the analysis came from
@@ -537,18 +620,20 @@ class Evaluator:
         Entries are stored with the workload stripped: keeping the
         first-seen workload would pin its density models (potentially
         whole ``ActualDataDensity`` tensors) far beyond their lifetime.
-        Hits rebind the caller's workload.
+        Hits rebind the caller's workload. A ``key`` the caller already
+        holds (:meth:`_resolve_mapping`) is used as given.
         """
         if self.cache is None:
             dense = analyze_dataflow(workload, design.arch, mapping)
             return dense, None, False
         stage = self.cache.dense
-        key = dense_analysis_key(workload, design.arch, mapping)
+        if key is None:
+            key = dense_analysis_key(workload, design.arch, mapping)
         cached = stage.get(key)
         if cached is not None:
-            return replace(cached, workload=workload), key, True
+            return _rebind(cached, workload), key, True
         dense = analyze_dataflow(workload, design.arch, mapping)
-        stage.put(key, replace(dense, workload=None))
+        stage.put(key, _rebind(dense, None))
         return dense, key, False
 
     def _sparse_analysis_keyed(
@@ -557,14 +642,13 @@ class Evaluator:
         safs: SAFSpec,
         dense_key: bytes | None = None,
         reused: bool = False,
-    ) -> tuple:
+    ) -> EvaluationRecord:
         """Sparse post-processing and the micro tail, returning the
-        ``(sparse, usage, latency, energy)`` record
-        (:func:`_sparse_record`).
+        evaluation record (:func:`_sparse_record`).
 
         The record is memoised by :func:`~repro.sparse.postprocess.
         sparse_analysis_key`; hits return the stored (read-only)
-        objects. Uncacheable density models (no content key) fall back
+        record. Uncacheable density models (no content key) fall back
         to recomputing.
 
         A miss whose dense analysis was ``reused`` from the dense stage
@@ -578,7 +662,7 @@ class Evaluator:
         if key is None:
             return _sparse_record(
                 dense,
-                analyze_sparse(dense, safs, vectorized=self.sparse_vectorized),
+                sparse_actions(dense, safs, vectorized=self.sparse_vectorized),
             )
         stage = self.cache.sparse
         record = stage.get(key)
@@ -588,7 +672,7 @@ class Evaluator:
                 plan = self._sparse_plan(dense, safs, dense_key)
             record = _sparse_record(
                 dense,
-                analyze_sparse(
+                sparse_actions(
                     dense, safs, vectorized=self.sparse_vectorized, plan=plan
                 ),
             )
@@ -610,10 +694,14 @@ class Evaluator:
         return plan
 
     def _evaluate_mapping(
-        self, design: Design, workload: Workload, mapping: Mapping
+        self,
+        design: Design,
+        workload: Workload,
+        mapping: Mapping,
+        dense_key: bytes | None = None,
     ) -> EvaluationResult:
         dense, dense_key, reused = self._dense_analysis_keyed(
-            design, workload, mapping
+            design, workload, mapping, dense_key
         )
         record = self._sparse_analysis_keyed(
             dense, design.safs, dense_key, reused
@@ -625,26 +713,22 @@ class Evaluator:
         design: Design,
         workload: Workload,
         dense: DenseTraffic,
-        record: tuple,
+        record: EvaluationRecord,
     ) -> EvaluationResult:
         """Build the result from a sparse record, shared by every
         evaluation path (the per-call pipeline and the batched one).
-        When this evaluator checks capacity, the first overflowing level
-        (in architecture order) raises the :class:`ValidationError` that
-        :func:`check_validity` would have raised."""
-        sparse, usage, latency, energy = record
+        When this evaluator checks capacity, the record's first
+        overflowing level (in architecture order) raises the
+        :class:`ValidationError` that :func:`~repro.micro.validity.
+        check_validity` would have raised."""
         if self.check_capacity:
-            for report in usage.values():
-                if not report.fits:
-                    raise overflow_error(report)
+            level = record.overflow
+            if level >= 0:
+                raise overflow_error(
+                    level_usage(record.layout, record.values, level)
+                )
         return EvaluationResult(
-            design_name=design.name,
-            workload_name=workload.name or workload.einsum.name,
-            dense=dense,
-            sparse=sparse,
-            latency=latency,
-            energy=energy,
-            usage=usage,
+            design.name, workload.name or workload.einsum.name, dense, record
         )
 
     # ------------------------------------------------------------------
@@ -1467,20 +1551,20 @@ class Evaluator:
 
     def _dense_analysis_batch(
         self,
-        items: Sequence[tuple[Design, Workload, Mapping]],
+        items: Sequence[tuple[Design, Workload, Mapping, bytes | None]],
     ) -> list[tuple[DenseTraffic, bytes | None, bool] | ReproError]:
         """:meth:`_dense_analysis_keyed` over many ``(design, workload,
-        mapping)`` triples at once.
+        mapping, dense key or None)`` items at once.
 
         Cache hits are served as usual; the misses, deduped by content
         key, run through one
         :func:`~repro.dataflow.nest_analysis.analyze_dataflow_batch`
         call (which groups compatible structures internally) and are
         installed into the ``"dense"`` stage. Should the stacked pass
-        fail, its lookups are rolled back and every triple recounts
+        fail, its lookups are rolled back and every item recounts
         through the serial oracle, so the error lands on exactly the
-        triple(s) that caused it. Returns one ``(dense, key, reused)``
-        triple or :class:`~repro.common.errors.ReproError` per triple;
+        item(s) that caused it. Returns one ``(dense, key, reused)``
+        triple or :class:`~repro.common.errors.ReproError` per item;
         values, reuse flags and cache statistics match the serial loop
         exactly.
         """
@@ -1489,8 +1573,8 @@ class Evaluator:
         keys = [
             None
             if stage is None
-            else dense_analysis_key(workload, design.arch, mapping)
-            for design, workload, mapping in items
+            else key or dense_analysis_key(workload, design.arch, mapping)
+            for design, workload, mapping, key in items
         ]
         hits, misses, followers = _serial_lookups(stage, keys)
         try:
@@ -1509,20 +1593,20 @@ class Evaluator:
         out: list = [None] * len(items)
         for position, cached in hits.items():
             out[position] = (
-                replace(cached, workload=items[position][1]),
+                _rebind(cached, items[position][1]),
                 keys[position],
                 True,
             )
         for position, dense in zip(misses, computed):
             key = keys[position]
             if key is not None:
-                stage.put(key, replace(dense, workload=None))
+                stage.put(key, _rebind(dense, None))
             out[position] = (dense, key, False)
             for follower in followers.get(position, ()):
                 # The follower's serial hit would have returned the
                 # stored copy rebound to its own workload.
                 out[follower] = (
-                    replace(dense, workload=items[follower][1]),
+                    _rebind(dense, items[follower][1]),
                     keys[follower],
                     True,
                 )
@@ -1546,7 +1630,7 @@ class Evaluator:
         sparse-walk *context* — the einsum, architecture, SAF and
         density digests, so only the mapping differs within a group —
         and each group flushes as one stacked
-        :func:`~repro.sparse.postprocess.analyze_sparse_batch` pass
+        :func:`~repro.sparse.postprocess.sparse_actions_batch` pass
         sharing one walk memo. ``memos`` maps contexts to their memos;
         a caller that passes the same dict to every call (a search
         does, for all of its blocks) keeps the memos across calls. The
@@ -1559,10 +1643,10 @@ class Evaluator:
         installed, the sparse and plan lookups are rolled back, and
         every entry recounts through the serial oracle, so the error
         lands on exactly the entry that caused it. Returns one
-        ``(sparse, usage, latency, energy)`` record or
+        :class:`~repro.micro.record.EvaluationRecord` or
         :class:`~repro.common.errors.ReproError` per entry; values,
-        cache statistics, and shared-object identity for duplicates
-        match the serial loop exactly.
+        cache statistics, and record identity for duplicates match the
+        serial loop exactly.
         """
         stage = self.cache.sparse if self.cache is not None else None
         counters = (stage.hits, stage.misses) if stage is not None else None
@@ -1610,7 +1694,7 @@ class Evaluator:
             if position in walked:
                 groups.setdefault(contexts[position], []).append(position)
         built: dict[int, SparsePlan] = {}
-        computed: dict[int, SparseTraffic] = {}
+        computed: dict[int, tuple] = {}
         try:
             plans = dict(plan_hits)
             for index in plan_misses:
@@ -1620,22 +1704,20 @@ class Evaluator:
                     plans[follower] = plans[index]
             for index, position in enumerate(planned):
                 dense, safs = entries[position][:2]
-                computed[position] = analyze_sparse(
-                    dense, safs, plan=plans[index]
-                )
+                computed[position] = plans[index].evaluate(dense.workload, safs)
             for context, positions in groups.items():
                 memo = None
                 if context is not None and self.dense_vectorized:
                     memo = memos.setdefault(context, {})
-                flushed = analyze_sparse_batch(
+                flushed = sparse_actions_batch(
                     [(entries[i][0], entries[i][1]) for i in positions],
                     vectorized=self.sparse_vectorized,
                     memo=memo,
                 )
                 computed.update(zip(positions, flushed))
             records = {
-                position: _sparse_record(entries[position][0], sparse)
-                for position, sparse in computed.items()
+                position: _sparse_record(entries[position][0], actions)
+                for position, actions in computed.items()
             }
         except ReproError:
             records = None
@@ -1690,12 +1772,13 @@ class Evaluator:
         """
         jobs = list(jobs)
         outcomes: list[tuple | None] = [None] * len(jobs)
-        staged: list[tuple[int, Design, Workload, Mapping]] = []
+        staged: list[tuple] = []
         for index, job in enumerate(jobs):
             design, workload = job[0], job[1]
-            mapping = job[2] if len(job) > 2 else None
             try:
-                mapping = mapping or design.mapping_for(workload)
+                mapping, key = self._resolve_mapping(
+                    design, workload, job[2] if len(job) > 2 else None
+                )
                 if mapping is None:
                     # Constraints-driven (or absent) mapping policy:
                     # the search path owns this job end to end.
@@ -1704,14 +1787,13 @@ class Evaluator:
             except ReproError as exc:
                 outcomes[index] = (None, exc)
                 continue
-            staged.append((index, design, workload, mapping))
+            staged.append((index, design, workload, mapping, key))
 
-        denses = self._dense_analysis_batch(
-            [(design, workload, mapping) for _i, design, workload, mapping
-             in staged]
-        )
+        denses = self._dense_analysis_batch([item[1:] for item in staged])
         analysed: list[tuple] = []
-        for (index, design, workload, _mapping), dense in zip(staged, denses):
+        for (index, design, workload, _mapping, _key), dense in zip(
+            staged, denses
+        ):
             if isinstance(dense, ReproError):
                 outcomes[index] = (None, dense)
             else:
@@ -1803,8 +1885,9 @@ class Evaluator:
         evaluated once and the result shared (rebound to each layer's
         workload name), since evaluation is a pure function of that
         content; per-layer result order is preserved. The design's
-        ``mapping_factory`` is still consulted once per layer (exactly
-        as the undeduped path would), so factories that key off the
+        mapping policy is resolved per layer (:meth:`_resolve_mapping`:
+        a user ``mapping_factory`` is called once per layer, exactly as
+        the undeduped path would), so factories that key off the
         workload *name* keep their distinct mappings and are simply not
         merged. Layers whose density models expose no content key are
         conservatively treated as unique. When a ``persistent`` store
@@ -1817,7 +1900,9 @@ class Evaluator:
         the design's own resolution, bit-identically to before the
         override existed.
         """
-        resolve = design.mapping_for if mapping_for is None else mapping_for
+        if mapping_for is None:
+            def mapping_for(workload):
+                return self._resolve_mapping(design, workload)[0]
         workloads = [
             Workload.uniform(layer.spec, densities_for(layer), name=layer.name)
             for layer in layers
@@ -1831,7 +1916,7 @@ class Evaluator:
             # produce different schedules for identical shapes, so the
             # resolved mapping joins the dedupe key (and rides in the
             # job, keeping factories at one call per layer).
-            mapping = resolve(workload)
+            mapping = mapping_for(workload)
             key = _workload_content_key(workload)
             if key is not None:
                 key = (key, None if mapping is None else mapping.cache_key())
@@ -1928,7 +2013,7 @@ class Evaluator:
         for workload in workloads:
             mapping = fused.mapping_for(workload.name)
             if mapping is None:
-                mapping = design.mapping_for(workload)
+                mapping = self._resolve_mapping(design, workload)[0]
             resolved[workload.name] = mapping
 
         fuse_at = fused.fuse_at
@@ -2014,9 +2099,7 @@ class Evaluator:
                 for (workload, _arch, mapping), dense in zip(jobs, denses):
                     key = dense_analysis_key(workload, design.arch, mapping)
                     if key not in self.cache.dense:
-                        self.cache.dense.put(
-                            key, replace(dense, workload=None)
-                        )
+                        self.cache.dense.put(key, _rebind(dense, None))
 
         pairs = self._evaluate_network(
             design,
@@ -2080,10 +2163,11 @@ class Evaluator:
         cache stages.
 
         Parallel fan-outs evaluate in worker processes, so the parent
-        cache never sees their work; every stage value is sitting in
-        the :class:`EvaluationResult`, though, and the content keys are
-        cheap to re-derive. Entries already present are left alone
-        (first-seen wins, like any other hit).
+        cache never sees their work; both stage values are sitting in
+        the :class:`EvaluationResult` (its dense analysis and its
+        record), though, and the content keys are cheap to re-derive.
+        Entries already present are left alone (first-seen wins, like
+        any other hit); a deserialized result has no record to install.
         """
         if self.cache is None:
             return
@@ -2092,13 +2176,14 @@ class Evaluator:
             return
         dense_key = dense_analysis_key(workload, design.arch, dense.mapping)
         if dense_key not in self.cache.dense:
-            self.cache.dense.put(dense_key, replace(dense, workload=None))
+            self.cache.dense.put(dense_key, _rebind(dense, None))
         sparse_key = sparse_analysis_key(dense, design.safs, dense_key)
-        if sparse_key is not None and sparse_key not in self.cache.sparse:
-            self.cache.sparse.put(
-                sparse_key,
-                (result.sparse, result.usage, result.latency, result.energy),
-            )
+        if (
+            sparse_key is not None
+            and result.record is not None
+            and sparse_key not in self.cache.sparse
+        ):
+            self.cache.sparse.put(sparse_key, result.record)
 
     # ------------------------------------------------------------------
     # Warm-worker cache shipping and the persistent tier

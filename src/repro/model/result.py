@@ -26,14 +26,17 @@ from dataclasses import dataclass, field
 from repro.common.errors import MappingError, SpecError
 from repro.dataflow.nest_analysis import DenseTraffic, TensorTraffic
 from repro.mapping.mapping import Mapping
-from repro.micro.energy import EnergyResult
-from repro.micro.latency import LatencyResult
-from repro.micro.validity import LevelUsage
+from repro.micro.energy import EnergyResult, energy_view
+from repro.micro.latency import LatencyResult, latency_view
+from repro.micro.record import EvaluationRecord
+from repro.micro.validity import LevelUsage, usage_view
 from repro.search.frontier import ParetoFrontier
 from repro.sparse.traffic import (
+    ACTION_CHANNELS,
     ActionBreakdown,
     LevelTensorActions,
     SparseTraffic,
+    unpack_sparse,
 )
 
 #: Version of the serialized result schema. Bump only on incompatible
@@ -55,14 +58,6 @@ _TRAFFIC_FIELDS = (
     "refill_writes",
     "compute_feed_reads",
     "update_writes",
-)
-
-#: The four action-breakdown channels of one (level, tensor) flow.
-_ACTION_CHANNELS = (
-    "data_reads",
-    "data_writes",
-    "metadata_reads",
-    "metadata_writes",
 )
 
 #: Scalar fields of one sparse (level, tensor) record.
@@ -196,7 +191,7 @@ def _sparse_to_dict(sparse: SparseTraffic) -> dict:
     records = []
     for (level, tensor), actions in sparse.actions.items():
         entry = {"level": level, "tensor": tensor}
-        for channel in _ACTION_CHANNELS:
+        for channel in ACTION_CHANNELS:
             entry[channel] = _breakdown_to_dict(getattr(actions, channel))
         for name in _SPARSE_SCALARS:
             entry[name] = getattr(actions, name)
@@ -212,7 +207,7 @@ def _sparse_from_dict(data: dict) -> SparseTraffic:
     actions = {}
     for entry in data["actions"]:
         rec = LevelTensorActions(tensor=entry["tensor"], level=entry["level"])
-        for channel in _ACTION_CHANNELS:
+        for channel in ACTION_CHANNELS:
             setattr(rec, channel, _breakdown_from_dict(entry[channel]))
         for name in _SPARSE_SCALARS:
             setattr(rec, name, entry[name])
@@ -290,24 +285,95 @@ def _usage_from_list(entries: list[dict]) -> dict[str, LevelUsage]:
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class EvaluationResult(SerializableResult):
-    """Processing speed, energy, and traffic for one evaluation."""
+    """Processing speed, energy, and traffic for one evaluation.
+
+    An engine result reads its :class:`~repro.micro.record.
+    EvaluationRecord`: ``cycles``, ``energy_pj``, ``edp`` and the
+    ``"summary"`` projection come straight from the record's buffer,
+    and ``sparse``, ``usage``, ``latency`` and ``energy`` are built from
+    it on first access and kept on this result. They are this result's
+    own objects, so mutating them changes no other result and no
+    cache entry. A deserialized result (:meth:`from_dict`) has no
+    record and carries the objects themselves. ``==`` compares the
+    names, the dense analysis and those four objects, whichever form
+    holds them.
+    """
 
     design_name: str
     workload_name: str
     dense: DenseTraffic
-    sparse: SparseTraffic
-    latency: LatencyResult
-    energy: EnergyResult
-    usage: dict[str, LevelUsage] = field(default_factory=dict)
+    record: EvaluationRecord | None = field(default=None, repr=False)
+    _sparse: SparseTraffic | None = field(default=None, repr=False)
+    _usage: dict[str, LevelUsage] | None = field(default=None, repr=False)
+    _latency: LatencyResult | None = field(default=None, repr=False)
+    _energy: EnergyResult | None = field(default=None, repr=False)
+
+    @property
+    def sparse(self) -> SparseTraffic:
+        if self._sparse is None:
+            self._sparse = unpack_sparse(
+                self.record.layout.slots, self.record.values
+            )
+        return self._sparse
+
+    @property
+    def usage(self) -> dict[str, LevelUsage]:
+        if self._usage is None:
+            self._usage = usage_view(self.record.layout, self.record.values)
+        return self._usage
+
+    @property
+    def latency(self) -> LatencyResult:
+        if self._latency is None:
+            self._latency = latency_view(self.record.layout, self.record.values)
+        return self._latency
+
+    @property
+    def energy(self) -> EnergyResult:
+        if self._energy is None:
+            self._energy = energy_view(self.record.layout, self.record.values)
+        return self._energy
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvaluationResult):
+            return NotImplemented
+        return (
+            self.design_name,
+            self.workload_name,
+            self.dense,
+            self.sparse,
+            self.latency,
+            self.energy,
+            self.usage,
+        ) == (
+            other.design_name,
+            other.workload_name,
+            other.dense,
+            other.sparse,
+            other.latency,
+            other.energy,
+            other.usage,
+        )
+
+    def __getstate__(self) -> dict:
+        # Objects built from a record are rebuilt on demand, not shipped.
+        state = dict(self.__dict__)
+        if self.record is not None:
+            state.update(_sparse=None, _usage=None, _latency=None, _energy=None)
+        return state
 
     @property
     def cycles(self) -> float:
+        if self.record is not None:
+            return self.record.cycles
         return self.latency.cycles
 
     @property
     def energy_pj(self) -> float:
+        if self.record is not None:
+            return self.record.energy_pj
         return self.energy.total_pj
 
     @property
@@ -402,8 +468,9 @@ class EvaluationResult(SerializableResult):
         """Rebuild a result from :meth:`to_dict` output.
 
         The reconstructed result reproduces every serialized number
-        bit-exactly; the ``dense.workload`` / ``dense.arch`` input
-        back-references (not part of the schema) come back ``None``.
+        bit-exactly and carries its objects (it has no record); the
+        ``dense.workload`` / ``dense.arch`` input back-references (not
+        part of the schema) come back ``None``.
         """
         def build() -> "EvaluationResult":
             mapping = (
@@ -415,10 +482,10 @@ class EvaluationResult(SerializableResult):
                 design_name=data["design"],
                 workload_name=data["workload"],
                 dense=_dense_from_dict(data["dense"], mapping),
-                sparse=_sparse_from_dict(data["sparse"]),
-                latency=_latency_from_dict(data["latency"]),
-                energy=_energy_from_dict(data["energy"]),
-                usage=_usage_from_list(data["usage"]),
+                _sparse=_sparse_from_dict(data["sparse"]),
+                _latency=_latency_from_dict(data["latency"]),
+                _energy=_energy_from_dict(data["energy"]),
+                _usage=_usage_from_list(data["usage"]),
             )
 
         return cls._rebuild(data, "evaluation", build)

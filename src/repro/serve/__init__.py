@@ -8,9 +8,6 @@ from different clients micro-batch into single stacked engine passes.
 the Session surface. See ``docs/serving.md``.
 """
 
-from repro.serve.client import RemoteHandle, RemoteSession, connect
-from repro.serve.server import ReproServer, ServeConfig
-
 __all__ = [
     "connect",
     "RemoteSession",
@@ -18,3 +15,23 @@ __all__ = [
     "ReproServer",
     "ServeConfig",
 ]
+
+#: Where each public name lives. They load on first access, so
+#: importing the wire protocol alone (``repro.serve.protocol``) does not
+#: load the client, the daemon, or asyncio and ssl with them.
+_HOMES = {
+    "connect": "client",
+    "RemoteSession": "client",
+    "RemoteHandle": "client",
+    "ReproServer": "server",
+    "ServeConfig": "server",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

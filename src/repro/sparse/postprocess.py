@@ -21,9 +21,11 @@ arithmetic to an *emitter*:
   is the equivalence oracle, selected with
   ``analyze_sparse(..., vectorized=False)``.
 * :class:`_Resolver` with :class:`_BatchEmitter` records every flow of
-  the whole loop nest and evaluates all of them in one set of
-  elementwise numpy operations at flush time, then scatters the
-  results back in emission order.
+  the whole loop nest into :class:`_SlotTable` slots and evaluates all
+  of them in one set of elementwise numpy operations at flush time,
+  then scatters the results into flat accumulators in emission order:
+  the record action part (:mod:`repro.sparse.traffic`), with no
+  :class:`~repro.sparse.traffic.LevelTensorActions` built.
 * :class:`_PlanBuilder` is both resolver and emitter: it records which
   query and which row each answer would come from, and the result is a
   :class:`SparsePlan`.
@@ -40,11 +42,17 @@ stored column-wise and the scatter replays per-accumulator emission
 order, one :class:`_BatchEmitter` can record the flows of **many**
 analyses — e.g. every surviving candidate mapping of one mapspace
 search block — and evaluate them all in a single stacked numpy pass.
-:func:`analyze_sparse_batch` does exactly that: each analysis occupies
-a contiguous segment of the batch columns, elementwise float64
-operations are position-independent, and the per-candidate scatter
-preserves each accumulator's addition order, so the stacked results
-are bit-identical to running :func:`analyze_sparse` once per analysis.
+:func:`sparse_actions_batch` does exactly that: each analysis owns its
+own accumulators, elementwise float64 operations are
+position-independent, and the scatter preserves each accumulator's
+addition order, so the stacked results are bit-identical to running
+:func:`sparse_actions` once per analysis.
+
+The engine takes the record action part (:func:`sparse_actions`,
+:func:`sparse_actions_batch`); :func:`analyze_sparse` and
+:func:`analyze_sparse_batch` return it as
+:class:`~repro.sparse.traffic.SparseTraffic` objects (the oracle's
+directly).
 
 Planned walk
 ------------
@@ -56,7 +64,7 @@ mapping, SAFs); only the probabilities depend on densities. A
 recording walk (:meth:`SparsePlan.build`), with each slot's tile format
 compiled into per-rank integers
 (:func:`~repro.sparse.format_analyzer.compile_tile_format`). Evaluating
-it (``analyze_sparse(dense, safs, plan=plan)``) answers one value table
+it (:meth:`SparsePlan.evaluate`) answers one value table
 of density queries — densities, leader tiles' P(nonempty), and the
 format ranks' P(nonempty) and tile quantiles — computes each slot's
 format scalings with the format analyzer's own per-rank loop and
@@ -71,9 +79,9 @@ resolving formats through
 :func:`~repro.sparse.format_analyzer.analyze_tile_format` and its
 stage, whose flat tuple it hands to the same ``format_scalars``.
 
-:func:`sparse_analysis_key` derives the content key under which a whole
-:class:`~repro.sparse.traffic.SparseTraffic` is memoised by the
-engine's ``"sparse"`` cache stage (see :mod:`repro.common.cache`).
+:func:`sparse_analysis_key` derives the content key under which the
+engine's ``"sparse"`` cache stage memoises a whole evaluation record
+(see :mod:`repro.common.cache`).
 """
 
 from __future__ import annotations
@@ -104,8 +112,10 @@ from repro.sparse.gating_skipping import (
 from repro.sparse.saf import SAFSpec
 from repro.sparse.traffic import (
     ActionBreakdown,
-    LevelTensorActions,
     SparseTraffic,
+    pack_sparse,
+    split_components,
+    unpack_sparse,
 )
 from repro.workload.einsum import TensorRef
 from repro.workload.spec import Workload
@@ -330,9 +340,7 @@ def _set_compute(
     sparse.compute_fractions = (actual, gated, skipped)
 
 
-def _set_occupancy(
-    actions: LevelTensorActions, info: _LevelFormatInfo
-) -> None:
+def _set_occupancy(actions, info: _LevelFormatInfo) -> None:
     actions.occupancy_words = info.occupancy_words
     actions.worst_occupancy_words = info.worst_occupancy_words
     actions.compression_rate = info.compression_rate
@@ -387,14 +395,98 @@ def _split_columns(data_skip, data_gate, meta_bulk, meta_pos) -> list[tuple]:
     return results
 
 
+def _scatter(results: list[tuple], order, size: int) -> list[float]:
+    """Replay ``order``'s ``(tag, row, target)*`` triples into ``size``
+    zeroed accumulators: each target takes its row's actual, gated and
+    skipped at ``target``, ``target + 1`` and ``target + 2``, adding in
+    emission order, as the scalar oracle's breakdowns do."""
+    acc = [0.0] * size
+    entries = iter(order)
+    for tag, row, target in zip(entries, entries, entries):
+        a, g, s = results[tag]
+        acc[target] += a[row]
+        acc[target + 1] += g if isinstance(g, float) else g[row]
+        acc[target + 2] += s if isinstance(s, float) else s[row]
+    return acc
+
+
+class _Slot:
+    """One ``(level, tensor)`` slot of the stacked walk and the plan
+    builder, standing in for :class:`LevelTensorActions`: each channel
+    is the accumulator index of its actual count (gated and skipped
+    follow it), the scalars are plain attributes."""
+
+    __slots__ = (
+        "level", "tensor", "index",
+        "data_reads", "data_writes", "metadata_reads", "metadata_writes",
+        "occupancy_words", "worst_occupancy_words", "compression_rate",
+        "intersection_checks",
+    )
+
+    def __init__(self, level: str, tensor: str, index: int, target: int):
+        self.level = level
+        self.tensor = tensor
+        self.index = index
+        self.data_reads = target
+        self.data_writes = target + 3
+        self.metadata_reads = target + 6
+        self.metadata_writes = target + 9
+        self.occupancy_words = 0.0
+        self.worst_occupancy_words = 0.0
+        self.compression_rate = 1.0
+        self.intersection_checks = 0.0
+
+
+#: Accumulators per slot: 4 channels x (actual, gated, skipped), in the
+#: record's slot-row order.
+_SLOT_ACCUMULATORS = 12
+
+
+class _SlotTable:
+    """The walk's result slots in first-``at()`` order, allocating
+    accumulators from ``start`` on, so one emitter can stack the walks
+    of many analyses. ``compute`` is ``(dense computes, actual, gated,
+    skipped)``."""
+
+    __slots__ = ("slots", "end", "compute")
+
+    def __init__(self, start: int = 0):
+        self.slots: dict[tuple[str, str], _Slot] = {}
+        self.end = start
+        self.compute: tuple | None = None
+
+    def at(self, level: str, tensor: str) -> _Slot:
+        slot = self.slots.get((level, tensor))
+        if slot is None:
+            slot = self.slots[level, tensor] = _Slot(
+                level, tensor, len(self.slots), self.end
+            )
+            self.end += _SLOT_ACCUMULATORS
+        return slot
+
+    def actions(self, acc: list[float]) -> tuple[tuple[str, ...], list[float]]:
+        """The record action part (:mod:`repro.sparse.traffic`) from
+        the flushed accumulators."""
+        computes, actual, gated, skipped = self.compute
+        values = [*split_components(computes, actual, gated), actual, gated, skipped]
+        keys: list[str] = []
+        for slot in self.slots.values():
+            keys += (slot.level, slot.tensor)
+            values += acc[slot.data_reads : slot.data_reads + _SLOT_ACCUMULATORS]
+            values += (
+                slot.occupancy_words,
+                slot.worst_occupancy_words,
+                slot.compression_rate,
+                slot.intersection_checks,
+            )
+        return tuple(keys), values
+
+
 class _Emitter:
     """The effects both oracle emitters apply on the spot: they touch
     accumulators nothing else adds to in between."""
 
     __slots__ = ()
-
-    def compute(self, sparse, computes, cls):
-        _set_compute(sparse, computes, cls.actual, cls.gated, cls.skipped)
 
     def checks(self, actions, count):
         actions.intersection_checks += count
@@ -412,9 +504,13 @@ class _Emitter:
 
 
 class _ScalarEmitter(_Emitter):
-    """Immediate per-flow arithmetic — the equivalence oracle."""
+    """Immediate per-flow arithmetic into the walk's
+    :class:`SparseTraffic` objects — the equivalence oracle."""
 
     __slots__ = ()
+
+    def compute(self, sparse, computes, cls):
+        _set_compute(sparse, computes, cls.actual, cls.gated, cls.skipped)
 
     def data(self, breakdown, total, cls, info, residue="skip"):
         breakdown.add(_data_split(total, cls, info.payload_fraction, residue))
@@ -430,26 +526,25 @@ class _ScalarEmitter(_Emitter):
             ActionBreakdown(actual=actual, gated=gated, skipped=skipped)
         )
 
-    def flush(self):
-        pass
-
 
 class _BatchEmitter(_Emitter):
-    """Deferred arithmetic: one numpy evaluation for the whole nest.
+    """Deferred arithmetic: one numpy evaluation for many walks.
 
-    Rows are stored column-wise in per-formula sub-batches; ``flush``
-    evaluates each formula with elementwise float64 operations that
-    mirror the scalar helpers operation for operation, then scatters
-    results back in emission order so per-accumulator addition order
-    matches the scalar path exactly (bit-identical results).
+    Walks record into :class:`_SlotTable` slots whose channels are
+    accumulator indices. Rows are stored column-wise in per-formula
+    sub-batches; ``flush`` evaluates each formula with elementwise
+    float64 operations that mirror the scalar helpers operation for
+    operation, then scatters the results into flat accumulators in
+    emission order, so per-accumulator addition order matches the
+    scalar path exactly (bit-identical results).
     """
 
     __slots__ = ("order", "batches")
 
     def __init__(self):
-        #: (tag, row index within sub-batch, target breakdown), in
+        #: (tag, row index within sub-batch, target accumulator)*, in
         #: emission order — the scatter replays this sequence.
-        self.order: list[tuple[int, int, ActionBreakdown]] = []
+        self.order: list[int] = []
         self.batches = (
             ([], [], [], []),  # _DATA_SKIP: t, fa, fg, payload
             ([], [], [], []),  # _DATA_GATE: t, fa, fg, payload
@@ -458,50 +553,55 @@ class _BatchEmitter(_Emitter):
             ([], [], []),  # _RAW: actual, gated, skipped
         )
 
-    def data(self, breakdown, total, cls, info, residue="skip"):
+    def compute(self, table, computes, cls):
+        table.compute = (computes, cls.actual, cls.gated, cls.skipped)
+
+    def data(self, target, total, cls, info, residue="skip"):
         tag = _DATA_GATE if residue == "gate" else _DATA_SKIP
         t, fa, fg, p = self.batches[tag]
-        self.order.append((tag, len(t), breakdown))
+        self.order += (tag, len(t), target)
         t.append(total)
         fa.append(cls.actual)
         fg.append(cls.gated)
         p.append(info.payload_fraction)
 
-    def metadata(self, breakdown, total_dense, cls, info, positional=False):
+    def metadata(self, target, total_dense, cls, info, positional=False):
         if positional:
             t, w = self.batches[_META_POS]
-            self.order.append((_META_POS, len(t), breakdown))
+            self.order += (_META_POS, len(t), target)
             t.append(total_dense)
             w.append(info.metadata_words_per_element)
             return
         t, fa, fg, fs, w = self.batches[_META_BULK]
-        self.order.append((_META_BULK, len(t), breakdown))
+        self.order += (_META_BULK, len(t), target)
         t.append(total_dense)
         fa.append(cls.actual)
         fg.append(cls.gated)
         fs.append(cls.skipped)
         w.append(info.metadata_words_per_element)
 
-    def split(self, breakdown, total, cls):
+    def split(self, target, total, cls):
         # total * f * 1.0 is IEEE-identical to total * f, so a plain
         # fraction split is a data split with unit payload.
         t, fa, fg, p = self.batches[_DATA_SKIP]
-        self.order.append((_DATA_SKIP, len(t), breakdown))
+        self.order += (_DATA_SKIP, len(t), target)
         t.append(total)
         fa.append(cls.actual)
         fg.append(cls.gated)
         p.append(1.0)
 
-    def raw(self, breakdown, actual, gated, skipped):
+    def raw(self, target, actual, gated, skipped):
         a, g, s = self.batches[_RAW]
-        self.order.append((_RAW, len(a), breakdown))
+        self.order += (_RAW, len(a), target)
         a.append(actual)
         g.append(gated)
         s.append(skipped)
 
-    def flush(self):
+    def flush(self, size: int) -> list[float]:
+        """Evaluate every recorded row and return the ``size``
+        accumulators they scatter into."""
         if not self.order:
-            return
+            return [0.0] * size
         asarray = np.asarray
         results = _split_columns(
             *(
@@ -512,14 +612,7 @@ class _BatchEmitter(_Emitter):
             )
         )
         results.append(self.batches[_RAW])
-        # The replay preserves per-accumulator addition order.
-        for tag, row, breakdown in self.order:
-            a, g, s = results[tag]
-            breakdown.add_components(
-                a[row],
-                g if isinstance(g, float) else g[row],
-                s if isinstance(s, float) else s[row],
-            )
+        return _scatter(results, self.order, size)
 
 
 # ----------------------------------------------------------------------
@@ -606,16 +699,14 @@ def analyze_sparse(
     module default follows :data:`VECTORIZED_DEFAULT`. ``plan``, a
     :class:`SparsePlan` built for ``dense``'s einsum, architecture and
     mapping and for ``safs``, replaces the walk with an evaluation of
-    the plan at ``dense.workload``'s densities (same result).
+    the plan at ``dense.workload``'s densities (same result). The fast
+    paths build the objects from :func:`sparse_actions`' record.
     """
-    if plan is not None:
-        return plan.evaluate(dense.workload, safs)
     if vectorized is None:
         vectorized = VECTORIZED_DEFAULT
-    emitter = _BatchEmitter() if vectorized else _ScalarEmitter()
-    sparse = _record_sparse(dense, safs, emitter)
-    emitter.flush()
-    return sparse
+    if plan is None and not vectorized:
+        return _scalar_walk(dense, safs)
+    return unpack_sparse(*sparse_actions(dense, safs, plan=plan))
 
 
 def analyze_sparse_batch(
@@ -624,17 +715,51 @@ def analyze_sparse_batch(
     vectorized: bool | None = None,
     memo: dict | None = None,
 ) -> list[SparseTraffic]:
-    """Run the sparse modeling step for many analyses in one pass.
+    """:func:`analyze_sparse` over many ``(dense, safs)`` pairs in one
+    pass (:func:`sparse_actions_batch`), bit-identical to calling it
+    once per pair."""
+    if vectorized is None:
+        vectorized = VECTORIZED_DEFAULT
+    if not vectorized:
+        return [_scalar_walk(dense, safs) for dense, safs in jobs]
+    return [
+        unpack_sparse(*actions)
+        for actions in sparse_actions_batch(jobs, memo=memo)
+    ]
+
+
+def sparse_actions(
+    dense: DenseTraffic,
+    safs: SAFSpec,
+    *,
+    vectorized: bool | None = None,
+    plan: SparsePlan | None = None,
+) -> tuple[tuple[str, ...], list[float]]:
+    """The sparse modeling step as the record's action part: flat
+    ``(level, tensor)*`` slot keys and the float row
+    (:mod:`repro.sparse.traffic`). ``vectorized`` and ``plan`` as for
+    :func:`analyze_sparse`; the scalar oracle's objects are packed by
+    :func:`~repro.sparse.traffic.pack_sparse`."""
+    if plan is not None:
+        return plan.evaluate(dense.workload, safs)
+    return sparse_actions_batch([(dense, safs)], vectorized=vectorized)[0]
+
+
+def sparse_actions_batch(
+    jobs,
+    *,
+    vectorized: bool | None = None,
+    memo: dict | None = None,
+) -> list[tuple[tuple[str, ...], list[float]]]:
+    """:func:`sparse_actions` for many analyses in one pass.
 
     ``jobs`` is a sequence of ``(dense, safs)`` pairs — typically the
     surviving candidate mappings of one mapspace-search block. Under
     the vectorized backend every analysis records its flows into one
     shared :class:`_BatchEmitter` and a single flush evaluates the
-    stacked arrays; each analysis owns a contiguous segment of the
-    batch, so the scatter preserves per-candidate accumulation order
-    and the results are bit-identical to calling :func:`analyze_sparse`
-    once per pair (the equivalence oracle, which the scalar backend
-    falls back to directly).
+    stacked arrays; each analysis owns its own accumulators, so the
+    scatter preserves per-candidate accumulation order and the results
+    are bit-identical to one call per pair, and to the scalar oracle.
 
     ``memo`` is an optional *cross-call* walk memo: candidates of one
     mapspace search re-derive the same leader-keep probabilities,
@@ -650,29 +775,37 @@ def analyze_sparse_batch(
     if vectorized is None:
         vectorized = VECTORIZED_DEFAULT
     if not vectorized:
-        return [
-            analyze_sparse(dense, safs, vectorized=False)
-            for dense, safs in jobs
-        ]
+        return [pack_sparse(_scalar_walk(dense, safs)) for dense, safs in jobs]
     emitter = _BatchEmitter()
-    results = [
-        _record_sparse(dense, safs, emitter, memo=memo)
-        for dense, safs in jobs
-    ]
-    emitter.flush()
-    return results
+    tables = []
+    end = 0
+    for dense, safs in jobs:
+        table = _SlotTable(end)
+        _record_walk(dense, safs, emitter, table, memo)
+        end = table.end
+        tables.append(table)
+    acc = emitter.flush(end)
+    return [table.actions(acc) for table in tables]
 
 
-def _record_sparse(
-    dense: DenseTraffic, safs: SAFSpec, emitter, memo: dict | None = None
-) -> SparseTraffic:
+def _scalar_walk(dense: DenseTraffic, safs: SAFSpec) -> SparseTraffic:
+    """The equivalence oracle: the walk with scalar arithmetic."""
+    sparse = SparseTraffic()
+    _record_walk(dense, safs, _ScalarEmitter(), sparse)
+    return sparse
+
+
+def _record_walk(
+    dense: DenseTraffic, safs: SAFSpec, emitter, sparse, memo: dict | None = None
+) -> None:
     """The walk with every query resolved on the spot, describing its
-    split arithmetic to ``emitter``. The caller owns the flush, which
-    lets one batch emitter stack many walks."""
+    split arithmetic to ``emitter`` and its slots to ``sparse``. The
+    caller owns any flush, which lets one batch emitter stack many
+    walks."""
     ensure_output_density(dense.workload)
     analyzer = GatingSkippingAnalyzer(dense, safs, shared=memo)
     resolver = _Resolver(dense, safs, analyzer, memo)
-    return _walk(dense, analyzer, resolver, emitter, SparseTraffic())
+    _walk(dense, analyzer, resolver, emitter, sparse)
 
 
 def _walk(
@@ -680,11 +813,13 @@ def _walk(
     analyzer: GatingSkippingAnalyzer,
     resolver,
     emitter,
-    sparse: SparseTraffic,
-) -> SparseTraffic:
+    sparse,
+) -> None:
     """Classify every (level, tensor) flow: the one description of the
     sparse step that the oracle, the stacked walk and the plan builder
-    share. Slots enter ``sparse`` in the order of its ``at()`` calls."""
+    share. ``sparse`` is the oracle's :class:`SparseTraffic` or a
+    :class:`_SlotTable`; slots enter it in the order of its ``at()``
+    calls."""
     emitter.compute(sparse, dense.computes, resolver.compute_class())
     for tensor in dense.workload.einsum.tensors:
         chain = dense.mapping.keep_chain(tensor.name)
@@ -695,7 +830,6 @@ def _walk(
     for level, name in dense.traffic:
         info = resolver.fmt(level, name)
         emitter.occupancy(sparse.at(level, name), info)
-    return sparse
 
 
 def _process_operand(
@@ -869,9 +1003,9 @@ class _PlanBuilder:
     into the slot table (every slot is a dense (level, tensor) pair,
     and so is every format query) — and every emitted row a ``(total,
     class, format)`` triple in its tag's columns, with its target
-    accumulator (``4 * slot + field``) in the scatter order. Freezing
-    the record compiles each slot's tile format and adds its density
-    queries to the value table.
+    accumulator (the slot's, see :class:`_Slot`) in the scatter order.
+    Freezing the record compiles each slot's tile format and adds its
+    density queries to the value table.
     """
 
     def __init__(
@@ -879,25 +1013,23 @@ class _PlanBuilder:
         dense: DenseTraffic,
         safs: SAFSpec,
         analyzer: GatingSkippingAnalyzer,
-        sparse: SparseTraffic,
+        table: _SlotTable,
     ):
         self.dense = dense
         self.safs = safs
         self.analyzer = analyzer
-        self.sparse = sparse
+        self.table = table
         #: ``(tensor, kind, argument)`` -> value index.
         self.values: dict[tuple, int] = {}
         self.classes: dict[tuple[int, ...], int] = {}
         self.formats: dict[tuple[str, str], _FormatHandle] = {}
         #: Per tag, ``(total, class, format handle)`` rows.
         self.rows: tuple[list, ...] = ([], [], [], [])
-        #: ``(tag, row, target)`` in emission order.
-        self.order: list[tuple[int, int, int]] = []
+        #: ``(tag, row, target)*`` in emission order.
+        self.order: list[int] = []
         self.raw: list[tuple] = []
         self.check_terms: list[tuple] = []
         self.compute_term: tuple[float, int] | None = None
-        self._slots: dict[int, int] = {}
-        self._targets: dict[int, int] = {}
 
     # Resolver side --------------------------------------------------
 
@@ -943,67 +1075,45 @@ class _PlanBuilder:
 
     # Emitter side ---------------------------------------------------
 
-    def _index(self, table: dict[int, int], obj) -> int:
-        index = table.get(id(obj))
-        if index is None:
-            # A slot the walk created since the last scan.
-            for slot, actions in enumerate(self.sparse.actions.values()):
-                self._slots[id(actions)] = slot
-                for field, breakdown in enumerate(
-                    (
-                        actions.data_reads,
-                        actions.data_writes,
-                        actions.metadata_reads,
-                        actions.metadata_writes,
-                    )
-                ):
-                    self._targets[id(breakdown)] = 4 * slot + field
-            index = table[id(obj)]
-        return index
-
-    def _row(self, tag: int, breakdown, total, cls: int, info) -> None:
+    def _row(self, tag: int, target: int, total, cls: int, info) -> None:
         rows = self.rows[tag]
-        target = self._index(self._targets, breakdown)
-        self.order.append((tag, len(rows), target))
+        self.order += (tag, len(rows), target)
         rows.append((total, cls, info))
 
-    def compute(self, sparse, computes, cls):
+    def compute(self, table, computes, cls):
         self.compute_term = (computes, cls)
 
     def checks(self, actions, count):
-        slot = self._index(self._slots, actions)
-        self.check_terms.append((slot, count, -1, -1))
+        self.check_terms.append((actions.index, count, -1, -1))
 
     def walked_checks(self, actions, feed, own_density, leader_density):
-        slot = self._index(self._slots, actions)
-        self.check_terms.append((slot, feed, own_density, leader_density))
+        self.check_terms.append((actions.index, feed, own_density, leader_density))
 
-    def rmw(self, breakdown, updates, rmw, cls):
-        target = self._index(self._targets, breakdown)
-        self.order.append((_RAW, len(self.raw), target))
+    def rmw(self, target, updates, rmw, cls):
+        self.order += (_RAW, len(self.raw), target)
         self.raw.append((updates, rmw, cls))
 
     def occupancy(self, actions, info):
         # Every slot takes its own format's occupancy (see ``_walk``).
         assert info.key == (actions.level, actions.tensor)
 
-    def data(self, breakdown, total, cls, info, residue="skip"):
+    def data(self, target, total, cls, info, residue="skip"):
         tag = _DATA_GATE if residue == "gate" else _DATA_SKIP
-        self._row(tag, breakdown, total, cls, info)
+        self._row(tag, target, total, cls, info)
 
-    def metadata(self, breakdown, total_dense, cls, info, positional=False):
+    def metadata(self, target, total_dense, cls, info, positional=False):
         if positional:
-            self._row(_META_POS, breakdown, total_dense, 0, info)
+            self._row(_META_POS, target, total_dense, 0, info)
         else:
-            self._row(_META_BULK, breakdown, total_dense, cls, info)
+            self._row(_META_BULK, target, total_dense, cls, info)
 
-    def split(self, breakdown, total, cls):
-        self._row(_DATA_SKIP, breakdown, total, cls, None)
+    def split(self, target, total, cls):
+        self._row(_DATA_SKIP, target, total, cls, None)
 
     def plan(self) -> SparsePlan:
         """Freeze the record into GC-light fields: flat tuples of
         atomics, tuples of such tuples, and numpy arrays."""
-        keys = list(self.sparse.actions)
+        keys = list(self.table.slots)
         slot_of = {key: slot for slot, key in enumerate(keys)}
         dense = self.dense
         formats = []
@@ -1064,7 +1174,7 @@ class _PlanBuilder:
             compute=self.compute_term,
             columns=tuple(columns),
             raw=tuple([item for term in self.raw for item in term]),
-            order=tuple([item for entry in self.order for item in entry]),
+            order=tuple(self.order),
             checks=tuple([item for term in self.check_terms for item in term]),
         )
 
@@ -1104,7 +1214,7 @@ class SparsePlan:
     * ``columns``: per split tag, ``(dense totals, class indices,
       format indices)`` arrays, or three ``None``;
     * ``raw``: ``(updates, rmw reads, class)*`` read-modify-write terms;
-    * ``order``: the scatter, ``(tag, row, 4 * slot + field)*``;
+    * ``order``: the scatter, ``(tag, row, 12 * slot + 3 * channel)*``;
     * ``checks``: ``(slot, value, own, leader)*`` intersection-check
       terms, a constant ``value`` when ``own`` is ``-1``, else a feed
       walked at the ``own`` and ``leader`` density values.
@@ -1133,14 +1243,17 @@ class SparsePlan:
         """Record the walk over ``dense``'s flows under ``safs``. Reads
         no density model."""
         analyzer = GatingSkippingAnalyzer(dense, safs)
-        sparse = SparseTraffic()
-        builder = _PlanBuilder(dense, safs, analyzer, sparse)
-        _walk(dense, analyzer, builder, builder, sparse)
+        table = _SlotTable()
+        builder = _PlanBuilder(dense, safs, analyzer, table)
+        _walk(dense, analyzer, builder, builder, table)
         return builder.plan()
 
-    def evaluate(self, workload: Workload, safs: SAFSpec) -> SparseTraffic:
-        """The sparse traffic at ``workload``'s densities (``safs``
-        must be the plan's SAF content)."""
+    def evaluate(
+        self, workload: Workload, safs: SAFSpec
+    ) -> tuple[tuple[str, ...], list[float]]:
+        """The record action part (:func:`sparse_actions`) at
+        ``workload``'s densities (``safs`` must be the plan's SAF
+        content)."""
         ensure_output_density(workload)
         density_of = workload.density_of
         shapes = self.shapes
@@ -1220,18 +1333,8 @@ class SparsePlan:
                 column.append(value)
         results.append(raw)
 
-        # Replay the scatter into plain accumulators: the same additions
-        # in the same order as the batch flush's add_components.
-        count = 4 * len(slots)
-        acc_a = [0.0] * count
-        acc_g = [0.0] * count
-        acc_s = [0.0] * count
-        entries = iter(self.order)
-        for tag, row, target in zip(entries, entries, entries):
-            a, g, s = results[tag]
-            acc_a[target] += a[row]
-            acc_g[target] += g if isinstance(g, float) else g[row]
-            acc_s[target] += s if isinstance(s, float) else s[row]
+        # The same additions in the same order as the batch flush.
+        acc = _scatter(results, self.order, _SLOT_ACCUMULATORS * len(slots))
         checks = [0.0] * len(slots)
         terms = iter(self.checks)
         for slot, value, own, leader in zip(terms, terms, terms, terms):
@@ -1242,22 +1345,11 @@ class SparsePlan:
                     value, values[own], values[leader]
                 )
 
-        sparse = SparseTraffic()
-        for slot, key in enumerate(slots):
-            i = 4 * slot
-            _, _, occupancy, worst_occupancy, compression_rate = tiles[slot]
-            sparse.actions[key] = LevelTensorActions(
-                key[1],
-                key[0],
-                ActionBreakdown(acc_a[i], acc_g[i], acc_s[i]),
-                ActionBreakdown(acc_a[i + 1], acc_g[i + 1], acc_s[i + 1]),
-                ActionBreakdown(acc_a[i + 2], acc_g[i + 2], acc_s[i + 2]),
-                ActionBreakdown(acc_a[i + 3], acc_g[i + 3], acc_s[i + 3]),
-                occupancy,
-                worst_occupancy,
-                compression_rate,
-                checks[slot],
-            )
         computes, cls = self.compute
-        _set_compute(sparse, computes, actual[cls], gated[cls], skipped[cls])
-        return sparse
+        a, g, s = actual[cls], gated[cls], skipped[cls]
+        out = [*split_components(computes, a, g), a, g, s]
+        for slot, tile in enumerate(tiles):
+            start = _SLOT_ACCUMULATORS * slot
+            out += acc[start : start + _SLOT_ACCUMULATORS]
+            out += (tile[2], tile[3], tile[4], checks[slot])
+        return self.slots, out

@@ -116,9 +116,17 @@ def skip_compute(conditioned_on=()) -> ComputeSAF:
 
 
 def _tupled(value) -> tuple[str, ...]:
+    """A tensor name, or a list or tuple of names, as a tuple of names;
+    anything else is a :class:`SpecError`."""
     if isinstance(value, str):
         return (value,)
-    return tuple(value)
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(name, str) for name in value
+    ):
+        return tuple(value)
+    raise SpecError(
+        f"must be a tensor name or a list of tensor names, got {value!r}"
+    )
 
 
 @dataclass

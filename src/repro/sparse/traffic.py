@@ -4,11 +4,50 @@ The sparse modeling step decomposes every dense traffic number into
 three fine-grained action types: *actual* (happened, full cost),
 *gated* (unit idles: cycle spent, energy saved) and *skipped* (cycle
 and energy saved). Data and metadata accesses are tracked separately.
+
+The engine keeps these counts as the *action part* of one flat float
+record per evaluation (:mod:`repro.micro.record`): the compute split
+and its fractions (:data:`COMPUTE_WIDTH` floats), then one row of
+:data:`SLOT_WIDTH` floats per ``(level, tensor)`` slot — the four
+channels' actual/gated/skipped counts in :data:`ACTION_CHANNELS` order,
+then the occupancy, worst-case occupancy, compression rate and
+intersection checks. The sparse step's fast paths write that part
+directly; :func:`pack_sparse` packs the scalar oracle's objects into
+it, and :func:`unpack_sparse` builds the objects back from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: The four action-breakdown channels of one (level, tensor) slot, in
+#: record order.
+ACTION_CHANNELS = (
+    "data_reads",
+    "data_writes",
+    "metadata_reads",
+    "metadata_writes",
+)
+
+#: Floats of the compute part: actual, gated, skipped, then the three
+#: compute fractions.
+COMPUTE_WIDTH = 6
+
+#: Floats per slot: 4 channels x (actual, gated, skipped), then
+#: occupancy, worst-case occupancy, compression rate, intersection checks.
+SLOT_WIDTH = 16
+
+#: Offsets of the four scalars within a slot row.
+OCCUPANCY, WORST_OCCUPANCY, COMPRESSION_RATE, INTERSECTION_CHECKS = range(12, 16)
+
+
+def split_components(
+    total: float, actual_frac: float, gated_frac: float
+) -> tuple[float, float, float]:
+    """``total`` split by fractions; the remainder is skipped."""
+    actual = total * actual_frac
+    gated = total * gated_frac
+    return actual, gated, max(0.0, total - actual - gated)
 
 
 @dataclass(slots=True)
@@ -38,15 +77,6 @@ class ActionBreakdown:
         self.gated += other.gated
         self.skipped += other.skipped
 
-    def add_components(
-        self, actual: float, gated: float, skipped: float
-    ) -> None:
-        """Accumulate raw components without building an intermediate
-        :class:`ActionBreakdown` (the vectorized scatter path)."""
-        self.actual += actual
-        self.gated += gated
-        self.skipped += skipped
-
     def scaled(self, factor: float) -> "ActionBreakdown":
         return ActionBreakdown(
             self.actual * factor, self.gated * factor, self.skipped * factor
@@ -57,10 +87,7 @@ class ActionBreakdown:
         cls, total: float, actual_frac: float, gated_frac: float
     ) -> "ActionBreakdown":
         """Split ``total`` by fractions; the remainder is skipped."""
-        actual = total * actual_frac
-        gated = total * gated_frac
-        skipped = max(0.0, total - actual - gated)
-        return cls(actual, gated, skipped)
+        return cls(*split_components(total, actual_frac, gated_frac))
 
 
 @dataclass(slots=True)
@@ -114,3 +141,55 @@ class SparseTraffic:
 
     def level_actions(self, level: str) -> list[LevelTensorActions]:
         return [a for (lvl, _t), a in self.actions.items() if lvl == level]
+
+
+def pack_sparse(sparse: SparseTraffic) -> tuple[tuple[str, ...], list[float]]:
+    """The record action part of ``sparse``: its flat ``(level,
+    tensor)*`` slot keys in ``actions`` order and the float row."""
+    compute = sparse.compute
+    values = [compute.actual, compute.gated, compute.skipped]
+    values += sparse.compute_fractions
+    slots: list[str] = []
+    for key, actions in sparse.actions.items():
+        slots += key
+        for channel in (
+            actions.data_reads,
+            actions.data_writes,
+            actions.metadata_reads,
+            actions.metadata_writes,
+        ):
+            values += (channel.actual, channel.gated, channel.skipped)
+        values += (
+            actions.occupancy_words,
+            actions.worst_occupancy_words,
+            actions.compression_rate,
+            actions.intersection_checks,
+        )
+    return tuple(slots), values
+
+
+def unpack_sparse(slots: tuple[str, ...], values) -> SparseTraffic:
+    """The :class:`SparseTraffic` a record action part describes: fresh
+    objects, owned by the caller."""
+    sparse = SparseTraffic(
+        compute=ActionBreakdown(values[0], values[1], values[2]),
+        compute_fractions=(values[3], values[4], values[5]),
+    )
+    actions = sparse.actions
+    i = COMPUTE_WIDTH
+    names = iter(slots)
+    for level, tensor in zip(names, names):
+        actions[level, tensor] = LevelTensorActions(
+            tensor,
+            level,
+            ActionBreakdown(values[i], values[i + 1], values[i + 2]),
+            ActionBreakdown(values[i + 3], values[i + 4], values[i + 5]),
+            ActionBreakdown(values[i + 6], values[i + 7], values[i + 8]),
+            ActionBreakdown(values[i + 9], values[i + 10], values[i + 11]),
+            values[i + 12],
+            values[i + 13],
+            values[i + 14],
+            values[i + 15],
+        )
+        i += SLOT_WIDTH
+    return sparse

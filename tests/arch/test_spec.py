@@ -36,6 +36,44 @@ class TestStorageLevel:
         with pytest.raises(SpecError):
             StorageLevel("L", word_bits=0)
 
+    @pytest.mark.parametrize("field", ["read_bandwidth", "write_bandwidth"])
+    @pytest.mark.parametrize(
+        "value", [0, -1, 0.0, float("nan"), "fast", True, [8]]
+    )
+    def test_rejects_bad_bandwidth(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            StorageLevel("L", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["instances", "word_bits", "metadata_word_bits"]
+    )
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "4", -3])
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            StorageLevel("L", **{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1, "big", False])
+    def test_rejects_bad_capacity_values(self, value):
+        with pytest.raises(SpecError, match="capacity_words"):
+            StorageLevel("L", capacity_words=value)
+
+    def test_accepted_values_are_kept_as_given(self):
+        level = StorageLevel(
+            "L", 1024, read_bandwidth=8, write_bandwidth=2.5, instances=4
+        )
+        assert level.read_bandwidth == 8 and type(level.read_bandwidth) is int
+        assert type(level.write_bandwidth) is float
+        assert StorageLevel("L", read_bandwidth=None).read_bandwidth is None
+        before = _arch().cache_key()
+        assert _arch().cache_key() == before
+
+
+class TestComputeLevel:
+    @pytest.mark.parametrize("value", [0, 0.5, True, "16"])
+    def test_rejects_bad_instances(self, value):
+        with pytest.raises(SpecError, match="instances"):
+            ComputeLevel("MAC", instances=value)
+
 
 class TestArchitecture:
     def test_level_lookup(self):

@@ -254,7 +254,7 @@ def test_family_invariants_across_a_density_pair(index, high, ratio):
     planned walk. Both conserve traffic, their energy is Σ actions ×
     ERT, and lowering density never raises actual compute. A third
     evaluation of the sparser point is one sparse-stage hit that
-    returns the very objects of the second."""
+    reads the very record of the second."""
     design, _ = _family_point(index, high)
     with Session(check_capacity=False) as session:
         dense_point = session.evaluate(*_family_point(index, high))
@@ -271,6 +271,7 @@ def test_family_invariants_across_a_density_pair(index, high, ratio):
     )
     assert (delta["sparse"]["hits"], delta["sparse"]["misses"]) == (1, 0)
     assert delta["plan"]["hits"] == delta["plan"]["misses"] == 0
-    assert again.usage is sparse_point.usage
-    assert again.latency is sparse_point.latency
-    assert again.energy is sparse_point.energy
+    assert again.record is sparse_point.record
+    assert again.usage == sparse_point.usage
+    assert again.latency == sparse_point.latency
+    assert again.energy == sparse_point.energy

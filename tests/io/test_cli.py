@@ -19,8 +19,10 @@ from repro.model.result import (
     SearchResult,
 )
 from tests.io.test_yaml_spec import (
+    BAD_ARCH_ENTRIES,
     BAD_SAF_ENTRIES,
     FULL_SPEC,
+    spec_with_bad_arch,
     spec_with_bad_safs,
 )
 
@@ -232,6 +234,22 @@ class TestFormatBoundary:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:") and needle in lines[0]
         assert "format rank" in lines[0]
+
+
+class TestArchBoundary:
+    """A bad architecture entry (a zero, negative or non-numeric
+    bandwidth, a fractional count, an unknown key, a non-mapping entry)
+    exits 2 with one ``error:`` line naming it, not a traceback or a
+    silently wrong result."""
+
+    @pytest.mark.parametrize("path,value,needle", BAD_ARCH_ENTRIES)
+    def test_bad_arch_entry_exits_2(self, tmp_path, capsys, path, value, needle):
+        spec_file = tmp_path / "arch.yaml"
+        spec_file.write_text(yaml.safe_dump(spec_with_bad_arch(path, value)))
+        assert main(["evaluate", str(spec_file), "--cold"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:") and needle in lines[0]
 
 
 class TestSAFBoundary:

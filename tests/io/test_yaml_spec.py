@@ -50,6 +50,42 @@ mapping:
 """
 
 
+#: ``(path under arch, value, text the error must contain)``.
+BAD_ARCH_ENTRIES = [
+    pytest.param(("storage", 0, "read_bandwidth"), 0, "read_bandwidth",
+                 id="zero-bandwidth"),
+    pytest.param(("storage", 1, "read_bandwidth"), -1, "read_bandwidth",
+                 id="negative-bandwidth"),
+    pytest.param(("storage", 1, "write_bandwidth"), "fast", "'fast'",
+                 id="string-bandwidth"),
+    pytest.param(("storage", 1, "read_bw"), 8, "'read_bw'",
+                 id="unknown-storage-key"),
+    pytest.param(("storage", 1, "instances"), 1.5, "instances",
+                 id="fractional-instances"),
+    pytest.param(("storage", 0), "DRAM", "'DRAM'",
+                 id="storage-not-a-mapping"),
+    pytest.param(("storage",), {"name": "DRAM"}, "must be a list",
+                 id="storage-not-a-list"),
+    pytest.param(("compute", "lanes"), 4, "'lanes'",
+                 id="unknown-compute-key"),
+    pytest.param(("compute", "instances"), 0.5, "instances",
+                 id="fractional-compute-instances"),
+    pytest.param(("compute",), ["MAC"], "['MAC']",
+                 id="compute-not-a-mapping"),
+]
+
+
+def spec_with_bad_arch(path, value) -> dict:
+    """:data:`FULL_SPEC` with ``spec["arch"]`` set to ``value`` at
+    ``path``."""
+    spec = yaml.safe_load(FULL_SPEC)
+    parent = spec["arch"]
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return spec
+
+
 class TestArchitecture:
     def test_round_trip(self):
         arch = load_architecture(FULL_SPEC)
@@ -66,6 +102,17 @@ class TestArchitecture:
             load_architecture(
                 {"arch": {"storage": [{"capacity_words": 4}]}}
             )
+
+    @pytest.mark.parametrize("path,value,needle", BAD_ARCH_ENTRIES)
+    def test_malformed_entry_names_it(self, path, value, needle):
+        with pytest.raises(SpecError) as info:
+            load_architecture(spec_with_bad_arch(path, value))
+        assert needle in str(info.value)
+
+    def test_loading_keeps_values_as_given(self):
+        arch = load_architecture(FULL_SPEC)
+        assert type(arch.level("Buffer").read_bandwidth) is int
+        assert arch.cache_key() == load_architecture(FULL_SPEC).cache_key()
 
 
 class TestWorkload:
@@ -186,6 +233,14 @@ BAD_SAF_ENTRIES = [
     ),
     pytest.param(("actions", 0), "skip B <- A", "'skip B <- A'",
                  id="action-not-a-mapping"),
+    pytest.param(
+        ("actions", 0, "condition_on"), 5, "'condition_on'",
+        id="condition-on-a-number",
+    ),
+    pytest.param(
+        ("actions", 0, "condition_on"), [1], "'condition_on'",
+        id="condition-on-a-number-list",
+    ),
 ]
 
 
@@ -213,6 +268,16 @@ class TestSAFs:
         with pytest.raises(SpecError, match="safs") as info:
             load_saf_spec(spec_with_bad_safs(path, value))
         assert needle in str(info.value)
+
+    def test_condition_on_string_names_one_tensor(self):
+        safs = load_saf_spec(
+            spec_with_bad_safs(("actions", 0, "condition_on"), "AB")
+        )
+        assert safs.storage_safs[0].conditioned_on == ("AB",)
+        safs = load_saf_spec(
+            spec_with_bad_safs(("actions", 0, "condition_on"), "A")
+        )
+        assert safs.storage_safs == load_saf_spec(FULL_SPEC).storage_safs
 
 
 class TestMapping:

@@ -1,13 +1,13 @@
 """The micro-model tail in the sparse record, and the persistent tier.
 
-The ``"sparse"`` stage's value is one ``(sparse, usage, latency,
-energy)`` record per sparse content key, so a sparse-stage hit
-short-circuits the entire evaluation. These tests prove the cached
-path is bit-identical to the uncached pipeline across every bundled
-design, that a warm evaluation makes exactly two lookups, that
-capacity errors replay exactly from cached usage reports, and that
-snapshots survive a spill/reload round trip through
-:class:`PersistentCache` (including the corrupted-file fallback).
+The ``"sparse"`` stage's value is one flat evaluation record per
+sparse content key, so a sparse-stage hit short-circuits the entire
+evaluation. These tests prove the cached path is bit-identical to the
+uncached pipeline across every bundled design, that a warm evaluation
+makes exactly two lookups, that capacity errors replay exactly from
+cached records, and that snapshots survive a spill/reload round trip
+through :class:`PersistentCache` (including the corrupted-file
+fallback).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.common.cache import (
 )
 from repro.common.errors import ValidationError
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
+from repro.micro.record import EvaluationRecord
 from repro.model import engine
 from repro.model.engine import persistent_state_key
 from repro.sparse.density import UniformDensity
@@ -70,11 +71,8 @@ def assert_results_identical(a, b):
         assert a.usage[level].per_tensor == b.usage[level].per_tensor
 
 
-def _members(record, result) -> bool:
-    """Whether ``record`` holds ``result``'s very sparse, usage,
-    latency and energy objects."""
-    parts = (result.sparse, result.usage, result.latency, result.energy)
-    return len(record) == 4 and all(a is b for a, b in zip(record, parts))
+def _objects(result) -> tuple:
+    return (result.sparse, result.usage, result.latency, result.energy)
 
 
 class TestSparseRecordAccounting:
@@ -86,17 +84,19 @@ class TestSparseRecordAccounting:
         stats = evaluator.cache.sparse.stats()
         assert stats["misses"] == 1, stats
         assert stats["hits"] == 1, stats
-        # Hits return the stored objects themselves (read-only reuse).
-        assert first.sparse is second.sparse
-        assert first.latency is second.latency
-        assert first.energy is second.energy
-        assert first.usage is second.usage
-        # One record per sparse key, and no stage of its own per step.
+        # One record per sparse key, and no stage of its own per step:
+        # the miss stored its record, the hit reads that very record.
         (record,) = [v for _, v in evaluator.cache.sparse.export_entries()]
-        assert _members(record, first)
+        assert isinstance(record, EvaluationRecord)
+        assert first.record is record
+        assert second.record is record
         assert {"validity", "latency", "energy"}.isdisjoint(
             evaluator.cache.stats()
         )
+        # Each result builds its own objects from the record.
+        for mine, theirs in zip(_objects(first), _objects(second)):
+            assert mine is not theirs
+            assert mine == theirs
 
     def test_stage_results_keyed_by_sparse_content(self):
         design, workload = _matmul_point()
@@ -107,6 +107,7 @@ class TestSparseRecordAccounting:
         stats = evaluator.cache.sparse.stats()
         assert stats["misses"] == 2, stats
         assert stats["hits"] == 0, stats
+        assert first.record is not second.record
         assert first.energy is not second.energy
 
     def test_cache_none_bypasses_the_record(self):
@@ -164,13 +165,13 @@ class TestLookupCounts:
         first = evaluator._evaluate(design, workload)
         self._forbid(
             monkeypatch,
-            "analyze_dataflow", "analyze_sparse", "check_validity",
-            "compute_latency", "compute_energy", "_accelergy_for",
+            "analyze_dataflow", "sparse_actions", "usage_tail",
+            "latency_tail", "energy_tail", "_accelergy_for",
         )
         lookups.clear()
         second = evaluator._evaluate(design, workload)
         assert lookups == ["dense", "sparse"]
-        assert second.energy is first.energy
+        assert second.record is first.record
 
     def test_sparse_miss_looks_up_dense_sparse_and_plan_only(self, lookups):
         def own(names):
@@ -283,19 +284,19 @@ class TestPersistentRoundTrip:
             assert stats["hits"] >= 1, (name, stats)
             assert stats["misses"] == 0, (name, stats)
 
-    def test_first_spill_prunes_the_v3_tree(self, tmp_path):
-        """The record changed the sparse stage's value type, so
-        schema 4 snapshots replace schema 3 ones."""
-        assert PERSISTENT_SCHEMA_VERSION == 4
-        stale = tmp_path / "v3" / "ns"
+    def test_first_spill_prunes_the_v4_tree(self, tmp_path):
+        """The flat record changed the sparse stage's value type, so
+        schema 5 snapshots replace schema 4 ones."""
+        assert PERSISTENT_SCHEMA_VERSION == 5
+        stale = tmp_path / "v4" / "ns"
         stale.mkdir(parents=True)
-        (stale / "x.pkl").write_bytes(b"a snapshot of SparseTraffic values")
+        (stale / "x.pkl").write_bytes(b"a snapshot of 4-tuple records")
         design, workload = _matmul_point()
         evaluator = Evaluator(persistent=PersistentCache(root=tmp_path))
         evaluator._evaluate(design, workload)
         assert evaluator.spill_cache(self._key(design, workload)) is not None
-        assert not (tmp_path / "v3").exists()
-        assert (tmp_path / "v4").is_dir()
+        assert not (tmp_path / "v4").exists()
+        assert (tmp_path / "v5").is_dir()
 
     def test_keys_are_stable_across_equal_content(self, tmp_path):
         design, workload = _matmul_point()
@@ -357,7 +358,7 @@ class TestPersistentRoundTrip:
         (record,) = [v for _, v in parent.cache.sparse.export_entries()]
         serial = parent._evaluate(design, workload)  # pure hits now
         assert parent.cache.sparse.hits >= 1
-        assert _members(record, serial)
+        assert serial.record is record
         assert_results_identical(serial, results[0])
         assert_results_identical(
             serial, Evaluator(cache=None)._evaluate(design, workload)

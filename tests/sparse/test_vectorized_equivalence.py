@@ -204,8 +204,11 @@ class TestSparseStageCache:
         first = evaluator._evaluate(design, workload)
         second = evaluator._evaluate(design, workload)
         assert evaluator.cache.sparse.hits >= 1
-        # The cached SparseTraffic is returned as-is.
-        assert first.sparse is second.sparse
+        # The hit reads the record the miss stored; each result builds
+        # its own SparseTraffic from it.
+        assert first.record is second.record
+        assert first.sparse is not second.sparse
+        assert first.sparse == second.sparse
         cold = Evaluator(cache=None)._evaluate(design, workload)
         assert first.cycles == cold.cycles
         assert first.energy_pj == cold.energy_pj
