@@ -11,13 +11,8 @@ from dataclasses import dataclass, field
 
 from repro.arch.spec import Architecture
 from repro.common.errors import ValidationError
-from repro.micro.record import RecordLayout, packed
-from repro.sparse.traffic import (
-    COMPUTE_WIDTH,
-    SLOT_WIDTH,
-    WORST_OCCUPANCY,
-    SparseTraffic,
-)
+from repro.micro.record import EvaluationRecord, RecordLayout, as_record
+from repro.sparse.traffic import WORST_OCCUPANCY, SparseTraffic
 
 
 @dataclass
@@ -49,22 +44,6 @@ def overflow_error(report: LevelUsage) -> ValidationError:
     )
 
 
-def usage_tail(layout: RecordLayout, values: list) -> None:
-    """Write each level's worst-case used words, summed in slot order,
-    and the index of the first level that does not fit (``-1``)."""
-    overflow = -1
-    at = layout.usage
-    for index, slots in enumerate(layout.level_slots):
-        used = 0.0
-        for slot in slots:
-            used += values[COMPUTE_WIDTH + SLOT_WIDTH * slot + WORST_OCCUPANCY]
-        values[at + index] = used
-        capacity = layout.capacities[index]
-        if overflow < 0 and not (capacity is None or used <= capacity):
-            overflow = index
-    values[layout.overflow] = overflow
-
-
 def level_usage(layout: RecordLayout, values, index: int) -> LevelUsage:
     """The usage report of storage level ``index``."""
     slots = layout.slots
@@ -73,9 +52,7 @@ def level_usage(layout: RecordLayout, values, index: int) -> LevelUsage:
         capacity_words=layout.capacities[index],
         used_words=values[layout.usage + index],
         per_tensor={
-            slots[2 * slot + 1]: values[
-                COMPUTE_WIDTH + SLOT_WIDTH * slot + WORST_OCCUPANCY
-            ]
+            slots[2 * slot + 1]: values[layout.rows[slot] + WORST_OCCUPANCY]
             for slot in layout.level_slots[index]
         },
     )
@@ -91,18 +68,35 @@ def usage_view(layout: RecordLayout, values) -> dict[str, LevelUsage]:
 
 def check_validity(
     arch: Architecture,
-    sparse: SparseTraffic,
+    sparse: SparseTraffic | EvaluationRecord,
     raise_on_invalid: bool = True,
-) -> dict[str, LevelUsage]:
+) -> dict[str, LevelUsage] | EvaluationRecord:
     """Check per-level worst-case occupancy against capacity.
 
-    Returns per-level usage reports; raises :class:`ValidationError`
-    for the first overflowing level unless ``raise_on_invalid`` is
-    False.
+    Each level's used words are its slots' worst-case occupancies,
+    summed in slot order. Returns per-level usage reports; raises
+    :class:`ValidationError` for the first overflowing level unless
+    ``raise_on_invalid`` is False.
+
+    ``sparse`` may also be an open record (:func:`~repro.micro.record.
+    open_record`), as the engine passes it: the used words and the
+    index of the first level that does not fit (``-1``) are written
+    into its buffer, and the record comes back instead of reports.
     """
-    layout, values = packed(arch, sparse)
-    usage_tail(layout, values)
-    overflow = values[layout.overflow]
+    record = as_record(arch, sparse)
+    layout, values = record.layout, record.values
+    rows = layout.rows
+    overflow = -1
+    at = layout.usage
+    for index, slots in enumerate(layout.level_slots):
+        used = 0.0
+        for slot in slots:
+            used += values[rows[slot] + WORST_OCCUPANCY]
+        values[at + index] = used
+        capacity = layout.capacities[index]
+        if overflow < 0 and not (capacity is None or used <= capacity):
+            overflow = index
+    values[layout.overflow] = overflow
     if raise_on_invalid and overflow >= 0:
         raise overflow_error(level_usage(layout, values, overflow))
-    return usage_view(layout, values)
+    return record if record is sparse else usage_view(layout, values)

@@ -84,7 +84,6 @@ from __future__ import annotations
 
 import os
 import random
-from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -124,10 +123,10 @@ from repro.mapping.mapspace import (
     MapspaceConstraints,
     sampled_candidates_key,
 )
-from repro.micro.energy import energy_tail
-from repro.micro.latency import latency_tail
-from repro.micro.record import EvaluationRecord, record_layout
-from repro.micro.validity import level_usage, overflow_error, usage_tail
+from repro.micro.energy import compute_energy
+from repro.micro.latency import compute_latency
+from repro.micro.record import EvaluationRecord, open_record
+from repro.micro.validity import check_validity, level_usage, overflow_error
 from repro.model.result import EvaluationResult
 from repro.search.evolutionary import (
     EvolutionConfig,
@@ -142,10 +141,10 @@ from repro.sparse.postprocess import (
     PLAN_STAGE,
     VECTORIZED_DEFAULT,
     SparsePlan,
+    analyze_sparse,
+    analyze_sparse_batch,
     density_digests,
     ensure_output_density,
-    sparse_actions,
-    sparse_actions_batch,
     sparse_analysis_key,
     sparse_plan_key,
 )
@@ -366,33 +365,24 @@ def _accelergy_for(arch: Architecture) -> Accelergy:
 
 def _sparse_record(dense: DenseTraffic, actions: tuple) -> EvaluationRecord:
     """The ``"sparse"`` stage's value: the sparse step's record action
-    part (:func:`~repro.sparse.postprocess.sparse_actions`) completed by
-    the micro-architectural tail.
+    part (``analyze_sparse(..., packed=True)``) completed by the
+    micro-architectural tail.
 
     The micro-architectural step (Sec 5.4) turns the sparse action
     counts into validity, cycles and energy on the architecture the
     dense analysis carries, so the record is a pure function of the
-    sparse content key. The tail formulas (``usage_tail``,
-    ``latency_tail``, ``energy_tail``) write into the same buffer; the
-    first overflowing level is recorded rather than raised, so one
+    sparse content key. ``check_validity``, ``compute_latency`` and
+    ``compute_energy`` write their parts into the open record's buffer;
+    the first overflowing level is recorded rather than raised, so one
     record serves capacity-checking and permissive evaluators alike
     (:meth:`Evaluator._finish_evaluation` raises).
     """
-    slots, values = actions
     arch = dense.arch
-    layout = record_layout(arch, slots)
-    values += layout.tail
-    usage_tail(layout, values)
-    latency_tail(layout, values, arch, dense)
-    energy_tail(layout, values, _accelergy_for(arch))
-    return EvaluationRecord(layout, array("d", values))
-
-
-def _rebind(dense: DenseTraffic, workload: Workload | None) -> DenseTraffic:
-    """``dense`` bound to ``workload`` (``None`` strips it, as stage
-    entries are stored: keeping the first-seen workload would pin its
-    density models far beyond their lifetime)."""
-    return replace(dense, workload=workload)
+    record = open_record(arch, actions)
+    check_validity(arch, record, raise_on_invalid=False)
+    compute_latency(arch, dense, record)
+    compute_energy(arch, record, _accelergy_for(arch))
+    return record.seal()
 
 
 #: Bundled mapping factories that read only a workload's einsum (never
@@ -631,9 +621,9 @@ class Evaluator:
             key = dense_analysis_key(workload, design.arch, mapping)
         cached = stage.get(key)
         if cached is not None:
-            return _rebind(cached, workload), key, True
+            return replace(cached, workload=workload), key, True
         dense = analyze_dataflow(workload, design.arch, mapping)
-        stage.put(key, _rebind(dense, None))
+        stage.put(key, replace(dense, workload=None))
         return dense, key, False
 
     def _sparse_analysis_keyed(
@@ -662,7 +652,9 @@ class Evaluator:
         if key is None:
             return _sparse_record(
                 dense,
-                sparse_actions(dense, safs, vectorized=self.sparse_vectorized),
+                analyze_sparse(
+                    dense, safs, vectorized=self.sparse_vectorized, packed=True
+                ),
             )
         stage = self.cache.sparse
         record = stage.get(key)
@@ -672,8 +664,12 @@ class Evaluator:
                 plan = self._sparse_plan(dense, safs, dense_key)
             record = _sparse_record(
                 dense,
-                sparse_actions(
-                    dense, safs, vectorized=self.sparse_vectorized, plan=plan
+                analyze_sparse(
+                    dense,
+                    safs,
+                    vectorized=self.sparse_vectorized,
+                    plan=plan,
+                    packed=True,
                 ),
             )
             stage.put(key, record)
@@ -1593,20 +1589,20 @@ class Evaluator:
         out: list = [None] * len(items)
         for position, cached in hits.items():
             out[position] = (
-                _rebind(cached, items[position][1]),
+                replace(cached, workload=items[position][1]),
                 keys[position],
                 True,
             )
         for position, dense in zip(misses, computed):
             key = keys[position]
             if key is not None:
-                stage.put(key, _rebind(dense, None))
+                stage.put(key, replace(dense, workload=None))
             out[position] = (dense, key, False)
             for follower in followers.get(position, ()):
                 # The follower's serial hit would have returned the
                 # stored copy rebound to its own workload.
                 out[follower] = (
-                    _rebind(dense, items[follower][1]),
+                    replace(dense, workload=items[follower][1]),
                     keys[follower],
                     True,
                 )
@@ -1630,7 +1626,7 @@ class Evaluator:
         sparse-walk *context* — the einsum, architecture, SAF and
         density digests, so only the mapping differs within a group —
         and each group flushes as one stacked
-        :func:`~repro.sparse.postprocess.sparse_actions_batch` pass
+        :func:`~repro.sparse.postprocess.analyze_sparse_batch` pass
         sharing one walk memo. ``memos`` maps contexts to their memos;
         a caller that passes the same dict to every call (a search
         does, for all of its blocks) keeps the memos across calls. The
@@ -1704,15 +1700,18 @@ class Evaluator:
                     plans[follower] = plans[index]
             for index, position in enumerate(planned):
                 dense, safs = entries[position][:2]
-                computed[position] = plans[index].evaluate(dense.workload, safs)
+                computed[position] = analyze_sparse(
+                    dense, safs, plan=plans[index], packed=True
+                )
             for context, positions in groups.items():
                 memo = None
                 if context is not None and self.dense_vectorized:
                     memo = memos.setdefault(context, {})
-                flushed = sparse_actions_batch(
+                flushed = analyze_sparse_batch(
                     [(entries[i][0], entries[i][1]) for i in positions],
                     vectorized=self.sparse_vectorized,
                     memo=memo,
+                    packed=True,
                 )
                 computed.update(zip(positions, flushed))
             records = {
@@ -2099,7 +2098,7 @@ class Evaluator:
                 for (workload, _arch, mapping), dense in zip(jobs, denses):
                     key = dense_analysis_key(workload, design.arch, mapping)
                     if key not in self.cache.dense:
-                        self.cache.dense.put(key, _rebind(dense, None))
+                        self.cache.dense.put(key, replace(dense, workload=None))
 
         pairs = self._evaluate_network(
             design,
@@ -2176,7 +2175,7 @@ class Evaluator:
             return
         dense_key = dense_analysis_key(workload, design.arch, dense.mapping)
         if dense_key not in self.cache.dense:
-            self.cache.dense.put(dense_key, _rebind(dense, None))
+            self.cache.dense.put(dense_key, replace(dense, workload=None))
         sparse_key = sparse_analysis_key(dense, design.safs, dense_key)
         if (
             sparse_key is not None

@@ -49,12 +49,12 @@ from repro.common.cache import digest
 from repro.common.errors import ReproError, SpecError, WorkerLostError
 from repro.model.result import SearchResult
 from repro.serve.protocol import (
+    PAYLOAD_TABLE_ENTRIES,
     decode_line,
     encode_line,
     error_from_envelope,
     result_from_dict,
 )
-from repro.serve.server import PAYLOAD_TABLE_ENTRIES
 
 #: Packed payloads a session keeps (object, digest, blob), least
 #: recently used evicted first: as many as the daemon's decoded-payload

@@ -72,6 +72,11 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
+#: Distinct decoded payloads a daemon holds, least recently used
+#: evicted first; a client keeps as many packed payloads, so the two
+#: ends of a connection evict alike.
+PAYLOAD_TABLE_ENTRIES = 128
+
 #: Upper bound on one framed message; the reader rejects longer lines.
 #: Network-job envelopes carry whole layer lists, hence the headroom.
 MAX_LINE_BYTES = 32 * 1024 * 1024

@@ -55,6 +55,7 @@ from repro.model.result import EvaluationResult
 from repro.common.errors import OverloadedError, ReproError, SpecError
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    PAYLOAD_TABLE_ENTRIES,
     PROTOCOL_VERSION,
     decode_line,
     encode_line,
@@ -63,9 +64,6 @@ from repro.serve.protocol import (
 
 __all__ = ["ServeConfig", "ReproServer"]
 
-#: Distinct decoded payloads the daemon holds, least recently used
-#: evicted first.
-PAYLOAD_TABLE_ENTRIES = 128
 #: Payloads whose encoded ``data`` is longer than this (characters of
 #: base64) bypass the table: decoded for every job and never held, so a
 #: whole ``ActualDataDensity`` tensor is never pinned.

@@ -42,17 +42,15 @@ stored column-wise and the scatter replays per-accumulator emission
 order, one :class:`_BatchEmitter` can record the flows of **many**
 analyses — e.g. every surviving candidate mapping of one mapspace
 search block — and evaluate them all in a single stacked numpy pass.
-:func:`sparse_actions_batch` does exactly that: each analysis owns its
+:func:`analyze_sparse_batch` does exactly that: each analysis owns its
 own accumulators, elementwise float64 operations are
 position-independent, and the scatter preserves each accumulator's
 addition order, so the stacked results are bit-identical to running
-:func:`sparse_actions` once per analysis.
+:func:`analyze_sparse` once per analysis.
 
-The engine takes the record action part (:func:`sparse_actions`,
-:func:`sparse_actions_batch`); :func:`analyze_sparse` and
-:func:`analyze_sparse_batch` return it as
-:class:`~repro.sparse.traffic.SparseTraffic` objects (the oracle's
-directly).
+Both return :class:`~repro.sparse.traffic.SparseTraffic` objects (the
+oracle's directly), or, with ``packed=True`` as the engine asks, the
+record action part itself.
 
 Planned walk
 ------------
@@ -111,10 +109,17 @@ from repro.sparse.gating_skipping import (
 )
 from repro.sparse.saf import SAFSpec
 from repro.sparse.traffic import (
+    DATA_READS,
+    DATA_WRITES,
+    GATED,
+    METADATA_READS,
+    METADATA_WRITES,
+    SKIPPED,
+    SLOT_ACTIONS,
     ActionBreakdown,
     SparseTraffic,
+    action_part,
     pack_sparse,
-    split_components,
     unpack_sparse,
 )
 from repro.workload.einsum import TensorRef
@@ -398,15 +403,15 @@ def _split_columns(data_skip, data_gate, meta_bulk, meta_pos) -> list[tuple]:
 def _scatter(results: list[tuple], order, size: int) -> list[float]:
     """Replay ``order``'s ``(tag, row, target)*`` triples into ``size``
     zeroed accumulators: each target takes its row's actual, gated and
-    skipped at ``target``, ``target + 1`` and ``target + 2``, adding in
-    emission order, as the scalar oracle's breakdowns do."""
+    skipped at ``target``, ``target + GATED`` and ``target + SKIPPED``,
+    adding in emission order, as the scalar oracle's breakdowns do."""
     acc = [0.0] * size
     entries = iter(order)
     for tag, row, target in zip(entries, entries, entries):
         a, g, s = results[tag]
         acc[target] += a[row]
-        acc[target + 1] += g if isinstance(g, float) else g[row]
-        acc[target + 2] += s if isinstance(s, float) else s[row]
+        acc[target + GATED] += g if isinstance(g, float) else g[row]
+        acc[target + SKIPPED] += s if isinstance(s, float) else s[row]
     return acc
 
 
@@ -427,32 +432,28 @@ class _Slot:
         self.level = level
         self.tensor = tensor
         self.index = index
-        self.data_reads = target
-        self.data_writes = target + 3
-        self.metadata_reads = target + 6
-        self.metadata_writes = target + 9
+        self.data_reads = target + DATA_READS
+        self.data_writes = target + DATA_WRITES
+        self.metadata_reads = target + METADATA_READS
+        self.metadata_writes = target + METADATA_WRITES
         self.occupancy_words = 0.0
         self.worst_occupancy_words = 0.0
         self.compression_rate = 1.0
         self.intersection_checks = 0.0
 
 
-#: Accumulators per slot: 4 channels x (actual, gated, skipped), in the
-#: record's slot-row order.
-_SLOT_ACCUMULATORS = 12
-
-
 class _SlotTable:
     """The walk's result slots in first-``at()`` order, allocating
-    accumulators from ``start`` on, so one emitter can stack the walks
-    of many analyses. ``compute`` is ``(dense computes, actual, gated,
-    skipped)``."""
+    :data:`~repro.sparse.traffic.SLOT_ACTIONS` accumulators per slot
+    from ``start`` on, so one emitter can stack the walks of many
+    analyses. ``compute`` is ``(dense computes, (actual, gated,
+    skipped))``."""
 
-    __slots__ = ("slots", "end", "compute")
+    __slots__ = ("slots", "start", "end", "compute")
 
     def __init__(self, start: int = 0):
         self.slots: dict[tuple[str, str], _Slot] = {}
-        self.end = start
+        self.start = self.end = start
         self.compute: tuple | None = None
 
     def at(self, level: str, tensor: str) -> _Slot:
@@ -461,25 +462,29 @@ class _SlotTable:
             slot = self.slots[level, tensor] = _Slot(
                 level, tensor, len(self.slots), self.end
             )
-            self.end += _SLOT_ACCUMULATORS
+            self.end += SLOT_ACTIONS
         return slot
 
     def actions(self, acc: list[float]) -> tuple[tuple[str, ...], list[float]]:
         """The record action part (:mod:`repro.sparse.traffic`) from
         the flushed accumulators."""
-        computes, actual, gated, skipped = self.compute
-        values = [*split_components(computes, actual, gated), actual, gated, skipped]
-        keys: list[str] = []
-        for slot in self.slots.values():
-            keys += (slot.level, slot.tensor)
-            values += acc[slot.data_reads : slot.data_reads + _SLOT_ACCUMULATORS]
-            values += (
-                slot.occupancy_words,
-                slot.worst_occupancy_words,
-                slot.compression_rate,
-                slot.intersection_checks,
-            )
-        return tuple(keys), values
+        computes, fractions = self.compute
+        values = action_part(
+            computes,
+            fractions,
+            acc,
+            self.start,
+            [
+                (
+                    slot.occupancy_words,
+                    slot.worst_occupancy_words,
+                    slot.compression_rate,
+                    slot.intersection_checks,
+                )
+                for slot in self.slots.values()
+            ],
+        )
+        return tuple([name for key in self.slots for name in key]), values
 
 
 class _Emitter:
@@ -554,7 +559,7 @@ class _BatchEmitter(_Emitter):
         )
 
     def compute(self, table, computes, cls):
-        table.compute = (computes, cls.actual, cls.gated, cls.skipped)
+        table.compute = (computes, (cls.actual, cls.gated, cls.skipped))
 
     def data(self, target, total, cls, info, residue="skip"):
         tag = _DATA_GATE if residue == "gate" else _DATA_SKIP
@@ -691,7 +696,8 @@ def analyze_sparse(
     *,
     vectorized: bool | None = None,
     plan: SparsePlan | None = None,
-) -> SparseTraffic:
+    packed: bool = False,
+) -> SparseTraffic | tuple[tuple[str, ...], list[float]]:
     """Run the sparse modeling step on top of dense traffic.
 
     ``vectorized`` selects the batched numpy arithmetic (default) or
@@ -699,14 +705,22 @@ def analyze_sparse(
     module default follows :data:`VECTORIZED_DEFAULT`. ``plan``, a
     :class:`SparsePlan` built for ``dense``'s einsum, architecture and
     mapping and for ``safs``, replaces the walk with an evaluation of
-    the plan at ``dense.workload``'s densities (same result). The fast
-    paths build the objects from :func:`sparse_actions`' record.
+    the plan at ``dense.workload``'s densities (same result).
+
+    Returns :class:`~repro.sparse.traffic.SparseTraffic` objects, or
+    with ``packed`` the record action part :mod:`repro.sparse.traffic`
+    describes: flat ``(level, tensor)*`` slot keys and the float row,
+    which the fast paths write directly (the engine's form; the oracle's
+    objects are packed by :func:`~repro.sparse.traffic.pack_sparse`).
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_DEFAULT
-    if plan is None and not vectorized:
-        return _scalar_walk(dense, safs)
-    return unpack_sparse(*sparse_actions(dense, safs, plan=plan))
+    if plan is not None:
+        actions = plan.evaluate(dense.workload, safs)
+    elif not (VECTORIZED_DEFAULT if vectorized is None else vectorized):
+        sparse = _scalar_walk(dense, safs)
+        return pack_sparse(sparse) if packed else sparse
+    else:
+        actions = _stacked_walk([(dense, safs)])[0]
+    return actions if packed else unpack_sparse(*actions)
 
 
 def analyze_sparse_batch(
@@ -714,44 +728,9 @@ def analyze_sparse_batch(
     *,
     vectorized: bool | None = None,
     memo: dict | None = None,
-) -> list[SparseTraffic]:
-    """:func:`analyze_sparse` over many ``(dense, safs)`` pairs in one
-    pass (:func:`sparse_actions_batch`), bit-identical to calling it
-    once per pair."""
-    if vectorized is None:
-        vectorized = VECTORIZED_DEFAULT
-    if not vectorized:
-        return [_scalar_walk(dense, safs) for dense, safs in jobs]
-    return [
-        unpack_sparse(*actions)
-        for actions in sparse_actions_batch(jobs, memo=memo)
-    ]
-
-
-def sparse_actions(
-    dense: DenseTraffic,
-    safs: SAFSpec,
-    *,
-    vectorized: bool | None = None,
-    plan: SparsePlan | None = None,
-) -> tuple[tuple[str, ...], list[float]]:
-    """The sparse modeling step as the record's action part: flat
-    ``(level, tensor)*`` slot keys and the float row
-    (:mod:`repro.sparse.traffic`). ``vectorized`` and ``plan`` as for
-    :func:`analyze_sparse`; the scalar oracle's objects are packed by
-    :func:`~repro.sparse.traffic.pack_sparse`."""
-    if plan is not None:
-        return plan.evaluate(dense.workload, safs)
-    return sparse_actions_batch([(dense, safs)], vectorized=vectorized)[0]
-
-
-def sparse_actions_batch(
-    jobs,
-    *,
-    vectorized: bool | None = None,
-    memo: dict | None = None,
-) -> list[tuple[tuple[str, ...], list[float]]]:
-    """:func:`sparse_actions` for many analyses in one pass.
+    packed: bool = False,
+) -> list[SparseTraffic] | list[tuple[tuple[str, ...], list[float]]]:
+    """Run the sparse modeling step for many analyses in one pass.
 
     ``jobs`` is a sequence of ``(dense, safs)`` pairs — typically the
     surviving candidate mappings of one mapspace-search block. Under
@@ -759,7 +738,9 @@ def sparse_actions_batch(
     shared :class:`_BatchEmitter` and a single flush evaluates the
     stacked arrays; each analysis owns its own accumulators, so the
     scatter preserves per-candidate accumulation order and the results
-    are bit-identical to one call per pair, and to the scalar oracle.
+    are bit-identical to calling :func:`analyze_sparse` once per pair
+    (the equivalence oracle, which the scalar backend runs directly).
+    ``packed`` as for :func:`analyze_sparse`.
 
     ``memo`` is an optional *cross-call* walk memo: candidates of one
     mapspace search re-derive the same leader-keep probabilities,
@@ -772,10 +753,18 @@ def sparse_actions_batch(
     walk would compute, so results remain bit-identical. The scalar
     oracle path ignores the memo entirely.
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_DEFAULT
-    if not vectorized:
-        return [pack_sparse(_scalar_walk(dense, safs)) for dense, safs in jobs]
+    if not (VECTORIZED_DEFAULT if vectorized is None else vectorized):
+        walked = [_scalar_walk(dense, safs) for dense, safs in jobs]
+        return [pack_sparse(sparse) for sparse in walked] if packed else walked
+    stacked = _stacked_walk(jobs, memo)
+    return stacked if packed else [unpack_sparse(*actions) for actions in stacked]
+
+
+def _stacked_walk(
+    jobs, memo: dict | None = None
+) -> list[tuple[tuple[str, ...], list[float]]]:
+    """The record action part of every ``(dense, safs)`` job: one
+    :class:`_BatchEmitter` records all their walks and flushes once."""
     emitter = _BatchEmitter()
     tables = []
     end = 0
@@ -1214,7 +1203,9 @@ class SparsePlan:
     * ``columns``: per split tag, ``(dense totals, class indices,
       format indices)`` arrays, or three ``None``;
     * ``raw``: ``(updates, rmw reads, class)*`` read-modify-write terms;
-    * ``order``: the scatter, ``(tag, row, 12 * slot + 3 * channel)*``;
+    * ``order``: the scatter, ``(tag, row, target)*``, each target a
+      slot's accumulator for one channel (``SLOT_ACTIONS * slot`` plus
+      the channel's offset, see :class:`_Slot`);
     * ``checks``: ``(slot, value, own, leader)*`` intersection-check
       terms, a constant ``value`` when ``own`` is ``-1``, else a feed
       walked at the ``own`` and ``leader`` density values.
@@ -1251,8 +1242,8 @@ class SparsePlan:
     def evaluate(
         self, workload: Workload, safs: SAFSpec
     ) -> tuple[tuple[str, ...], list[float]]:
-        """The record action part (:func:`sparse_actions`) at
-        ``workload``'s densities (``safs`` must be the plan's SAF
+        """The record action part (``analyze_sparse(..., packed=True)``)
+        at ``workload``'s densities (``safs`` must be the plan's SAF
         content)."""
         ensure_output_density(workload)
         density_of = workload.density_of
@@ -1334,7 +1325,7 @@ class SparsePlan:
         results.append(raw)
 
         # The same additions in the same order as the batch flush.
-        acc = _scatter(results, self.order, _SLOT_ACCUMULATORS * len(slots))
+        acc = _scatter(results, self.order, SLOT_ACTIONS * len(slots))
         checks = [0.0] * len(slots)
         terms = iter(self.checks)
         for slot, value, own, leader in zip(terms, terms, terms, terms):
@@ -1346,10 +1337,13 @@ class SparsePlan:
                 )
 
         computes, cls = self.compute
-        a, g, s = actual[cls], gated[cls], skipped[cls]
-        out = [*split_components(computes, a, g), a, g, s]
-        for slot, tile in enumerate(tiles):
-            start = _SLOT_ACCUMULATORS * slot
-            out += acc[start : start + _SLOT_ACCUMULATORS]
-            out += (tile[2], tile[3], tile[4], checks[slot])
-        return self.slots, out
+        return self.slots, action_part(
+            computes,
+            (actual[cls], gated[cls], skipped[cls]),
+            acc,
+            0,
+            [
+                (tile[2], tile[3], tile[4], slot_checks)
+                for tile, slot_checks in zip(tiles, checks)
+            ],
+        )

@@ -33,12 +33,25 @@ ACTION_CHANNELS = (
 #: compute fractions.
 COMPUTE_WIDTH = 6
 
-#: Floats per slot: 4 channels x (actual, gated, skipped), then
-#: occupancy, worst-case occupancy, compression rate, intersection checks.
-SLOT_WIDTH = 16
+#: Offsets of the four channels' actual counts within a slot row, in
+#: :data:`ACTION_CHANNELS` order; each channel's gated and skipped
+#: counts follow at ``+ GATED`` and ``+ SKIPPED`` (the compute split
+#: at the head of the record too).
+DATA_READS, DATA_WRITES, METADATA_READS, METADATA_WRITES = 0, 3, 6, 9
+GATED, SKIPPED = 1, 2
+
+#: Action counts per slot: 4 channels x (actual, gated, skipped). The
+#: stacked walk and the plan accumulate a slot's counts in this many
+#: consecutive accumulators, laid out like the row's head.
+SLOT_ACTIONS = 12
 
 #: Offsets of the four scalars within a slot row.
-OCCUPANCY, WORST_OCCUPANCY, COMPRESSION_RATE, INTERSECTION_CHECKS = range(12, 16)
+OCCUPANCY, WORST_OCCUPANCY, COMPRESSION_RATE, INTERSECTION_CHECKS = range(
+    SLOT_ACTIONS, SLOT_ACTIONS + 4
+)
+
+#: Floats per slot: its action counts, then the four scalars.
+SLOT_WIDTH = SLOT_ACTIONS + 4
 
 
 def split_components(
@@ -48,6 +61,28 @@ def split_components(
     actual = total * actual_frac
     gated = total * gated_frac
     return actual, gated, max(0.0, total - actual - gated)
+
+
+def action_part(
+    computes: float,
+    fractions: tuple[float, float, float],
+    acc: list[float],
+    start: int,
+    scalars,
+) -> list[float]:
+    """The record action part of an analysis whose slot counts were
+    accumulated: ``computes`` dense computes split by the compute
+    ``fractions`` (actual, gated, skipped), then one row per slot — its
+    :data:`SLOT_ACTIONS` accumulators, consecutive in ``acc`` from
+    ``start`` on, and its four scalars (one tuple per slot in
+    ``scalars``, in slot order)."""
+    actual, gated, _skipped = fractions
+    values = [*split_components(computes, actual, gated), *fractions]
+    for row in scalars:
+        values += acc[start : start + SLOT_ACTIONS]
+        values += row
+        start += SLOT_ACTIONS
+    return values
 
 
 @dataclass(slots=True)
@@ -171,25 +206,29 @@ def pack_sparse(sparse: SparseTraffic) -> tuple[tuple[str, ...], list[float]]:
 def unpack_sparse(slots: tuple[str, ...], values) -> SparseTraffic:
     """The :class:`SparseTraffic` a record action part describes: fresh
     objects, owned by the caller."""
+
+    def channel(at: int) -> ActionBreakdown:
+        return ActionBreakdown(values[at], values[at + GATED], values[at + SKIPPED])
+
     sparse = SparseTraffic(
-        compute=ActionBreakdown(values[0], values[1], values[2]),
+        compute=channel(0),
         compute_fractions=(values[3], values[4], values[5]),
     )
     actions = sparse.actions
-    i = COMPUTE_WIDTH
+    row = COMPUTE_WIDTH
     names = iter(slots)
     for level, tensor in zip(names, names):
         actions[level, tensor] = LevelTensorActions(
             tensor,
             level,
-            ActionBreakdown(values[i], values[i + 1], values[i + 2]),
-            ActionBreakdown(values[i + 3], values[i + 4], values[i + 5]),
-            ActionBreakdown(values[i + 6], values[i + 7], values[i + 8]),
-            ActionBreakdown(values[i + 9], values[i + 10], values[i + 11]),
-            values[i + 12],
-            values[i + 13],
-            values[i + 14],
-            values[i + 15],
+            channel(row + DATA_READS),
+            channel(row + DATA_WRITES),
+            channel(row + METADATA_READS),
+            channel(row + METADATA_WRITES),
+            values[row + OCCUPANCY],
+            values[row + WORST_OCCUPANCY],
+            values[row + COMPRESSION_RATE],
+            values[row + INTERSECTION_CHECKS],
         )
-        i += SLOT_WIDTH
+        row += SLOT_WIDTH
     return sparse

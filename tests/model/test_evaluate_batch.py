@@ -161,7 +161,7 @@ class TestStackedFailureRecountsSerially:
             return session.cache_stats()
 
     @pytest.mark.parametrize(
-        "backend", ["sparse_actions_batch", "analyze_dataflow_batch"]
+        "backend", ["analyze_sparse_batch", "analyze_dataflow_batch"]
     )
     def test_submit_many_counts_like_the_serial_loop(self, monkeypatch, backend):
         jobs = self._jobs()

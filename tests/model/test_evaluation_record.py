@@ -248,7 +248,7 @@ class TestRoundTrips:
         assert restored.record is None
         assert _exact(restored.to_dict()) == exact
         shipped = pickle.loads(pickle.dumps(result))
-        assert shipped.record is not None
+        assert shipped.record.layout is result.record.layout
         assert _exact(shipped.to_dict()) == exact
         renamed = replace(result, workload_name="renamed")
         assert renamed.record is result.record

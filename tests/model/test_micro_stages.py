@@ -23,7 +23,7 @@ from repro.common.cache import (
 )
 from repro.common.errors import ValidationError
 from repro.mapping.mapping import LevelMapping, Loop, Mapping
-from repro.micro.record import EvaluationRecord
+from repro.micro.record import EvaluationRecord, record_layout
 from repro.model import engine
 from repro.model.engine import persistent_state_key
 from repro.sparse.density import UniformDensity
@@ -165,8 +165,8 @@ class TestLookupCounts:
         first = evaluator._evaluate(design, workload)
         self._forbid(
             monkeypatch,
-            "analyze_dataflow", "sparse_actions", "usage_tail",
-            "latency_tail", "energy_tail", "_accelergy_for",
+            "analyze_dataflow", "analyze_sparse", "check_validity",
+            "compute_latency", "compute_energy", "_accelergy_for",
         )
         lookups.clear()
         second = evaluator._evaluate(design, workload)
@@ -356,6 +356,9 @@ class TestPersistentRoundTrip:
         results = parent._evaluate_many([(design, workload)] * 3, parallel=2)
         assert len(parent.cache.sparse) == 1
         (record,) = [v for _, v in parent.cache.sparse.export_entries()]
+        # The worker's pickled record came back onto the parent's own
+        # interned layout, not a private copy of it.
+        assert record.layout is record_layout(design.arch, record.layout.slots)
         serial = parent._evaluate(design, workload)  # pure hits now
         assert parent.cache.sparse.hits >= 1
         assert serial.record is record

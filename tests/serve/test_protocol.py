@@ -9,8 +9,14 @@ indistinguishable from in-process ones.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.common.errors import (
     MappingError,
@@ -108,3 +114,21 @@ class TestResultDispatch:
     def test_non_dict_rejected(self):
         with pytest.raises(SpecError, match="must be a dict"):
             result_from_dict([1, 2])
+
+
+def test_clients_load_neither_the_daemon_nor_asyncio():
+    # A fresh interpreter: this process may have imported them already.
+    probe = (
+        "import sys; import repro.serve.client, repro.serve.protocol; "
+        "print(sorted({'asyncio', 'ssl', 'repro.serve.server'} & set(sys.modules))); "
+        "from repro.serve import ReproServer, connect; print(ReproServer.__name__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    ).stdout.split()
+    assert out == ["[]", "ReproServer"]
