@@ -18,13 +18,15 @@ Jobs are also *wire data*: each kind has a ``to_dict``/``from_dict``
 pair mirroring the result schema (``schema: 1`` envelopes with a
 ``kind`` tag; see :mod:`repro.model.result`), and
 :func:`job_from_dict` dispatches on the tag. Mappings and candidate
-lists serialize structurally via :meth:`Mapping.to_spec`; designs,
-workloads, and callables (objectives, ``densities_for``) have no spec
-form — bundled designs carry ``mapping_factory`` callables and
-arbitrary density models — so they ship as tagged base64 pickles, the
-same trust model as the engine's own process-pool protocol. Decode job
-dicts only from trusted peers (the serving daemon binds localhost /
-unix sockets by default for exactly this reason).
+lists serialize structurally via :meth:`Mapping.to_spec`, and search
+objectives as their spec data; a callable objective has no spec form
+and stays in-process (``to_dict`` raises a :class:`SpecError`).
+Designs, workloads and ``densities_for`` have no spec form yet —
+bundled designs carry ``mapping_factory`` callables and arbitrary
+density models — so they ship as tagged base64 pickles, the same trust
+model as the engine's own process-pool protocol. Decode job dicts only
+from trusted peers (the serving daemon binds localhost / unix sockets
+by default for exactly this reason).
 """
 
 from __future__ import annotations
@@ -35,14 +37,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
-import warnings
-
 from repro.common.errors import SpecError
 from repro.mapping.fused import FusedMapping
 from repro.mapping.mapping import Mapping
 from repro.model.engine import Design
-from repro.model.result import RESULT_SCHEMA_VERSION, EvaluationResult
-from repro.search.objective import Objective, resolve_objective
+from repro.model.result import RESULT_SCHEMA_VERSION, decode_envelope
+from repro.search.objective import (
+    OBJECTIVE_NAMES,
+    CallableObjective,
+    resolve_objective,
+)
 from repro.workload.graph import EinsumGraph
 from repro.workload.spec import Workload
 
@@ -90,83 +94,45 @@ def _unpack(blob):
         raise SpecError(f"cannot decode job payload: {exc!r}") from exc
 
 
-#: Whether the once-per-process wire-callable deprecation warning has
-#: fired (tests reset this to re-assert it).
-_WIRE_CALLABLE_WARNED = [False]
+#: The objective forms a job envelope carries.
+_OBJECTIVE_SPEC_FORMS = (
+    "a metric name (%s), a sequence of names, a {'weighted': {...}} or "
+    "a {'multi': [...]} spec" % ", ".join(repr(n) for n in OBJECTIVE_NAMES)
+)
 
 
 def _objective_to_wire(objective):
-    """Wire form of a job objective: plain schema-v1 spec data for
-    named/weighted/multi objectives (and the names / name-sequences /
-    spec dicts users pass directly), a tagged pickle blob only for
-    legacy callables — which is deprecated on the wire and rejected by
-    the serving daemon on TCP transports (docs/serving.md)."""
+    """Wire form of a job objective: names and spec dicts as given
+    (validated, so a bad name fails at submission), sequences and
+    :class:`~repro.search.Objective` instances as their ``to_spec()``.
+    A callable objective has no spec form: it stays in-process, and
+    serializing it raises a :class:`SpecError`."""
     if objective is None:
         return None
+    resolved = resolve_objective(objective)
+    if isinstance(resolved, CallableObjective):
+        raise SpecError(
+            "a callable objective cannot be serialized; keep it "
+            f"in-process, or send {_OBJECTIVE_SPEC_FORMS}"
+        )
     if isinstance(objective, (str, dict)):
-        # Validate eagerly so a bad name fails at submission, with the
-        # spec itself as the wire form.
-        resolved = resolve_objective(objective)
-        if not resolved.wire_safe:
-            raise SpecError(
-                f"objective spec {objective!r} does not describe a "
-                "wire-safe objective"
-            )
         return objective
-    if isinstance(objective, (list, tuple)) or isinstance(objective, Objective):
-        resolved = resolve_objective(objective)
-        if resolved.wire_safe:
-            return resolved.to_spec()
-        objective = resolved.fn  # legacy callable in Objective clothing
-    if not _WIRE_CALLABLE_WARNED[0]:
-        _WIRE_CALLABLE_WARNED[0] = True
-        warnings.warn(
-            "pickling a callable search objective onto the job wire is "
-            "deprecated; use a named objective ('edp', 'energy', "
-            "'latency', 'cycles', 'slack'), a weighted/multi spec, or "
-            "keep the callable in-process (see docs/search.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return _pack(objective)
+    return resolved.to_spec()
 
 
-def _objective_from_wire(blob, unpack=_unpack):
+def _objective_from_wire(spec):
     """Inverse of :func:`_objective_to_wire`: spec data passes through
-    verbatim (validated; the engine resolves it at search time), pickle
-    blobs are decoded with ``unpack`` for trusted/legacy senders."""
-    if blob is None:
+    verbatim once validated (the engine resolves it at search time).
+    Anything else, a pickle blob included, is a :class:`SpecError`."""
+    if spec is None:
         return None
-    if isinstance(blob, dict) and blob.get("encoding") == "pickle":
-        return unpack(blob)
-    resolve_objective(blob)  # validate names early; SpecError on junk
-    return blob
-
-
-def _job_envelope(data: dict, kind: str, build):
-    """Validate a job envelope, then run ``build()`` with body-level
-    failures normalised to :class:`SpecError` — the exact contract of
-    :meth:`repro.model.result.SerializableResult._rebuild`, with job
-    wording."""
-    if not isinstance(data, dict):
+    if isinstance(spec, dict) and "encoding" in spec:
         raise SpecError(
-            f"serialized job must be a dict, got {type(data).__name__}"
+            "objectives travel as spec data, never as pickles: send "
+            f"{_OBJECTIVE_SPEC_FORMS}"
         )
-    version = data.get("schema")
-    if version != JOB_SCHEMA_VERSION:
-        raise SpecError(
-            f"unsupported job schema version {version!r} "
-            f"(this build reads version {JOB_SCHEMA_VERSION})"
-        )
-    found = data.get("kind")
-    if found != kind:
-        raise SpecError(f"expected a {kind!r} job, got kind {found!r}")
-    try:
-        return build()
-    except SpecError:
-        raise
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SpecError(f"malformed serialized {kind}: {exc!r}") from exc
+    resolve_objective(spec)
+    return spec
 
 
 def _is_int(value, minimum: int | None = None) -> bool:
@@ -256,7 +222,7 @@ class EvaluateJob:
                 mapping=None if mapping is None else Mapping.from_spec(mapping),
             )
 
-        return _job_envelope(data, "evaluate-job", build)
+        return decode_envelope(data, "evaluate-job", "job", build)
 
 
 @dataclass
@@ -270,7 +236,8 @@ class SearchJob:
     spec dict, an :class:`repro.search.Objective`, or a legacy
     callable scoring an :class:`EvaluationResult` (lower is better;
     must be picklable — a module-level function — when the search fans
-    out over worker processes, and deprecated on the serve wire).
+    out over worker processes; in-process only, so :meth:`to_dict`
+    refuses it).
     Explicit ``candidates`` bypass the design's constraints.
     ``parallel`` overrides the Session's default worker count for this
     job; the fan-out installs the design/workload/candidate state once
@@ -284,7 +251,7 @@ class SearchJob:
     replayed from the ``"candidates"`` cache stage — while
     ``"serial"`` is the per-candidate oracle scan. Both return a
     bit-identical winner; ``batch_size`` tunes the block size
-    (``None`` keeps the engine's ``search_batch_size``).
+    (``None`` keeps the engine's default of 32).
     ``"evolutionary"`` breeds candidates from the design's mapspace
     instead of scanning a stream (see ``docs/search.md``).
 
@@ -315,17 +282,16 @@ class SearchJob:
     )
 
     def to_dict(self) -> dict:
-        """Serialize to a ``schema: 1`` wire envelope. Named/weighted/
-        multi objectives ride as plain spec data; a legacy callable
-        objective is pickled (deprecated — the serving daemon rejects
-        pickled objectives on TCP) and must be a module-level
-        function."""
+        """Serialize to a ``schema: 1`` wire envelope. The objective
+        rides as plain spec data; a callable objective raises a
+        :class:`SpecError` before anything is pickled."""
+        objective = _objective_to_wire(self.objective)
         return {
             "schema": JOB_SCHEMA_VERSION,
             "kind": "search-job",
             "design": _pack(self.design),
             "workload": _pack(self.workload),
-            "objective": _objective_to_wire(self.objective),
+            "objective": objective,
             "candidates": (
                 None
                 if self.candidates is None
@@ -343,11 +309,12 @@ class SearchJob:
     def from_dict(cls, data: dict, *, unpack=_unpack) -> "SearchJob":
         def build() -> "SearchJob":
             num = partial(_wire_int, "search-job")
+            objective = _objective_from_wire(data["objective"])
             candidates = data["candidates"]
             return cls(
                 design=unpack(data["design"]),
                 workload=unpack(data["workload"]),
-                objective=_objective_from_wire(data["objective"], unpack),
+                objective=objective,
                 candidates=(
                     None
                     if candidates is None
@@ -361,7 +328,7 @@ class SearchJob:
                 shards=num("shards", data.get("shards")),
             )
 
-        return _job_envelope(data, "search-job", build)
+        return decode_envelope(data, "search-job", "job", build)
 
 
 @dataclass
@@ -413,12 +380,13 @@ class SearchShardJob:
     )
 
     def to_dict(self) -> dict:
+        objective = _objective_to_wire(self.objective)
         return {
             "schema": JOB_SCHEMA_VERSION,
             "kind": "search-shard-job",
             "design": _pack(self.design),
             "workload": _pack(self.workload),
-            "objective": _objective_to_wire(self.objective),
+            "objective": objective,
             "search_id": self.search_id,
             "shard": self.shard_id,
             "start": self.start,
@@ -442,11 +410,12 @@ class SearchShardJob:
     def from_dict(cls, data: dict, *, unpack=_unpack) -> "SearchShardJob":
         def build() -> "SearchShardJob":
             num = partial(_wire_int, "search-shard-job", optional=False)
+            objective = _objective_from_wire(data["objective"])
             candidates = data["candidates"]
             return cls(
                 design=unpack(data["design"]),
                 workload=unpack(data["workload"]),
-                objective=_objective_from_wire(data["objective"], unpack),
+                objective=objective,
                 search_id=data["search_id"],
                 shard_id=num("shard", data["shard"]),
                 start=num("start", data["start"]),
@@ -468,7 +437,7 @@ class SearchShardJob:
                 snapshot=data["snapshot"],
             )
 
-        return _job_envelope(data, "search-shard-job", build)
+        return decode_envelope(data, "search-shard-job", "job", build)
 
 
 @dataclass
@@ -512,7 +481,7 @@ class NetworkJob:
                 parallel=num("parallel", data["parallel"]),
             )
 
-        return _job_envelope(data, "network-job", build)
+        return decode_envelope(data, "network-job", "job", build)
 
 
 @dataclass
@@ -561,7 +530,7 @@ class FusedJob:
                 parallel=num("parallel", data.get("parallel")),
             )
 
-        return _job_envelope(data, "fused-job", build)
+        return decode_envelope(data, "fused-job", "job", build)
 
 
 def job_from_dict(data: dict, *, unpack=_unpack):
@@ -569,11 +538,11 @@ def job_from_dict(data: dict, *, unpack=_unpack):
     on the ``kind`` tag.
 
     ``unpack`` decodes every payload field: designs, workloads, network
-    layers and ``densities_for`` (which may be ``None``), and pickled
-    objectives. The default returns fresh objects on every call. The
-    serving daemon passes its table of decoded payloads, which returns
-    one shared object per distinct payload, so decoded specs are frozen
-    by contract (see ``docs/serving.md``, "Payload interning").
+    layers and ``densities_for`` (which may be ``None``). The default
+    returns fresh objects on every call. The serving daemon passes its
+    table of decoded payloads, which returns one shared object per
+    distinct payload, so decoded specs are frozen by contract (see
+    ``docs/serving.md``, "Payload interning").
     """
     if not isinstance(data, dict):
         raise SpecError(

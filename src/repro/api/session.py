@@ -557,33 +557,6 @@ class Session:
     def _run_evaluates(self, handles: list[JobHandle]) -> None:
         if not handles:
             return
-        if self.parallel > 1 and len(handles) > 1:
-            jobs = [h.job.engine_args() for h in handles]
-            try:
-                results = self._evaluator._evaluate_many(
-                    jobs, parallel=self.parallel
-                )
-            except ReproError:
-                # An expected per-job failure (e.g. one capacity
-                # overflow) aborts a pooled batch as a unit; re-run
-                # as a stacked in-process batch so the error is
-                # captured on the one handle that caused it. Expected
-                # path — no warning.
-                pass
-            except Exception as exc:
-                # Infra failures (pickling, broken pool) also fall back
-                # in-process — but say so, since they'd otherwise cost
-                # the whole fan-out invisibly.
-                warnings.warn(
-                    f"parallel batch of {len(jobs)} jobs failed "
-                    f"({type(exc).__name__}: {exc}); re-running in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                for handle, result in zip(handles, results):
-                    handle._resolve(result=result)
-                return
         if len(handles) == 1:
             handle = handles[0]
             try:
@@ -593,13 +566,31 @@ class Session:
             else:
                 handle._resolve(result=result)
             return
-        # Multi-job in-process batches run through the stacked pass:
-        # the whole batch's sparse-stage misses resolve in one numpy
-        # call, bit-identical to the serial loop. This is what makes
-        # the serving daemon's cross-client micro-batching pay off.
-        outcomes = self._evaluator._evaluate_batch(
-            [h.job.engine_args() for h in handles]
-        )
+        # Multi-job batches run through the stacked pass (in-process, or
+        # in each range of a process pool): the whole batch's misses
+        # resolve in a few numpy calls, bit-identical to the serial
+        # loop, with each job's ReproError captured on its handle. This
+        # is what makes the serving daemon's cross-client
+        # micro-batching pay off.
+        jobs = [h.job.engine_args() for h in handles]
+        outcomes = None
+        if self.parallel > 1:
+            try:
+                outcomes = self._evaluator._evaluate_many(
+                    jobs, parallel=self.parallel
+                )
+            except Exception as exc:
+                # Infra failures (pickling, broken pool) fall back
+                # in-process — but say so, since they'd otherwise cost
+                # the whole fan-out invisibly.
+                warnings.warn(
+                    f"parallel batch of {len(jobs)} jobs failed "
+                    f"({type(exc).__name__}: {exc}); re-running in-process",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+        if outcomes is None:
+            outcomes = self._evaluator._evaluate_batch(jobs)
         for handle, (result, exc) in zip(handles, outcomes):
             if exc is not None:
                 handle._resolve(exception=exc)

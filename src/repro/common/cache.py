@@ -264,11 +264,10 @@ class AnalysisCache:
     """A registry of named :class:`StageCache` stages.
 
     Stages are created lazily on first access, sized by
-    :data:`DEFAULT_STAGE_SIZES` unless overridden via ``stage_sizes``.
+    :data:`DEFAULT_STAGE_SIZES`.
     """
 
-    def __init__(self, stage_sizes: dict[str, int] | None = None):
-        self._stage_sizes = dict(stage_sizes or {})
+    def __init__(self):
         self._stages: dict[str, StageCache] = {}
         #: The engine's einsum-only factory memo: (factory, einsum
         #: digest, architecture digest) -> (mapping, dense key), at most
@@ -276,26 +275,13 @@ class AnalysisCache:
         #: counted, spilled or shipped.
         self.mappings: dict = {}
 
-    def stage(self, name: str, maxsize: int | None = None) -> StageCache:
-        """The stage named ``name``, created on first use.
-
-        ``maxsize`` only applies at creation; asking for a different
-        size once the stage exists is a programming error and raises.
-        """
-        existing = self._stages.get(name)
-        if existing is not None:
-            if maxsize is not None and maxsize != existing.maxsize:
-                raise ValueError(
-                    f"stage {name!r} already exists with maxsize "
-                    f"{existing.maxsize}, cannot resize to {maxsize}"
-                )
-            return existing
-        size = maxsize
-        if size is None:
-            size = self._stage_sizes.get(name)
-        if size is None:
-            size = DEFAULT_STAGE_SIZES.get(name, DEFAULT_STAGE_SIZE)
-        stage = self._stages[name] = StageCache(size, name=name)
+    def stage(self, name: str) -> StageCache:
+        """The stage named ``name``, created on first use."""
+        stage = self._stages.get(name)
+        if stage is None:
+            stage = self._stages[name] = StageCache(
+                DEFAULT_STAGE_SIZES.get(name, DEFAULT_STAGE_SIZE), name=name
+            )
         return stage
 
     @property

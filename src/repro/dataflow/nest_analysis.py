@@ -89,10 +89,16 @@ class TensorTraffic:
 
 @dataclass
 class DenseTraffic:
-    """Full output of the dataflow modeling step."""
+    """Full output of the dataflow modeling step.
 
-    workload: Workload
-    arch: Architecture
+    Equality compares the analysis itself: the mapping and every
+    number. The ``workload`` and ``arch`` back-references are excluded,
+    since a cache hit rebinds the caller's workload and a deserialized
+    result carries no architecture.
+    """
+
+    workload: Workload = field(compare=False)
+    arch: Architecture = field(compare=False)
     mapping: Mapping
     traffic: dict[tuple[str, str], TensorTraffic] = field(default_factory=dict)
     computes: int = 0
@@ -105,9 +111,8 @@ class DenseTraffic:
     #: The loop-structure view used by the sparse modeling step to
     #: derive leader tiles; populated by :func:`analyze_dataflow`.
     #: Excluded from equality: it is a derived view of (einsum, arch,
-    #: mapping), which are already compared, and carries no state of
-    #: its own — two analyses of the same mapping build distinct but
-    #: interchangeable views.
+    #: mapping) and carries no state of its own — two analyses of the
+    #: same mapping build distinct but interchangeable views.
     nest: object = field(default=None, repr=False, compare=False)
 
     def at(self, level: str, tensor: str) -> TensorTraffic:

@@ -56,7 +56,11 @@ from repro.mapping.mapspace import (
     Mapper,
     sampled_candidates_key,
 )
-from repro.model.engine import ScanState, exhaustive_mapspace
+from repro.model.engine import (
+    SEARCH_BATCH_SIZE,
+    ScanState,
+    exhaustive_mapspace,
+)
 from repro.model.result import SearchShardResult
 
 from .plan import WitnessBoard, WitnessSnapshot
@@ -206,7 +210,7 @@ def run_shard(
         stream,
         job.objective,
         mapper=mapper,
-        batch_size=job.batch_size or evaluator.search_batch_size,
+        batch_size=job.batch_size or SEARCH_BATCH_SIZE,
         prefilter=job.prefilter and job.check_capacity,
         start=job.start,
         stop=job.stop,

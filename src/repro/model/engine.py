@@ -59,8 +59,9 @@ and over with different SAF configurations:
   (``register_overflow``) so whole factorization subtrees dominated by
   the failing tile shape are pruned instead of being rejected one by
   one.
-* batch/parallel APIs — :meth:`Evaluator._evaluate_many` fans jobs
-  out over a process pool in deterministic contiguous ranges
+* batch/parallel APIs — :meth:`Evaluator._evaluate_many` runs jobs
+  through the batched path, in-process or in each range of a process
+  pool split deterministically
   (:func:`repro.distributed.plan_shards`), and a batched search with
   ``parallel=N`` becomes ``N`` shards of its candidate stream, each
   scanned in a pool worker by the one blocked scan
@@ -75,9 +76,10 @@ and over with different SAF configurations:
   jobs stage by stage: one stacked dense pass, then one stacked sparse
   flush per walk context (each miss with its micro tail), with per-job
   results, errors, and cache statistics identical to the serial loop. The
-  serving daemon's micro-batches and every mapspace-search block
-  (:meth:`Evaluator._evaluate_block`) go through it; single evaluations
-  take the per-call path (:meth:`Evaluator._evaluate`).
+  serving daemon's micro-batches, network layers, pool ranges and every
+  mapspace-search block (:meth:`Evaluator._evaluate_block`) go through
+  it; single evaluations take the per-call path
+  (:meth:`Evaluator._evaluate`).
 """
 
 from __future__ import annotations
@@ -129,10 +131,11 @@ from repro.micro.record import EvaluationRecord, open_record
 from repro.micro.validity import check_validity, level_usage, overflow_error
 from repro.model.result import EvaluationResult
 from repro.search.evolutionary import (
-    EvolutionConfig,
     genome_key,
     genome_of,
     make_offspring,
+    parent_count,
+    population_size,
 )
 from repro.search.frontier import ParetoFrontier
 from repro.search.objective import Objective, resolve_objective
@@ -173,6 +176,11 @@ FUSED_STAGE = "fused"
 PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
     "REPRO_SCALAR_PREFILTER", ""
 ).lower() in ("", "0", "false", "no", "off")
+
+#: Candidates a search scan draws, prefilters and evaluates per block
+#: unless the job sets ``batch_size``.
+SEARCH_BATCH_SIZE = 32
+
 
 @dataclass
 class Design:
@@ -456,34 +464,6 @@ class Evaluator:
     feedback into the mapper is unchanged: overflow extents are
     derived lazily from the block arrays only when a witness is
     actually registered.
-    ``search_strategy`` / ``search_batch_size``: how the serial
-    mapspace scan evaluates candidates. ``"batched"`` (the default)
-    drives the search in candidate blocks (:meth:`_scan`) — draw and
-    prefilter ``search_batch_size`` candidates at a time (feeding
-    overflow witnesses straight back to the mapper, so later draws are
-    already pruned), then push every block of survivors through **one
-    batched evaluation** (:meth:`_evaluate_batch`: stacked dense and
-    sparse passes) instead of one pipeline pass per candidate — and,
-    on the sampled path, replays the candidate stream from the
-    ``"candidates"`` cache stage instead of re-drawing it.
-    ``"serial"`` is the per-candidate oracle (the
-    exact historical scan); both strategies return a bit-identical
-    winner — same score, same stream index, same result — because the
-    stacked arithmetic is elementwise and the scan preserves candidate
-    order, prefilter decisions, and witness feedback points. The
-    batched strategy keeps its block structure (and the candidate
-    memo) even when the scalar sparse oracle is forced — the stacked
-    flush simply degenerates to per-candidate scalar arithmetic.
-    ``"evolutionary"`` breeds candidates in factorization space
-    instead of scanning a fixed stream: population seeded from the
-    ``"candidates"`` memo, crossover/mutation honouring
-    ``fixed_factors`` by construction, overflow witnesses killing
-    offspring before evaluation without consuming budget (see
-    :meth:`_search_evolutionary` and ``docs/search.md``).
-    ``evolution``: optional
-    :class:`repro.search.evolutionary.EvolutionConfig` overriding the
-    evolutionary strategy's knobs (population sizing, selection cut,
-    mutation rate).
     ``persistent``: an optional
     :class:`~repro.common.cache.PersistentCache` on-disk tier.
     :meth:`warm_start` loads a snapshot into the in-memory cache and
@@ -493,6 +473,15 @@ class Evaluator:
     ``persistent_key``: the snapshot identity used when
     :meth:`warm_start`/:meth:`spill_cache` are called without an
     explicit key (set automatically by the first keyed call).
+
+    Search strategies (:meth:`_search_full`'s ``strategy``):
+    ``"batched"`` (the default) scans the candidate stream in blocks of
+    ``batch_size`` candidates (:data:`SEARCH_BATCH_SIZE` unless the job
+    sets it), each block's survivors as one :meth:`_evaluate_batch`
+    (:meth:`_scan`); ``"serial"`` is its per-candidate oracle, with a
+    bit-identical winner, index and frontier; ``"evolutionary"`` breeds
+    candidates in factorization space (:meth:`_search_evolutionary`).
+    See ``docs/search.md``.
 
     Batch evaluation: :meth:`_evaluate_many` evaluates a list of jobs,
     and it, :meth:`_search_full` (batched strategy), and
@@ -520,9 +509,6 @@ class Evaluator:
     )
     persistent: PersistentCache | None = field(default=None, repr=False)
     persistent_key: str | None = field(default=None, repr=False)
-    search_strategy: str = "batched"
-    search_batch_size: int = 32
-    evolution: EvolutionConfig | None = field(default=None, repr=False)
 
     def _evaluate(
         self,
@@ -791,43 +777,6 @@ class Evaluator:
                 )
         return None
 
-    def _passes_capacity_prefilter(
-        self, design: Design, workload: Workload, mapping: Mapping
-    ) -> bool:
-        """Boolean view of :meth:`_capacity_overflow`."""
-        return self._capacity_overflow(design, workload, mapping) is None
-
-    def _capacity_overflow_block(
-        self,
-        design: Design,
-        workload: Workload,
-        mappings: Sequence[Mapping],
-        vectorized: bool | None = None,
-    ) -> list[OverflowReason | None]:
-        """Block view of :meth:`_capacity_overflow`: one
-        :class:`OverflowReason` (or ``None``) per mapping.
-
-        ``vectorized=None`` follows ``prefilter_vectorized``; the
-        scalar path simply loops the oracle. Both paths are
-        bit-identical — decision, overflowing level, bound values, and
-        witness extents. The search itself keeps the lazier
-        :class:`_PrefilterReject` records from
-        :meth:`_prefilter_block`; this eager view serves equivalence
-        tests and external callers.
-        """
-        if vectorized is None:
-            vectorized = self.prefilter_vectorized
-        if not vectorized:
-            return [
-                self._capacity_overflow(design, workload, mapping)
-                for mapping in mappings
-            ]
-        return [
-            reject.reason() if isinstance(reject, _PrefilterReject)
-            else reject
-            for reject in self._prefilter_block(design, workload, mappings)
-        ]
-
     def _prefilter_block(
         self, design: Design, workload: Workload, mappings: Sequence[Mapping]
     ) -> list[_PrefilterReject | OverflowReason | None]:
@@ -1013,9 +962,9 @@ class Evaluator:
 
         Uses the design's constraints with the built-in mapper unless
         explicit ``candidates`` are supplied (:meth:`_search_mode`).
-        ``strategy`` / ``batch_size`` override the evaluator's
-        ``search_strategy`` / ``search_batch_size`` for this search
-        (see the class docstring). ``parallel=N`` applies to the
+        ``strategy`` (default ``"batched"``) and ``batch_size``
+        (default :data:`SEARCH_BATCH_SIZE`) pick the scan (see the
+        class docstring). ``parallel=N`` applies to the
         batched strategy only: :meth:`_search_parallel` scans ``N``
         shards of the stream in a process pool, with winner and
         frontier identical to the in-process scan (requires a
@@ -1032,7 +981,7 @@ class Evaluator:
             design, workload, candidates, strategy
         )
         if batch_size is None:
-            batch_size = self.search_batch_size
+            batch_size = SEARCH_BATCH_SIZE
         # The strategy alone decides the scan: batch_size=1 still runs
         # the batched scan (candidate-stream memo, witness replay) with
         # single-candidate blocks, and the forced scalar oracles only
@@ -1109,7 +1058,7 @@ class Evaluator:
         ``"sampled"`` (:func:`exhaustive_mapspace`; fresh mapper). The
         sharded planner (:func:`repro.distributed.plan_search`) plans
         through here too."""
-        strategy = strategy or self.search_strategy
+        strategy = strategy or "batched"
         if strategy not in ("serial", "batched", "evolutionary"):
             raise SpecError(
                 f"unknown search strategy {strategy!r}; "
@@ -1169,15 +1118,14 @@ class Evaluator:
         workload: Workload,
         candidates: Iterable[Mapping],
         objective,
-        offset: int = 0,
         mapper: Mapper | None = None,
         frontier: ParetoFrontier | None = None,
     ) -> tuple[float, int, EvaluationResult] | None:
-        """Serial scan returning ``(score, global_index, result)`` of the
-        winner; ``offset`` re-bases indices for chunked fan-out. When
-        ``mapper`` produced the candidates, prefilter overflows are fed
-        back to it for subtree pruning. A ``frontier`` is maintained in
-        place when given; the winner is always one of its points."""
+        """Serial scan returning ``(score, index, result)`` of the
+        winner. When ``mapper`` produced the candidates, prefilter
+        overflows are fed back to it for subtree pruning. A
+        ``frontier`` is maintained in place when given; the winner is
+        always one of its points."""
         objective = resolve_objective(objective)
         prefilter = self.prefilter_capacity and self.check_capacity
         best: tuple[float, int, EvaluationResult] | None = None
@@ -1196,9 +1144,9 @@ class Evaluator:
                 continue
             score = objective.score(result)
             if frontier is not None:
-                frontier.observe(objective, score, offset + index, result)
+                frontier.observe(objective, score, index, result)
             if best is None or score < best[0]:
-                best = (score, offset + index, result)
+                best = (score, index, result)
         return best
 
     def _scan(
@@ -1250,7 +1198,7 @@ class Evaluator:
         if frontier is None:
             frontier = ParetoFrontier(axes=objective.axes)
         batch_size = max(
-            1, self.search_batch_size if batch_size is None else batch_size
+            1, SEARCH_BATCH_SIZE if batch_size is None else batch_size
         )
         if prefilter is None:
             prefilter = self.prefilter_capacity and self.check_capacity
@@ -1403,13 +1351,11 @@ class Evaluator:
         the breeding RNG, and every selection sort are explicitly
         ordered. Generations run in-process (no ``parallel`` fan-out);
         survivor blocks still go through the stacked dense + sparse
-        pipeline. Knobs live in
-        :class:`repro.search.evolutionary.EvolutionConfig` (the
-        evaluator's ``evolution`` field).
+        pipeline. The sizing and breeding constants live in
+        :mod:`repro.search.evolutionary`.
         """
-        config = self.evolution or EvolutionConfig()
         budget = self.search_budget
-        pop_size = config.population_size(budget)
+        pop_size = population_size(budget)
         batch_size = max(1, batch_size)
         prefilter = self.prefilter_capacity and self.check_capacity
         rng = random.Random(self.search_seed)
@@ -1481,11 +1427,10 @@ class Evaluator:
             scored.sort(key=lambda entry: (entry[0], entry[1]))
             parents = [
                 genome
-                for _score, _idx, genome in scored[: config.parent_count(pop_size)]
+                for _score, _idx, genome in scored[: parent_count(pop_size)]
             ]
             generation = make_offspring(
-                mapper, parents, rng,
-                min(pop_size, budget - proposals), seen, config,
+                mapper, parents, rng, min(pop_size, budget - proposals), seen
             )
         return best
 
@@ -1516,13 +1461,12 @@ class Evaluator:
         # per worker through the pool initializer, and each task
         # payload is just a shard's ``(start, stop)`` range.
         shared = {
-            "evaluator": replace(
-                self, cache=None, search_batch_size=batch_size
-            ),
+            "evaluator": replace(self, cache=None),
             "design": design,
             "workload": workload,
             "candidates": stream,
             "objective": objective,
+            "batch_size": batch_size,
             "witnesses": mapper is not None,
         }
         # Shard workers never sample, so the candidates stage is dead
@@ -1827,19 +1771,19 @@ class Evaluator:
         self,
         jobs: Sequence[tuple],
         parallel: int = 1,
-    ) -> list[EvaluationResult]:
-        """Evaluate a batch of jobs, preserving order.
+    ) -> list[tuple[EvaluationResult | None, ReproError | None]]:
+        """:meth:`_evaluate_batch` over a list of jobs, optionally
+        fanned out: one ``(result, error)`` pair per job, in job order.
 
-        Each job is ``(design, workload)`` or ``(design, workload,
-        mapping)`` — the same signature as :meth:`_evaluate`.
-        ``parallel=N`` splits the batch into ``N`` deterministic
-        contiguous chunks evaluated in worker processes; results are
-        reassembled in job order and match the serial run exactly.
-        Workers start with the parent's hottest cache entries.
+        ``parallel=N`` splits the jobs into ``N`` deterministic
+        contiguous ranges, each evaluated as one batch in a worker
+        process that starts with the parent's hottest cache entries;
+        the outcomes match the in-process batch exactly, and the
+        successes are folded back into the parent cache.
         """
         jobs = list(jobs)
         if parallel <= 1 or len(jobs) <= 1:
-            return [self._evaluate(*job) for job in jobs]
+            return self._evaluate_batch(jobs)
         # repro.distributed imports this module at its top.
         from repro.distributed.plan import plan_shards
 
@@ -1854,13 +1798,14 @@ class Evaluator:
             ],
             shared=shared,
         )
-        results = [result for chunk in partials for result in chunk]
+        outcomes = [outcome for chunk in partials for outcome in chunk]
         # Results were computed in workers; fold them back into the
         # parent cache so follow-up serial evaluations hit and
         # persistent spills capture what the fan-out derived.
-        for job, result in zip(jobs, results):
-            self._absorb_result(job[0], job[1], result)
-        return results
+        for job, (result, _error) in zip(jobs, outcomes):
+            if result is not None:
+                self._absorb_result(job[0], job[1], result)
+        return outcomes
 
     def _evaluate_network(
         self,
@@ -1876,8 +1821,9 @@ class Evaluator:
         ``layers`` is a list of :class:`~repro.workload.nets.NetLayer`;
         ``densities_for(layer)`` supplies per-tensor densities. Results
         aggregate per layer; total latency/energy multiply by layer
-        repeat counts. ``parallel=N`` fans the layers out over worker
-        processes via :meth:`_evaluate_many`.
+        repeat counts. The layers run as one :meth:`_evaluate_many`
+        batch (``parallel=N`` fans it out over worker processes); the
+        first failing layer, in layer order, raises its error.
 
         Layers with identical content — same einsum, same densities,
         and the same mapping the design resolves for them — are
@@ -1937,13 +1883,15 @@ class Evaluator:
             )
             if spill_key is not None:
                 self.warm_start(spill_key)
-        results = self._evaluate_many(unique_jobs, parallel=parallel)
+        outcomes = self._evaluate_many(unique_jobs, parallel=parallel)
         if spill_key is not None:
             self.spill_cache(spill_key)
 
         paired = []
         for layer, workload, index in zip(layers, workloads, job_of_layer):
-            result = results[index]
+            result, error = outcomes[index]
+            if error is not None:
+                raise error
             if result.workload_name != workload.name:
                 result = replace(result, workload_name=workload.name)
             paired.append((layer, result))
@@ -2511,14 +2459,16 @@ def _search_range_worker(payload):
     )
     return evaluator._scan(
         design, workload, shared["candidates"], shared["objective"],
-        mapper=mapper, start=start, stop=stop,
+        mapper=mapper, batch_size=shared["batch_size"], start=start,
+        stop=stop,
     ).frontier
 
 
 def _evaluate_range_worker(payload):
-    """Evaluate one job index range against the installed fan-out
-    state (:data:`_WORKER_SHARED`)."""
+    """Evaluate one job index range of the installed fan-out state
+    (:data:`_WORKER_SHARED`) as one batch: a ``(result, error)`` pair
+    per job."""
     start, stop = payload
     shared = _WORKER_SHARED
     evaluator = _bind_worker_cache(shared["evaluator"])
-    return [evaluator._evaluate(*job) for job in shared["jobs"][start:stop]]
+    return evaluator._evaluate_batch(shared["jobs"][start:stop])

@@ -87,39 +87,34 @@ class SerializableResult:
     def from_json(cls, text: str):
         return cls.from_dict(json.loads(text))
 
-    @classmethod
-    def _rebuild(cls, data: dict, kind: str, build):
-        """Validate the envelope, then run ``build()`` with body-level
-        failures (missing keys, wrong value shapes) normalised to
-        :class:`SpecError` — callers get one exception type for any
-        malformed serialized input, never a raw ``KeyError``."""
-        _require_schema(data, kind)
-        try:
-            return build()
-        except SpecError:
-            raise
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise SpecError(
-                f"malformed serialized {kind} result: {exc!r}"
-            ) from exc
 
-
-def _require_schema(data: dict, kind: str) -> None:
-    """Validate the envelope of a serialized result."""
+def decode_envelope(data: dict, kind: str, noun: str, build):
+    """Validate a serialized ``kind`` envelope (a dict of this build's
+    schema version with that ``kind`` tag), then run ``build()`` with
+    body-level failures (missing keys, wrong value shapes) normalised to
+    :class:`SpecError`, so callers get one exception type for any
+    malformed input, never a raw ``KeyError``. ``noun`` (``"result"``
+    or ``"job"``) words the messages. Every result and job
+    ``from_dict`` decodes through here."""
     if not isinstance(data, dict):
         raise SpecError(
-            f"serialized {kind} result must be a dict, got "
-            f"{type(data).__name__}"
+            f"serialized {noun} must be a dict, got {type(data).__name__}"
         )
     version = data.get("schema")
     if version != RESULT_SCHEMA_VERSION:
         raise SpecError(
-            f"unsupported result schema version {version!r} "
+            f"unsupported {noun} schema version {version!r} "
             f"(this build reads version {RESULT_SCHEMA_VERSION})"
         )
     found = data.get("kind")
     if found != kind:
-        raise SpecError(f"expected a {kind!r} result, got kind {found!r}")
+        raise SpecError(f"expected a {kind!r} {noun}, got kind {found!r}")
+    try:
+        return build()
+    except SpecError:
+        raise
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SpecError(f"malformed serialized {kind} {noun}: {exc!r}") from exc
 
 
 def _breakdown_to_dict(b: ActionBreakdown) -> dict:
@@ -488,7 +483,7 @@ class EvaluationResult(SerializableResult):
                 _usage=_usage_from_list(data["usage"]),
             )
 
-        return cls._rebuild(data, "evaluation", build)
+        return decode_envelope(data, "evaluation", "result", build)
 
 
 
@@ -581,7 +576,7 @@ class SearchResult(SerializableResult):
                 ),
             )
 
-        return cls._rebuild(data, "search", build)
+        return decode_envelope(data, "search", "result", build)
 
 
 
@@ -670,7 +665,7 @@ class SearchShardResult(SerializableResult):
                 results=results,
             )
 
-        return cls._rebuild(data, "search-shard", build)
+        return decode_envelope(data, "search-shard", "result", build)
 
 
 @dataclass
@@ -737,7 +732,7 @@ class NetworkResult(SerializableResult):
                 ],
             )
 
-        return cls._rebuild(data, "network", build)
+        return decode_envelope(data, "network", "result", build)
 
 
 @dataclass
@@ -861,5 +856,5 @@ class FusedResult(SerializableResult):
                 shared=[dict(entry) for entry in data.get("shared") or []],
             )
 
-        return cls._rebuild(data, "fused", build)
+        return decode_envelope(data, "fused", "result", build)
 

@@ -13,11 +13,11 @@ search (see ``docs/search.md``):
   path is its 1-D special case.
 * :mod:`repro.search.evolutionary` — genome operators (factorization
   -space crossover and mutation honouring ``fixed_factors``) and the
-  knobs of the engine's ``strategy="evolutionary"`` search.
+  constants of the engine's ``strategy="evolutionary"`` search.
 
-Objectives serialize as plain schema-v1 wire data (a name string or a
-small spec dict) — never as pickles — which is what lets the serving
-daemon accept them from untrusted TCP peers.
+Objectives cross the job wire only as plain schema-v1 spec data (a
+name string or a small spec dict), never as pickles; a callable
+objective stays in-process.
 """
 
 from repro.search.frontier import FrontierPoint, ParetoFrontier

@@ -21,45 +21,46 @@ Operators:
 Offspring are killed before evaluation by the mapper's structural
 checks and accumulated overflow witnesses; killed offspring do not
 consume search budget (the pruned mass is recycled into extra
-population budget).  See ``docs/search.md`` for the knobs.
+population budget).  The sizing and breeding knobs are the module
+constants below, listed in ``docs/search.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "EvolutionConfig",
+    "POPULATION_FRACTION",
+    "PARENT_FRACTION",
+    "MUTATION_RATE",
+    "TRIES_FACTOR",
+    "population_size",
+    "parent_count",
     "genome_of",
     "genome_key",
     "random_genome",
     "make_offspring",
 ]
 
+#: Size of each generation as a fraction of the search budget.
+POPULATION_FRACTION = 0.25
+#: The truncation-selection cut: the fraction of scored individuals
+#: that parent the next generation.
+PARENT_FRACTION = 0.5
+#: Per-dimension redraw probability applied after crossover.
+MUTATION_RATE = 0.3
+#: Structurally invalid or duplicate proposals the offspring loop
+#: discards per requested child before giving up (the termination
+#: guard for exhausted genome neighbourhoods).
+TRIES_FACTOR = 50
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """Knobs of the evolutionary strategy (all deterministic).
 
-    ``population_fraction`` sizes each generation relative to the
-    total search budget; ``parent_fraction`` is the truncation-
-    selection cut; ``mutation_rate`` is the per-dimension redraw
-    probability applied after crossover; ``tries_factor`` bounds how
-    many structurally-invalid / duplicate proposals the offspring
-    loop will discard per requested child before giving up (the
-    termination guard for exhausted genome neighbourhoods).
-    """
+def population_size(budget: int) -> int:
+    """Individuals per generation (at least 2, at most ``budget``)."""
+    return max(2, min(budget, round(budget * POPULATION_FRACTION)))
 
-    population_fraction: float = 0.25
-    parent_fraction: float = 0.5
-    mutation_rate: float = 0.3
-    tries_factor: int = 50
 
-    def population_size(self, budget: int) -> int:
-        return max(2, min(budget, round(budget * self.population_fraction)))
-
-    def parent_count(self, population_size: int) -> int:
-        return max(2, int(population_size * self.parent_fraction))
+def parent_count(population: int) -> int:
+    """Parents kept per generation (at least 2)."""
+    return max(2, int(population * PARENT_FRACTION))
 
 
 def genome_of(mapper, mapping) -> dict:
@@ -95,7 +96,7 @@ def random_genome(mapper, rng) -> dict:
     }
 
 
-def make_offspring(mapper, parents, rng, count, seen, config) -> list:
+def make_offspring(mapper, parents, rng, count, seen) -> list:
     """Breed up to ``count`` novel, structurally valid genomes.
 
     ``parents`` is an ordered list (best first); ``seen`` is the
@@ -107,7 +108,7 @@ def make_offspring(mapper, parents, rng, count, seen, config) -> list:
 
     dims = list(mapper.einsum.dims)
     out = []
-    tries = max(1, count) * config.tries_factor
+    tries = max(1, count) * TRIES_FACTOR
     while len(out) < count and tries > 0:
         tries -= 1
         if len(parents) >= 2:
@@ -117,7 +118,7 @@ def make_offspring(mapper, parents, rng, count, seen, config) -> list:
                 for dim in dims
             }
             for dim in dims:
-                if rng.random() < config.mutation_rate:
+                if rng.random() < MUTATION_RATE:
                     child[dim] = mapper._random_dim_factorization(dim, rng)
         else:
             child = random_genome(mapper, rng)

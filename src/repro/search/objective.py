@@ -11,8 +11,8 @@ mapspace search minimises.  Objectives come in four flavours:
   winner is still picked by a designated scalar axis, but the search
   maintains a Pareto frontier over the full vector.
 * :class:`CallableObjective` — a wrapper over a legacy
-  ``Callable[[EvaluationResult], float]``.  Supported in-process;
-  deprecated on the serve wire (see ``docs/serving.md``).
+  ``Callable[[EvaluationResult], float]``.  In-process only: it has no
+  wire form.
 
 Every objective **minimises**.  Metrics where larger is better (the
 capacity-slack axis) are negated so the frontier's dominance test can
@@ -99,10 +99,6 @@ def _require_name(name) -> str:
 class Objective:
     """Base class for search objectives.  Objectives minimise."""
 
-    #: whether this objective can be reconstructed from ``to_spec()``
-    #: data — i.e. whether it may travel over an untrusted transport.
-    wire_safe = True
-
     @property
     def name(self) -> str:
         raise NotImplementedError
@@ -126,10 +122,10 @@ class Objective:
     def to_spec(self):
         """Plain JSON data describing this objective.
 
-        For wire-safe objectives the spec round-trips through
-        :func:`objective_from_spec`; for callables it is a purely
-        descriptive record (results stay self-describing, but the
-        callable itself cannot be rebuilt from it).
+        For every objective but a callable the spec round-trips
+        through :func:`objective_from_spec`; for callables it is a
+        purely descriptive record (results stay self-describing, but
+        the callable itself cannot be rebuilt from it).
         """
 
         raise NotImplementedError
@@ -240,8 +236,6 @@ class CallableObjective(Objective):
 
     fn: object = field(default=None)
 
-    wire_safe = False
-
     def __post_init__(self):
         if not callable(self.fn):
             raise SpecError("callable objective needs a callable, got %r" % (self.fn,))
@@ -307,9 +301,8 @@ def resolve_objective(objective) -> Objective:
 
     ``None`` means the default EDP objective; strings are named
     objectives; sequences of names become a :class:`MultiObjective`;
-    dicts are parsed as wire specs; callables are wrapped (supported
-    in-process, deprecated on the wire); Objective instances pass
-    through.
+    dicts are parsed as wire specs; callables are wrapped (in-process
+    only); Objective instances pass through.
     """
 
     if objective is None:

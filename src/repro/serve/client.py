@@ -455,10 +455,9 @@ class RemoteSession:
         data — ``objective="energy"`` or ``objective=("energy",
         "cycles", "slack")`` puts no pickle on the wire, and the
         result's ``frontier`` section can be projected with
-        ``submit(job, fields=["frontier"])``. A legacy callable
-        objective is pickled (deprecation warning) and the daemon
-        rejects it on TCP transports; use a unix socket or a named
-        objective instead (docs/serving.md, "Trust model").
+        ``submit(job, fields=["frontier"])``. A callable objective
+        stays in-process: it fails with a :class:`SpecError` before
+        anything is sent.
 
         ``budget``/``seed`` override the daemon's sampling knobs for
         this search; ``shards`` asks the daemon to shard the scan

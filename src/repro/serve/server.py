@@ -40,7 +40,6 @@ import functools
 import heapq
 import itertools
 import os
-import socket
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -104,21 +103,15 @@ class _ClientStats:
 
 
 class _Client:
-    __slots__ = ("writer", "name", "stats", "blobs", "trusted")
+    __slots__ = ("writer", "name", "stats", "blobs")
 
-    def __init__(
-        self, writer: asyncio.StreamWriter, name: str, trusted: bool = False
-    ):
+    def __init__(self, writer: asyncio.StreamWriter, name: str):
         self.writer = writer
         self.name = name
         self.stats = _ClientStats()
         #: interned payloads: digest -> tagged blob dict. Lives and
         #: dies with the connection, so refs cannot dangle a restart.
         self.blobs: dict[str, dict] = {}
-        #: same-host peers (unix socket) may ship pickled payload
-        #: extras like callable objectives; TCP peers may not (see
-        #: docs/serving.md, "Trust model").
-        self.trusted = trusted
 
 
 _MISSING = object()
@@ -329,14 +322,7 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        sock = writer.get_extra_info("socket")
-        trusted = (
-            sock is not None
-            and getattr(sock, "family", None) == socket.AF_UNIX
-        )
-        client = _Client(
-            writer, name=f"client-{next(self._client_seq)}", trusted=trusted
-        )
+        client = _Client(writer, name=f"client-{next(self._client_seq)}")
         self._clients[client.name] = client
         try:
             while True:
@@ -412,33 +398,6 @@ class ReproServer:
         except ReproError as exc:
             self._send(client, request_id, error=exc)
             return
-        # Trust boundary: search objectives cross the wire as plain
-        # named/weighted/multi spec data. A pickled objective callable
-        # is only honoured from same-host unix-socket peers — over TCP
-        # it is rejected up front, before the payload ever reaches an
-        # unpickler (docs/serving.md, "Trust model").
-        if (
-            not client.trusted
-            and isinstance(job_dict, dict)
-            and job_dict.get("kind") in ("search-job", "search-shard-job")
-        ):
-            objective = job_dict.get("objective")
-            if (
-                isinstance(objective, dict)
-                and objective.get("encoding") == "pickle"
-            ):
-                self._send(
-                    client,
-                    request_id,
-                    error=SpecError(
-                        "pickled objective callables are not accepted "
-                        "over TCP; send a named objective ('edp', "
-                        "'energy', 'latency', 'cycles', 'slack') or a "
-                        "weighted/multi spec instead (see "
-                        "docs/serving.md)"
-                    ),
-                )
-                return
         client.stats.jobs += 1
         deadline_ms = message.get("deadline_ms")
         # Route on the envelope's kind tag alone; unpickling the job

@@ -72,6 +72,7 @@ class RankFormat(ABC):
         return self.name
 
 
+@dataclass(frozen=True)
 class Uncompressed(RankFormat):
     """U: all positions stored in place; zero metadata."""
 
@@ -86,6 +87,7 @@ class Uncompressed(RankFormat):
         return "U"
 
 
+@dataclass(frozen=True)
 class Bitmask(RankFormat):
     """B: one presence bit per coordinate position of each stored fiber."""
 
@@ -98,6 +100,7 @@ class Bitmask(RankFormat):
         return "B"
 
 
+@dataclass(frozen=True)
 class UncompressedBitmask(RankFormat):
     """UB: bitmask metadata but payloads kept at all positions.
 

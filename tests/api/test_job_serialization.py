@@ -25,6 +25,7 @@ from repro.api import (
 from repro.api.jobs import JOB_SCHEMA_VERSION, _pack, _unpack
 from repro.common.errors import SpecError
 from repro.io.yaml_spec import load_design
+from repro.search.objective import CallableObjective
 from repro.workload.nets import alexnet
 from tests.io.test_yaml_spec import FULL_SPEC
 from tests.workload.test_graph import chain_graph
@@ -77,18 +78,46 @@ class TestSearchJobRoundTrip:
         job = SearchJob(
             design,
             workload,
-            objective=edp_objective,
+            objective=("energy", "cycles"),
             parallel=2,
             batch_size=16,
             strategy="serial",
         )
         rebuilt = SearchJob.from_dict(_wire(job.to_dict()))
-        assert rebuilt.objective is edp_objective
+        assert rebuilt.objective == {
+            "multi": ["energy", "cycles"], "scalar": "edp",
+        }
         assert (rebuilt.parallel, rebuilt.batch_size, rebuilt.strategy) == (
             2,
             16,
             "serial",
         )
+
+    @pytest.mark.parametrize("kind", [SearchJob, SearchShardJob])
+    @pytest.mark.parametrize(
+        "objective", [edp_objective, CallableObjective(edp_objective)],
+        ids=["function", "wrapped"],
+    )
+    def test_callable_objective_is_not_serializable(self, kind, objective):
+        design, workload = load_design(FULL_SPEC)
+        job = kind(design, workload, objective=objective)
+        with pytest.raises(SpecError, match="'weighted'.*'multi'"):
+            job.to_dict()
+
+    @pytest.mark.parametrize("kind", [SearchJob, SearchShardJob])
+    def test_pickled_objective_refused_before_any_decode(self, kind):
+        design, workload = load_design(FULL_SPEC)
+        data = _wire(kind(design, workload).to_dict())
+        data["objective"] = _pack(edp_objective)
+        decoded = []
+
+        def unpack(blob):
+            decoded.append(blob)
+            return _unpack(blob)
+
+        with pytest.raises(SpecError, match="never as pickles"):
+            job_from_dict(data, unpack=unpack)
+        assert decoded == []
 
     def test_candidates_serialize_structurally(self):
         design, workload = load_design(FULL_SPEC)
@@ -252,8 +281,6 @@ class TestUnpackHook:
     @pytest.mark.parametrize("kind", JOB_KINDS)
     def test_hook_sees_every_pickled_field(self, kind):
         data = _envelope(kind)
-        if "objective" in data:
-            data["objective"] = _wire(_pack(edp_objective))
         pickled = [
             value
             for value in data.values()

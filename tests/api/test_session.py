@@ -171,14 +171,41 @@ class TestJobHandles:
             assert orphan.exception() is boom
 
     def test_parallel_batch_with_failures_attributes_them(self):
-        # A pooled batch containing a capacity-overflow job falls back
-        # to serial execution, attributing the failure to the one job
-        # that caused it.
+        # A pooled batch containing a capacity-overflow job attributes
+        # the failure to the one job that caused it.
         with Session(parallel=2) as session:
             ok = session.submit(FULL_SPEC)
             bad = session.submit(_overflow_spec())
             assert ok.exception() is None
             assert isinstance(bad.exception(), ValidationError)
+
+    def test_pooled_batch_with_an_overflow_is_evaluated_once(
+        self, monkeypatch
+    ):
+        specs = [FULL_SPEC, _overflow_spec(), FULL_SPEC, FULL_SPEC]
+        with Session() as serial:
+            expected = [h.exception() or h.result() for h in serial.submit_many(specs)]
+        calls = []
+        with Session(parallel=2) as pooled:
+            engine = pooled.evaluator
+            for name in ("_evaluate", "_evaluate_batch", "_evaluate_many"):
+                method = getattr(engine, name)
+
+                def counted(*args, _name=name, _method=method, **kwargs):
+                    calls.append(_name)
+                    return _method(*args, **kwargs)
+
+                monkeypatch.setattr(engine, name, counted)
+            handles = pooled.submit_many(specs)
+            pooled.run()
+        # One pooled pass; no job re-runs in-process.
+        assert calls == ["_evaluate_many"]
+        error = handles[1].exception()
+        assert isinstance(error, ValidationError)
+        assert str(error) == str(expected[1])
+        for index in (0, 2, 3):
+            assert handles[index].exception() is None
+            assert handles[index].result().to_dict() == expected[index].to_dict()
 
 
 class TestSessionLifecycle:

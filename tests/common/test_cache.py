@@ -119,10 +119,14 @@ class TestAnalysisCache:
         assert cache.dense is cache.stage("dense")
         assert cache.dense.name == "dense"
 
-    def test_stage_size_overrides(self):
-        cache = AnalysisCache(stage_sizes={"dense": 2, "sparse": 3})
+    def test_stage_size_overrides(self, monkeypatch):
+        # Sizes come from DEFAULT_STAGE_SIZES when a stage is created.
+        monkeypatch.setitem(DEFAULT_STAGE_SIZES, "dense", 2)
+        cache = AnalysisCache()
         assert cache.dense.maxsize == 2
-        assert cache.sparse.maxsize == 3
+        for key in ("a", "b", "c"):
+            cache.dense.put(key, key)
+        assert len(cache.dense) == 2 and "a" not in cache.dense
 
     def test_stats_and_clear_cover_all_stages(self):
         cache = AnalysisCache()

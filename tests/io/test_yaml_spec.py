@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from repro import Session
+from repro.common.cache import spec_digest
 from repro.common.errors import SpecError
 from repro.io.yaml_spec import (
     _parse_format,
@@ -278,6 +279,13 @@ class TestSAFs:
             spec_with_bad_safs(("actions", 0, "condition_on"), "A")
         )
         assert safs.storage_safs == load_saf_spec(FULL_SPEC).storage_safs
+
+    def test_equal_specs_are_equal(self):
+        # The Bitmask rank of the BackingStorage/A format compared by
+        # identity once, so two loads of one spec were unequal.
+        first, second = load_saf_spec(FULL_SPEC), load_saf_spec(FULL_SPEC)
+        assert first == second
+        assert spec_digest(first) == spec_digest(second)
 
 
 class TestMapping:

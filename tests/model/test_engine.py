@@ -315,7 +315,8 @@ class TestPoolEdgeCases:
         evaluator = Evaluator()
         expected = [evaluator._evaluate(*job) for job in jobs]
         results = evaluator._evaluate_many(jobs, parallel=2)
-        for got, want in zip(results, expected):
+        for (got, error), want in zip(results, expected):
+            assert error is None
             assert got.cycles == want.cycles
             assert got.energy_pj == want.energy_pj
 
@@ -374,7 +375,8 @@ class TestUncachedParentWorkers:
         serial = Evaluator(cache=None)
         expected = [serial._evaluate(*job) for job in jobs]
         results = Evaluator(cache=None)._evaluate_many(jobs, parallel=2)
-        for got, want in zip(results, expected):
+        for (got, error), want in zip(results, expected):
+            assert error is None
             assert got.cycles == want.cycles
             assert got.energy_pj == want.energy_pj
 

@@ -259,6 +259,15 @@ class TestRoundTrips:
             {**renamed_restored.to_dict(), "workload": result.workload_name}
         ) == exact
 
+    @pytest.mark.parametrize("job", RECORD_JOBS, ids=RECORD_IDS)
+    def test_results_equal_their_round_trips(self, job):
+        # DenseTraffic leaves its workload and arch back-references out
+        # of equality: a pickled workload is a new object, and from_dict
+        # restores no architecture.
+        result = Evaluator(check_capacity=False)._evaluate(*job)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert EvaluationResult.from_dict(result.to_dict()) == result
+
     def test_summary_projection_builds_no_object(self):
         design, workload = _family_jobs(0.3)[0]
         result = Evaluator()._evaluate(design, workload)

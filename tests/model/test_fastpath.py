@@ -13,7 +13,7 @@ import pytest
 
 from repro import Design, Evaluator, SAFSpec, Workload, matmul
 from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
-from repro.common.cache import AnalysisCache, StageCache
+from repro.common.cache import DEFAULT_STAGE_SIZES, AnalysisCache, StageCache
 from repro.common.errors import ValidationError
 from repro.dataflow.nest_analysis import dense_analysis_key
 from repro.designs import codesign
@@ -127,8 +127,9 @@ class TestDenseStageCache:
         # Sparser workload must do strictly less effectual compute.
         assert first.sparse.compute.actual < second.sparse.compute.actual
 
-    def test_eviction_respects_maxsize(self):
-        analysis_cache = AnalysisCache(stage_sizes={"dense": 2})
+    def test_eviction_respects_maxsize(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_STAGE_SIZES, "dense", 2)
+        analysis_cache = AnalysisCache()
         evaluator = Evaluator(cache=analysis_cache)
         cache = analysis_cache.dense
         design = codesign.build_design("ReuseABZ", "InnermostSkip")
@@ -169,7 +170,7 @@ class TestCapacityPrefilter:
         mapper = Mapper(workload.einsum, design.arch, CONSTRAINTS)
         rejected = 0
         for mapping in mapper.sample_mappings(40, seed=7):
-            if evaluator._passes_capacity_prefilter(design, workload, mapping):
+            if evaluator._capacity_overflow(design, workload, mapping) is None:
                 continue
             rejected += 1
             with pytest.raises(ValidationError):
@@ -225,7 +226,8 @@ class TestEvaluateMany:
         jobs = self.jobs()
         batch = Evaluator()._evaluate_many(jobs)
         reference = Evaluator(cache=None)
-        for job, result in zip(jobs, batch):
+        for job, (result, error) in zip(jobs, batch):
+            assert error is None
             assert_results_equal(result, reference._evaluate(*job))
 
     def test_parallel_matches_serial_in_order(self):
@@ -233,7 +235,8 @@ class TestEvaluateMany:
         serial = Evaluator()._evaluate_many(jobs)
         parallel = Evaluator()._evaluate_many(jobs, parallel=3)
         assert len(serial) == len(parallel) == len(jobs)
-        for a, b in zip(serial, parallel):
+        for (a, a_error), (b, b_error) in zip(serial, parallel):
+            assert a_error is None and b_error is None
             assert a.design_name == b.design_name
             assert_results_equal(a, b)
 

@@ -343,7 +343,8 @@ class TestPersistentRoundTrip:
         parent = Evaluator(persistent=store, persistent_key=key)
         results = parent._evaluate_many(jobs, parallel=2)
         expected = Evaluator(cache=None)._evaluate(design, workload)
-        for result in results:
+        for result, error in results:
+            assert error is None
             assert_results_identical(result, expected)
 
     def test_parallel_results_absorbed_into_parent_cache(self):
@@ -362,7 +363,8 @@ class TestPersistentRoundTrip:
         serial = parent._evaluate(design, workload)  # pure hits now
         assert parent.cache.sparse.hits >= 1
         assert serial.record is record
-        assert_results_identical(serial, results[0])
+        assert results[0][1] is None
+        assert_results_identical(serial, results[0][0])
         assert_results_identical(
             serial, Evaluator(cache=None)._evaluate(design, workload)
         )

@@ -116,18 +116,27 @@ def assert_results_equal(a, b) -> None:
         assert record.writes == other.writes
 
 
+def _block_reasons(design, workload, mappings):
+    """The stacked prefilter's verdicts, each lazy reject upgraded to
+    its full ``OverflowReason``."""
+    return [
+        reject.reason()
+        if isinstance(reject, engine_module._PrefilterReject)
+        else reject
+        for reject in Evaluator()._prefilter_block(design, workload, mappings)
+    ]
+
+
 @pytest.mark.parametrize("case", CASES)
 class TestPrefilterBlockEquivalence:
     def test_vectorized_matches_scalar_oracle(self, case):
         design, workload = CASES[case]()
         mappings = _sample(design, workload)
-        evaluator = Evaluator()
-        fast = evaluator._capacity_overflow_block(
-            design, workload, mappings, vectorized=True
-        )
-        slow = evaluator._capacity_overflow_block(
-            design, workload, mappings, vectorized=False
-        )
+        fast = _block_reasons(design, workload, mappings)
+        slow = [
+            Evaluator()._capacity_overflow(design, workload, mapping)
+            for mapping in mappings
+        ]
         assert len(fast) == len(slow) == len(mappings)
         for a, b in zip(fast, slow):
             if b is None:
@@ -146,9 +155,7 @@ class TestPrefilterBlockEquivalence:
 def test_prefilter_equivalence_covers_rejections():
     design, workload = _overflow_case()
     mappings = _sample(design, workload)
-    rejects = Evaluator()._capacity_overflow_block(
-        design, workload, mappings, vectorized=True
-    )
+    rejects = _block_reasons(design, workload, mappings)
     assert any(r is not None for r in rejects)
     assert any(r is None for r in rejects)
 
@@ -159,7 +166,7 @@ class TestBatchedDenseEquivalence:
         design, workload = CASES[case]()
         mappings = [
             m for m in _sample(design, workload)
-            if Evaluator()._passes_capacity_prefilter(design, workload, m)
+            if Evaluator()._capacity_overflow(design, workload, m) is None
         ]
         assert mappings, "case sampled no in-capacity mappings"
         jobs = [(workload, design.arch, m) for m in mappings]

@@ -64,7 +64,6 @@ class TestResolution:
     def test_callable_wraps(self):
         objective = resolve_objective(lambda r: r.cycles)
         assert isinstance(objective, CallableObjective)
-        assert not objective.wire_safe
 
     def test_garbage_rejected(self):
         with pytest.raises(SpecError):
@@ -127,7 +126,6 @@ class TestWireSpecs:
         ids=["named", "weighted", "multi"],
     )
     def test_wire_safe_round_trip(self, objective):
-        assert objective.wire_safe
         spec = objective.to_spec()
         rebuilt = objective_from_spec(spec)
         assert rebuilt == objective

@@ -13,7 +13,7 @@ from repro.arch.spec import Architecture, ComputeLevel, StorageLevel
 from repro.common.errors import SpecError
 from repro.mapping.mapspace import Mapper, MapspaceConstraints
 from repro.model.engine import Evaluator
-from repro.search.evolutionary import EvolutionConfig, genome_of
+from repro.search.evolutionary import genome_of
 from repro.search.frontier import dominates
 
 BUDGET = 24
@@ -48,10 +48,9 @@ def _exhaustive_case():
     return design, workload
 
 
-def _outcome(strategy, objective=None, case=_sampled_case, budget=BUDGET,
-             **evaluator_kwargs):
+def _outcome(strategy, objective=None, case=_sampled_case, budget=BUDGET):
     design, workload = case()
-    evaluator = Evaluator(search_budget=budget, **evaluator_kwargs)
+    evaluator = Evaluator(search_budget=budget)
     return evaluator._search_full(
         design, workload, objective=objective, strategy=strategy
     )
@@ -186,11 +185,6 @@ class TestEvolutionary:
         evolved = _outcome("evolutionary", "edp")
         assert evolved.best_score <= batched.best_score
 
-    def test_evolution_config_knobs(self):
-        config = EvolutionConfig(population_fraction=0.5, mutation_rate=0.9)
-        outcome = _outcome("evolutionary", "energy", evolution=config)
-        assert outcome.best_result is not None
-
     def test_session_round_trip(self):
         design, workload = _sampled_case()
         with Session(search_budget=BUDGET) as session:
@@ -206,3 +200,40 @@ class TestEvolutionary:
         from repro.model.result import SearchResult
 
         assert SearchResult.from_dict(data).to_dict() == data
+
+
+def energy_callable(result) -> float:
+    """Module-level (hence picklable) callable objective."""
+    return result.energy_pj
+
+
+class TestCallableObjectivesInProcess:
+    """A callable objective never travels on the wire, but every
+    in-process search form takes it and scores exactly like the named
+    objective it mirrors."""
+
+    @pytest.mark.parametrize(
+        "strategy,parallel",
+        [("serial", 1), ("batched", 1), ("batched", 2), ("evolutionary", 1)],
+    )
+    def test_callable_matches_named_objective(self, strategy, parallel):
+        design, workload = _sampled_case()
+        results = []
+        for objective in (energy_callable, "energy"):
+            with Session(search_budget=BUDGET, parallel=parallel) as session:
+                results.append(
+                    session.search(
+                        design, workload, objective=objective,
+                        strategy=strategy,
+                    )
+                )
+        called, named = results
+        assert called.objective == {
+            "callable": f"{__name__}:energy_callable"
+        }
+        assert called.best_index == named.best_index
+        assert called.best_score == named.best_score
+        assert called.best.to_dict() == named.best.to_dict()
+        assert [p.to_dict() for p in called.frontier.ordered()] == [
+            p.to_dict() for p in named.frontier.ordered()
+        ]

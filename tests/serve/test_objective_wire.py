@@ -1,23 +1,24 @@
 """Objectives over the serve wire: named specs, frontier projection,
-and the pickled-callable trust boundary.
+and the rule that objectives never travel as pickles.
 
 The acceptance contract: a remote ``search`` with ``objective="energy"``
 returns bit-identical results (including the frontier section) to an
-in-process :class:`Session`, with no pickle on the wire; TCP clients
-sending a pickled objective callable are rejected before anything is
-unpickled, while unix-socket peers (same trust domain as the daemon)
-keep the legacy escape hatch.
+in-process :class:`Session`, with no pickle on the wire. A callable
+objective fails on the client before anything is sent, and a pickled
+objective in a hand-built envelope is refused on every transport
+before anything is unpickled.
 """
 
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
 
 import pytest
 
-import repro.api.jobs as jobs_module
 from repro.api import SearchJob, Session, connect
+from repro.api.jobs import _pack
 from repro.common.errors import SpecError
 from repro.io.yaml_spec import load_design
 from repro.serve.server import ReproServer, ServeConfig
@@ -27,7 +28,7 @@ BUDGET = 8
 
 
 def energy_callable(result) -> float:
-    """Module-level (hence picklable) legacy objective."""
+    """Module-level (hence picklable) callable objective."""
     return result.energy_pj
 
 
@@ -149,41 +150,62 @@ class TestNamedObjectivesOnTheWire:
         assert stats["search_objectives"] == {"energy": 1, "edp": 1}
 
 
-@pytest.fixture
-def fresh_deprecation_flag():
-    """The wire-callable warning fires once per process; rearm it so
-    ``pytest.warns`` sees it regardless of test order."""
-    jobs_module._WIRE_CALLABLE_WARNED[0] = False
-    yield
-    jobs_module._WIRE_CALLABLE_WARNED[0] = False
+class _SendRecorder:
+    """A client socket stand-in that records every ``sendall``."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent: list[bytes] = []
+
+    def sendall(self, data):
+        self.sent.append(data)
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
-class TestPickledObjectiveTrustBoundary:
-    def test_tcp_rejects_pickled_callable(self, tcp_daemon, fresh_deprecation_flag):
-        design, workload = load_design(FULL_SPEC)
-        with connect(tcp_daemon.address) as remote:
-            with pytest.warns(DeprecationWarning):
-                with pytest.raises(SpecError, match="not accepted over TCP"):
-                    remote.search(
-                        design, workload, objective=energy_callable
-                    )
-            # The connection survives the rejection.
-            assert remote.ping()["protocol"] == 1
+@pytest.fixture(params=["unix", "tcp"])
+def any_daemon(request):
+    return request.getfixturevalue(f"{request.param}_daemon")
 
-    def test_unix_socket_still_accepts_callable(self, unix_daemon, fresh_deprecation_flag):
+
+class TestObjectivesNeverPickled:
+    def test_remote_callable_fails_before_anything_is_sent(self, unix_daemon):
         design, workload = load_design(FULL_SPEC)
         with connect(unix_daemon.address) as remote:
-            with pytest.warns(DeprecationWarning):
-                got = remote.search(
-                    design, workload, objective=energy_callable
-                )
+            remote.ping()
+            recorder = remote._sock = _SendRecorder(remote._sock)
+            with pytest.raises(SpecError, match="callable objective"):
+                remote.search(design, workload, objective=energy_callable)
+            assert recorder.sent == []
+            assert remote.ping()["protocol"] == 1
+
+    def test_pickled_objective_refused_before_any_unpickling(
+        self, any_daemon, monkeypatch
+    ):
+        design, workload = load_design(FULL_SPEC)
+        tampered = SearchJob(design, workload).to_dict()
+        tampered["objective"] = _pack(energy_callable)
+        reached = []
+
+        def loads(*args, **kwargs):
+            reached.append(args)
+            raise RuntimeError("pickle.loads reached")
+
+        with connect(any_daemon.address) as remote:
+            with monkeypatch.context() as patch:
+                patch.setattr(pickle, "loads", loads)
+                patch.setattr(remote, "_job_wire", lambda job: tampered)
+                handle = remote.submit(SearchJob(design, workload))
+                with pytest.raises(SpecError, match="never as pickles"):
+                    handle.result(timeout=60)
+            assert reached == []
+            # The connection keeps serving.
+            assert remote.ping()["protocol"] == 1
+            got = remote.search(design, workload, objective="energy")
         with Session(search_budget=BUDGET) as local:
             expected = local.search(
                 SearchJob(design, workload, objective="energy")
             )
-        # Same metric, so the same winner — but the wire spec records
-        # the callable's provenance rather than a name.
-        assert got.best.to_dict() == expected.best.to_dict()
-        assert got.objective == {
-            "callable": f"{__name__}:energy_callable"
-        }
+        assert got.to_dict() == expected.to_dict()

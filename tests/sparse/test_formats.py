@@ -101,6 +101,26 @@ class TestFormatSpec:
         with pytest.raises(SpecError):
             FormatRank(Bitmask(), flattened_ranks=0)
 
+    @pytest.mark.parametrize("name", ["CSR", "COO", "CSB", "CSF"])
+    def test_equal_classic_specs_are_equal(self, name):
+        a, b = classic_format(name), classic_format(name)
+        assert a.ranks is not b.ranks
+        assert a == b
+        assert hash(tuple(a.ranks)) == hash(tuple(b.ranks))
+        assert spec_digest(a) == spec_digest(b)
+
+    @pytest.mark.parametrize(
+        "rank,text",
+        [(Uncompressed, "U"), (Bitmask, "B"), (UncompressedBitmask, "UB")],
+    )
+    def test_parameterless_ranks_compare_by_content(self, rank, text):
+        assert rank() == rank()
+        assert hash(rank()) == hash(rank())
+        assert repr(rank()) == text
+        assert FormatSpec([FormatRank(rank())]) == FormatSpec([FormatRank(rank())])
+        for other in {Uncompressed, Bitmask, UncompressedBitmask} - {rank}:
+            assert rank() != other()
+
 
 class TestRankParameters:
     """Bit widths and rank counts are ints >= 1 (``coord_bits`` and

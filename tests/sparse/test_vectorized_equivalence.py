@@ -255,7 +255,8 @@ class TestWarmWorkersMatchColdSerial:
         results = warm._evaluate_many(jobs, parallel=2)
 
         assert len(results) == len(expected)
-        for got, want in zip(results, expected):
+        for (got, error), want in zip(results, expected):
+            assert error is None
             assert got.design_name == want.design_name
             assert got.cycles == want.cycles
             assert got.energy_pj == want.energy_pj
