@@ -471,8 +471,8 @@ def test_warm_start_smoke(tmp_path):
 
 #: Candidate budget (and batch size) of the cold-search bench: one
 #: large single-shot search with nothing cached — the first-invocation
-#: traffic pattern the tensorized cold path (vectorized capacity
-#: prefilter + batched dense nest analysis) is built for.
+#: traffic pattern the tensorized cold path (batched dense nest
+#: analysis) is built for.
 COLD_SEARCH_BUDGET = 512
 #: Interleaved timing rounds per path; the minimum of each side is
 #: compared, which cancels transient machine load that a single A/B
@@ -515,12 +515,12 @@ def test_search_cold_smoke():
 
     One 512-candidate search with every per-evaluator cache empty — the
     cost a user pays on the very first invocation, where the warm-start
-    and candidate-memo tiers cannot help. The fast path (vectorized
-    capacity prefilter + batched dense nest analysis, the defaults) is
-    timed against the same code with both stages forced scalar
-    (``prefilter_vectorized=False, dense_vectorized=False``), fresh
-    evaluators each round, interleaved, min of each side. Winners must
-    agree bit for bit (never retried).
+    and candidate-memo tiers cannot help. The fast path (batched dense
+    nest analysis, the default) is timed against the same code with the
+    dense stage forced scalar (``dense_vectorized=False``); both sides
+    run the one scalar capacity prefilter. Fresh evaluators each round,
+    interleaved, min of each side. Winners must agree bit for bit
+    (never retried).
 
     The scalar oracle is *faster* than the PR the floor is anchored to:
     it shares this tree's cross-cutting trims (memoised keep chains and
@@ -536,9 +536,7 @@ def test_search_cold_smoke():
     design, workload = _cold_design()
 
     def one_run(fast: bool):
-        kwargs = {} if fast else dict(
-            prefilter_vectorized=False, dense_vectorized=False
-        )
+        kwargs = {} if fast else dict(dense_vectorized=False)
         evaluator = Evaluator(search_budget=COLD_SEARCH_BUDGET, **kwargs)
         t0 = time.perf_counter()
         result = evaluator._search_full(

@@ -162,9 +162,7 @@ def search_job(design, workload=None, **overrides):
 
     ``overrides`` are :class:`SearchJob` fields; ``None`` values keep
     the job's own. A caller's job object is never mutated. The job's
-    ``parallel``, ``batch_size``, ``budget`` and ``shards`` must be
-    integers >= 1 and its ``seed`` an integer, each where set (a
-    :class:`SpecError` otherwise).
+    integer knobs are checked when it runs (:meth:`Session._run_search`).
     """
     if isinstance(design, SearchJob):
         job = design
@@ -182,10 +180,6 @@ def search_job(design, workload=None, **overrides):
     }
     if overrides:
         job = replace(job, **overrides)
-    for name in ("parallel", "batch_size", "budget", "shards", "seed"):
-        value = getattr(job, name)
-        if value is not None:
-            _check_int(name, value, None if name == "seed" else 1)
     return job
 
 
@@ -208,10 +202,12 @@ class Session:
     runs a job with a new (design, workload) content key, and spills
     the in-memory cache back on :meth:`close`.
     ``prefilter_capacity`` / ``sparse_vectorized`` /
-    ``dense_vectorized`` / ``prefilter_vectorized``: engine fast-path
-    flags, passed through unchanged (``None`` keeps the engine default
-    for each of the three vectorization knobs; each fast path is
-    proven bit-identical to its scalar oracle).
+    ``dense_vectorized``: engine fast-path flags, passed through
+    unchanged (``None`` keeps the engine default for each of the two
+    vectorization knobs; each fast path is proven bit-identical to its
+    scalar oracle).
+    ``prefilter_vectorized``: accepted and ignored; the capacity
+    prefilter has one backend (``Evaluator._capacity_overflow``).
     ``workers``: worker pool for sharded searches (``SearchJob.shards
     > 1``, or ``search(..., shards=N)``). An int boots that many local
     ``repro serve --worker`` daemons lazily on first use (sharing this
@@ -278,8 +274,6 @@ class Session:
             engine_kwargs["sparse_vectorized"] = sparse_vectorized
         if dense_vectorized is not None:
             engine_kwargs["dense_vectorized"] = dense_vectorized
-        if prefilter_vectorized is not None:
-            engine_kwargs["prefilter_vectorized"] = prefilter_vectorized
         self._evaluator = Evaluator(**engine_kwargs)
         self.parallel = parallel
         self._workers_spec = workers
@@ -603,10 +597,8 @@ class Session:
         dataclass copy sharing the caches)."""
         overrides = {}
         if job.budget is not None:
-            _check_int("budget", job.budget, 1)
             overrides["search_budget"] = job.budget
         if job.seed is not None:
-            _check_int("seed", job.seed)
             overrides["search_seed"] = job.seed
         if not overrides:
             return self._evaluator
@@ -659,6 +651,11 @@ class Session:
     def _run_search(self, handle: JobHandle) -> None:
         job: SearchJob = handle.job
         try:
+            # The one check of a search's integer knobs, from any caller.
+            for name in ("parallel", "batch_size", "budget", "shards", "seed"):
+                value = getattr(job, name)
+                if value is not None:
+                    _check_int(name, value, None if name == "seed" else 1)
             evaluator = self._effective_evaluator(job)
             if (job.shards or 0) > 1:
                 outcome = self._run_sharded(job, evaluator)

@@ -301,8 +301,10 @@ def sharded_search(
         raise SpecError("sharded_search needs at least one worker address")
     if max_attempts < 1:
         raise SpecError(f"max_attempts must be >= 1, got {max_attempts}")
-    from repro.serve.client import RemoteSession
+    from repro.serve.client import RemoteSession, _parse_address
 
+    for address in addresses:
+        _parse_address(address)  # a malformed address fails before any thread
     plan = plan_search(evaluator, job)
     if shards is None:
         shards = len(addresses)
@@ -344,24 +346,22 @@ def sharded_search(
         _emit(info)
 
     def _run_worker(address: str) -> None:
+        session = control = None
         try:
-            session = RemoteSession(address, worker_timeout=worker_timeout)
-            control = RemoteSession(address)
-        except (OSError, ReproError) as exc:
-            _emit(
-                {
-                    "search": search_id,
-                    "event": "worker-lost",
-                    "worker": address,
-                    "error": str(exc),
-                }
-            )
-            with cv:
-                live[0] -= 1
-                cv.notify_all()
-            return
-        controls.add(control)
-        try:
+            try:
+                session = RemoteSession(address, worker_timeout=worker_timeout)
+                control = RemoteSession(address)
+            except (OSError, ReproError) as exc:
+                _emit(
+                    {
+                        "search": search_id,
+                        "event": "worker-lost",
+                        "worker": address,
+                        "error": str(exc),
+                    }
+                )
+                return
+            controls.add(control)
             while True:
                 with cv:
                     while not queue and not _finished():
@@ -429,11 +429,16 @@ def sharded_search(
                         "evaluated": result.evaluated,
                     }
                 )
+        except Exception as exc:
+            # Not a worker loss: end the search with it.
+            with cv:
+                errors.append(exc)
         finally:
             controls.remove(control)
             for conn in (session, control):
                 try:
-                    conn.close()
+                    if conn is not None:
+                        conn.close()
                 except Exception:
                     pass
             with cv:

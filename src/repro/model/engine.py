@@ -91,8 +91,6 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
 from repro.accelergy.backend import Accelergy
 from repro.arch.spec import Architecture
 from repro.common.cache import (
@@ -169,14 +167,6 @@ MappingFactory = Callable[[Workload, Architecture], Mapping]
 #: objects by graph + design + resolved sub-nest + density content.
 FUSED_STAGE = "fused"
 
-#: Default backend for the capacity prefilter in the batched search
-#: strategy. The scalar oracle (:meth:`Evaluator._capacity_overflow`
-#: per candidate) can be forced process-wide by setting
-#: ``REPRO_SCALAR_PREFILTER`` to anything but an explicit falsy value.
-PREFILTER_VECTORIZED_DEFAULT = os.environ.get(
-    "REPRO_SCALAR_PREFILTER", ""
-).lower() in ("", "0", "false", "no", "off")
-
 #: Candidates a search scan draws, prefilters and evaluates per block
 #: unless the job sets ``batch_size``.
 SEARCH_BATCH_SIZE = 32
@@ -227,62 +217,6 @@ class OverflowReason:
     used_words: float
     capacity_words: float
     monotone: bool = False
-
-    def witness_extents(self) -> dict[str, int]:
-        """The witness accessor :class:`_PrefilterReject` shares."""
-        return self.dim_extents
-
-
-class _PrefilterReject:
-    """One block-prefilter rejection, with the witness held *lazily*.
-
-    The batched prefilter computes occupancy bounds for a whole block
-    in stacked arrays; most rejects never register a witness (the
-    mapper already dominates them, or the overflow is not monotone), so
-    the per-dimension extents dict is only materialised from the block
-    arrays on demand. Shares ``level`` / ``monotone`` /
-    ``witness_extents()`` with :class:`OverflowReason`, and
-    ``reason()`` upgrades to one — bit-identical to the scalar
-    oracle's.
-    """
-
-    __slots__ = (
-        "level", "monotone", "used_words", "capacity_words",
-        "_extent_cols", "_col", "_dims",
-    )
-
-    def __init__(
-        self,
-        level: str,
-        monotone: bool,
-        used_words: float,
-        capacity_words: float,
-        extent_cols: dict,
-        col: int,
-        dims: tuple[str, ...],
-    ):
-        self.level = level
-        self.monotone = monotone
-        self.used_words = used_words
-        self.capacity_words = capacity_words
-        self._extent_cols = extent_cols
-        self._col = col
-        self._dims = dims
-
-    def witness_extents(self) -> dict[str, int]:
-        """Per-dimension tile extents at the overflowing level."""
-        cols = self._extent_cols
-        return {d: int(cols[d][self._col]) for d in self._dims}
-
-    def reason(self) -> OverflowReason:
-        """The full scalar-oracle-equivalent :class:`OverflowReason`."""
-        return OverflowReason(
-            level=self.level,
-            dim_extents=self.witness_extents(),
-            used_words=self.used_words,
-            capacity_words=self.capacity_words,
-            monotone=self.monotone,
-        )
 
 
 @dataclass
@@ -456,14 +390,6 @@ class Evaluator:
     (leader keeps, format scalings) across jobs with the same walk
     context — for a search, across all of its blocks. Default follows
     ``REPRO_SCALAR_DENSE``; both backends are bit-identical.
-    ``prefilter_vectorized``: run the capacity prefilter of the
-    batched search strategy as one stacked numpy reduction per memory
-    level and block instead of the scalar per-candidate scan
-    (:meth:`_capacity_overflow`, which remains the bit-identical
-    oracle). Default follows ``REPRO_SCALAR_PREFILTER``. Witness
-    feedback into the mapper is unchanged: overflow extents are
-    derived lazily from the block arrays only when a witness is
-    actually registered.
     ``persistent``: an optional
     :class:`~repro.common.cache.PersistentCache` on-disk tier.
     :meth:`warm_start` loads a snapshot into the in-memory cache and
@@ -503,9 +429,6 @@ class Evaluator:
     )
     dense_vectorized: bool = field(
         default_factory=lambda: DENSE_VECTORIZED_DEFAULT
-    )
-    prefilter_vectorized: bool = field(
-        default_factory=lambda: PREFILTER_VECTORIZED_DEFAULT
     )
     persistent: PersistentCache | None = field(default=None, repr=False)
     persistent_key: str | None = field(default=None, repr=False)
@@ -777,160 +700,21 @@ class Evaluator:
                 )
         return None
 
-    def _prefilter_block(
-        self, design: Design, workload: Workload, mappings: Sequence[Mapping]
-    ) -> list[_PrefilterReject | OverflowReason | None]:
-        """Vectorized capacity prefilter over one block of candidates.
-
-        Returns one reject (``None`` = survivor) per mapping, matching
-        :meth:`_capacity_overflow` per candidate bit for bit.
-        Candidates are grouped by keep structure (level names + keep
-        sets — uniform across any one mapper stream) so each group's
-        occupancy bounds evaluate as stacked numpy reductions; groups
-        the stacked path cannot handle exactly (single candidates,
-        extents near the int64 range, capacities beyond float64 integer
-        precision) fall back to the scalar oracle, whose Python-int
-        arithmetic is exact and whose :class:`OverflowReason` serves as
-        the reject.
-        """
-        ensure_output_density(workload)
-        results: list = [None] * len(mappings)
-        groups: dict[tuple, list[int]] = {}
-        for i, mapping in enumerate(mappings):
-            key = tuple(
-                (
-                    lvl.level,
-                    None if lvl.keep is None else frozenset(lvl.keep),
-                )
-                for lvl in mapping.levels
-            )
-            groups.setdefault(key, []).append(i)
-        for indices in groups.values():
-            rejects = self._prefilter_group(
-                design, workload, [mappings[i] for i in indices]
-            )
-            if rejects is None:
-                rejects = [
-                    self._capacity_overflow(design, workload, mappings[i])
-                    for i in indices
-                ]
-            for i, reject in zip(indices, rejects):
-                results[i] = reject
-        return results
-
-    def _prefilter_group(
-        self, design: Design, workload: Workload, group: list[Mapping]
-    ) -> list["_PrefilterReject | None"] | None:
-        """Stacked occupancy bounds for one keep-structure group, or
-        ``None`` when the group must use the scalar oracle.
-
-        Mirrors :meth:`_capacity_overflow` with every per-candidate
-        scalar replaced by a block column: tile extents accumulate
-        innermost-first into int64 columns, per-tensor tile sizes are
-        row-wise products, and the statistical occupancy models are
-        evaluated once per *unique* tile size (the model calls are pure
-        scalar functions, so deduplication changes nothing). Additions
-        run in the scalar path's exact order, so the float64 bound
-        accumulators — and therefore the reject decisions, flagged
-        levels, and monotone flags — are bit-identical.
-        """
-        count = len(group)
-        if count < 2:
-            return None
-        einsum = workload.einsum
-        rep = group[0]
-        dims = tuple(einsum.dims)
-        ext_list: dict[str, list[int]] = {d: [1] * count for d in dims}
-        rejects: list[_PrefilterReject | None] = [None] * count
-        rejected = np.zeros(count, dtype=bool)
-        for pos in range(len(rep.levels) - 1, -1, -1):  # innermost first
-            for c, mapping in enumerate(group):
-                level_map = mapping.levels[pos]
-                for loop in level_map.temporal + level_map.spatial:
-                    ext_list[loop.dim][c] *= loop.bound
-            keep = rep.levels[pos]
-            level_name = keep.level
-            capacity = design.arch.level(level_name).capacity_words
-            if capacity is None:
-                continue
-            if isinstance(capacity, int) and capacity >= 2**53:
-                # float64 cannot represent the capacity exactly; the
-                # scalar oracle's int/float comparisons are exact.
-                return None
-            # int64 safety: every intermediate of the tile products is
-            # bounded by the tile size at the per-dim column maxima
-            # (all factors/terms are >= 1), computed in exact ints.
-            max_ext = {d: max(vals) for d, vals in ext_list.items()}
-            if any(v >= 2**62 for v in max_ext.values()) or any(
-                tensor.tile_size(max_ext) >= 2**62
-                for tensor in einsum.tensors
-                if keep.keeps(tensor.name)
-            ):
-                return None
-            ext = {
-                d: np.asarray(vals, dtype=np.int64)
-                for d, vals in ext_list.items()
-            }
-            used = np.zeros(count)
-            monotone_used = np.zeros(count)
-            for tensor in einsum.tensors:
-                if not keep.keeps(tensor.name):
-                    continue
-                tile = np.ones(count, dtype=np.int64)
-                for rank in tensor.ranks:
-                    span = np.zeros(count, dtype=np.int64)
-                    for term in rank.terms:
-                        span += term.coefficient * (ext[term.dim] - 1)
-                    tile *= span + 1
-                fmt = design.safs.format_for(level_name, tensor.name)
-                if fmt is not None and fmt.is_compressed:
-                    model = workload.densities.get(tensor.name)
-                    if model is not None:
-                        uniq, inverse = np.unique(
-                            tile, return_inverse=True
-                        )
-                        quantile = np.asarray(
-                            [
-                                model.quantile_occupancy(int(v))
-                                for v in uniq
-                            ],
-                            dtype=np.float64,
-                        )[inverse]
-                        used = used + np.minimum(
-                            tile.astype(np.float64), quantile
-                        )
-                        bounds = [
-                            model.monotone_occupancy_bound(int(v))
-                            for v in uniq
-                        ]
-                        # A model without a monotone bound contributes
-                        # nothing; adding 0.0 to the non-negative
-                        # accumulator is bit-exact with skipping.
-                        monotone_used = monotone_used + np.asarray(
-                            [0.0 if b is None else b for b in bounds],
-                            dtype=np.float64,
-                        )[inverse]
-                        continue
-                used = used + tile
-                monotone_used = monotone_used + tile
-            over = (used > capacity) & ~rejected
-            if over.any():
-                mono_over = monotone_used > capacity
-                for c in np.nonzero(over)[0]:
-                    c = int(c)
-                    rejects[c] = _PrefilterReject(
-                        level=level_name,
-                        monotone=bool(mono_over[c]),
-                        used_words=float(used[c]),
-                        capacity_words=capacity,
-                        extent_cols=ext,
-                        col=c,
-                        dims=dims,
-                    )
-                rejected |= over
-                if rejected.all():
-                    break
-        return rejects
+    def _prefilter_rejects(
+        self,
+        design: Design,
+        workload: Workload,
+        mapping: Mapping,
+        mapper: Mapper | None,
+    ) -> bool:
+        """Whether :meth:`_capacity_overflow` rejects ``mapping``; a
+        monotone overflow's extents become a ``mapper`` witness at once."""
+        overflow = self._capacity_overflow(design, workload, mapping)
+        if overflow is None:
+            return False
+        if mapper is not None and overflow.monotone:
+            mapper.register_overflow(overflow.level, overflow.dim_extents)
+        return True
 
     # ------------------------------------------------------------------
     # Mapspace search
@@ -1130,14 +914,10 @@ class Evaluator:
         prefilter = self.prefilter_capacity and self.check_capacity
         best: tuple[float, int, EvaluationResult] | None = None
         for index, mapping in enumerate(candidates):
-            if prefilter:
-                overflow = self._capacity_overflow(design, workload, mapping)
-                if overflow is not None:
-                    if mapper is not None and overflow.monotone:
-                        mapper.register_overflow(
-                            overflow.level, overflow.dim_extents
-                        )
-                    continue
+            if prefilter and self._prefilter_rejects(
+                design, workload, mapping, mapper
+            ):
+                continue
             try:
                 result = self._evaluate_mapping(design, workload, mapping)
             except (ValidationError, MappingError):
@@ -1176,9 +956,8 @@ class Evaluator:
         withheld and takes no index (:meth:`Mapper.mapping_dominated`
         withholds exactly what a live generator would have); every
         other draw takes the next index and meets the capacity
-        prefilter — stacked per chunk (:meth:`_prefilter_block`) or
-        scalar per draw, as ``prefilter_vectorized`` says — whose
-        monotone rejects register witnesses at once. Survivors at
+        prefilter (:meth:`_prefilter_rejects`), whose monotone rejects
+        register witnesses at once. Survivors at
         positions ``>= start`` are evaluated in blocks of at least
         ``batch_size`` through :meth:`_evaluate_block`, the last at
         the end of the stream or at ``stop``. Evaluation never feeds
@@ -1202,7 +981,6 @@ class Evaluator:
         )
         if prefilter is None:
             prefilter = self.prefilter_capacity and self.check_capacity
-        stacked = prefilter and self.prefilter_vectorized
         state = ScanState(frontier)
         stream = iter(candidates)
         if mapper is None:
@@ -1231,31 +1009,16 @@ class Evaluator:
             drawn = list(islice(stream, limit))
             if not drawn and not block:
                 break
-            rejects = (
-                self._prefilter_block(design, workload, drawn)
-                if stacked
-                else None
-            )
             for offset, mapping in enumerate(drawn):
                 if mapper is not None and mapper.mapping_dominated(mapping):
                     mapper.pruned_candidates += 1
                     state.withheld += 1
                     continue
                 state.index += 1
-                if rejects is not None:
-                    reject = rejects[offset]
-                elif prefilter:
-                    reject = self._capacity_overflow(
-                        design, workload, mapping
-                    )
-                else:
-                    reject = None
-                if reject is not None:
+                if prefilter and self._prefilter_rejects(
+                    design, workload, mapping, mapper
+                ):
                     state.rejected += 1
-                    if mapper is not None and reject.monotone:
-                        mapper.register_overflow(
-                            reject.level, reject.witness_extents()
-                        )
                     continue
                 if state.position + offset >= start:
                     block.append((state.index, mapping))
@@ -1397,16 +1160,10 @@ class Evaluator:
                 proposals += 1
                 index += 1
                 mapping = mapper._build_mapping(genome)
-                if prefilter:
-                    overflow = self._capacity_overflow(
-                        design, workload, mapping
-                    )
-                    if overflow is not None:
-                        if overflow.monotone:
-                            mapper.register_overflow(
-                                overflow.level, overflow.dim_extents
-                            )
-                        continue
+                if prefilter and self._prefilter_rejects(
+                    design, workload, mapping, mapper
+                ):
+                    continue
                 block.append((index, mapping))
                 genomes_by_index[index] = genome
                 if len(block) >= batch_size:

@@ -41,6 +41,7 @@ from repro.api.jobs import (
     EvaluateJob,
     FusedJob,
     NetworkJob,
+    _is_int,
     _pack,
     job_resendable,
 )
@@ -71,7 +72,9 @@ def connect(address, *, timeout: float | None = 10.0) -> "RemoteSession":
     ``address`` accepts a ``(host, port)`` tuple, ``"host:port"``,
     ``"tcp://host:port"``, ``"unix:///path/to.sock"``, or a bare
     filesystem path (anything with a path separator, or no ``:port``
-    suffix, is treated as a unix socket). ``timeout`` bounds the
+    suffix, is treated as a unix socket). A TCP port is an integer
+    from 1 to 65535; a malformed address raises a
+    :class:`~repro.common.errors.SpecError`. ``timeout`` bounds the
     connection attempt, not job waits — those take per-call
     ``timeout=`` arguments.
     """
@@ -79,30 +82,40 @@ def connect(address, *, timeout: float | None = 10.0) -> "RemoteSession":
 
 
 def _parse_address(address) -> tuple[str, str, int | None]:
+    """``(kind, host or path, port)`` for any form :func:`connect`
+    accepts. Every TCP form needs a host and an integer port from 1 to
+    65535; anything else is a :class:`SpecError` naming the address."""
+    if isinstance(address, Path):
+        return ("unix", str(address), None)
     if isinstance(address, tuple):
         if len(address) != 2:
             raise SpecError(
                 f"tuple addresses must be (host, port), got {address!r}"
             )
-        return ("tcp", str(address[0]), int(address[1]))
-    if isinstance(address, Path):
-        return ("unix", str(address), None)
-    if isinstance(address, str):
-        text = address
-        if text.startswith("unix://"):
-            return ("unix", text[len("unix://"):], None)
-        if text.startswith("tcp://"):
-            text = text[len("tcp://"):]
-        if "/" not in text:
-            host, sep, port = text.rpartition(":")
-            if sep and host and port.isdigit():
-                return ("tcp", host, int(port))
-        return ("unix", text, None)
-    raise SpecError(
-        f"cannot parse address from {type(address).__name__}; expected "
-        "a (host, port) tuple, 'host:port', 'tcp://...', 'unix://...', "
-        "or a socket path"
-    )
+        host, port = address
+    elif isinstance(address, str):
+        if address.startswith("unix://"):
+            return ("unix", address[len("unix://"):], None)
+        text = address.removeprefix("tcp://")
+        host, sep, port = text.rpartition(":")
+        if text == address and not (
+            sep and host and "/" not in text and port.isdecimal()
+        ):
+            return ("unix", text, None)
+    else:
+        raise SpecError(
+            f"cannot parse address from {type(address).__name__}; expected "
+            "a (host, port) tuple, 'host:port', 'tcp://...', 'unix://...', "
+            "or a socket path"
+        )
+    if isinstance(port, str) and port.isdecimal():
+        port = int(port)
+    if not (host and _is_int(port, 1) and port <= 65535):
+        raise SpecError(
+            f"TCP address {address!r} needs a host and an integer port "
+            "from 1 to 65535"
+        )
+    return ("tcp", str(host), port)
 
 
 class RemoteHandle:

@@ -39,6 +39,7 @@ import asyncio
 import functools
 import heapq
 import itertools
+import math
 import os
 import time
 from collections import OrderedDict
@@ -46,7 +47,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 
-from repro.api.jobs import SearchJob, SearchShardJob, _unpack, job_from_dict
+from repro.api.jobs import (
+    SearchJob,
+    SearchShardJob,
+    _check_int,
+    _unpack,
+    job_from_dict,
+)
 from repro.api.session import Session
 from repro.distributed.plan import WitnessBoard, WitnessSnapshot
 from repro.search.objective import resolve_objective
@@ -82,6 +89,27 @@ class ServeConfig:
     queue_depth: int = 64  #: admission bound for queued search/network jobs.
     default_deadline_ms: float = 30_000.0  #: queue priority for deadline-less jobs.
     heartbeat_s: float = 5.0  #: liveness-ping period for queued/running jobs (0 = off).
+
+    def __post_init__(self) -> None:
+        # Refuse what would stall the pool, shed every search or fail bind().
+        for name in ("workers", "batch_max", "queue_depth"):
+            _check_int(name, getattr(self, name), 1)
+        if self.port is not None:
+            _check_int("port", self.port, 0)
+            if self.port > 65535:
+                raise SpecError(f"port must be <= 65535, got {self.port}")
+        for name in ("batch_window_ms", "heartbeat_s", "default_deadline_ms"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 <= value < math.inf
+                or (name == "default_deadline_ms" and value == 0)
+            ):
+                bound = "> 0" if name == "default_deadline_ms" else ">= 0"
+                raise SpecError(
+                    f"{name} must be a finite number {bound}, got {value!r}"
+                )
 
 
 @dataclass
@@ -215,7 +243,7 @@ class ReproServer:
             max_workers=1, thread_name_prefix="repro-serve-batch"
         )
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, self.config.workers),
+            max_workers=self.config.workers,
             thread_name_prefix="repro-serve-worker",
         )
         self._queue: list[_QueueEntry] = []

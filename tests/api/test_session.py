@@ -306,6 +306,24 @@ class TestSessionLifecycle:
                 pass
 
 
+    def test_prefilter_vectorized_is_accepted_and_ignored(self):
+        # The capacity prefilter has one backend; the keyword stays only
+        # for callers that still pass it.
+        design, workload = load_design(FULL_SPEC)
+        searched = {}
+        for knobs in ({}, {"prefilter_vectorized": False}):
+            with Session(search_budget=8, **knobs) as session:
+                evaluated = session.evaluate(design, workload).to_dict()
+                outcome = session.search(design, workload)
+            searched[bool(knobs)] = (
+                evaluated,
+                outcome.best_index,
+                outcome.best.to_dict(),
+                [point.index for point in outcome.frontier.ordered()],
+            )
+        assert searched[True] == searched[False]
+
+
 class TestPersistentTier:
     def test_warm_start_on_first_use_and_spill_on_close(self, tmp_path):
         store = PersistentCache(root=tmp_path)
@@ -438,6 +456,46 @@ class TestSearchJobs:
         with Session() as session:
             with pytest.raises(SpecError, match=name):
                 session.search(design, workload, **knobs)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"batch_size": 0},
+            {"batch_size": -3},
+            {"batch_size": True},
+            {"parallel": 0},
+            {"shards": -1},
+            {"budget": 0},
+            {"seed": "1"},
+        ],
+        ids=repr,
+    )
+    def test_submitted_search_jobs_check_their_knobs(self, knobs):
+        # submit() used to run these without complaint: only search()
+        # checked them.
+        from repro import SearchJob
+
+        design, workload = load_design(FULL_SPEC)
+        (name,) = knobs
+        with Session() as session:
+            handle = session.submit(SearchJob(design, workload, **knobs))
+            error = handle.exception()
+        assert isinstance(error, SpecError) and name in str(error)
+
+    def test_wire_search_job_knobs_are_checked_when_run(self):
+        import json
+
+        from repro import SearchJob
+        from repro.api.jobs import job_from_dict
+
+        design, workload = load_design(FULL_SPEC)
+        data = json.loads(json.dumps(SearchJob(design, workload).to_dict()))
+        data["batch_size"] = -3
+        job = job_from_dict(data)
+        assert job.batch_size == -3  # the wire decoder keeps it
+        with Session() as session:
+            with pytest.raises(SpecError, match="batch_size"):
+                session.submit(job).result()
 
     def test_search_job_knobs_are_checked_after_overrides(self):
         from repro import SearchJob

@@ -171,6 +171,35 @@ class TestErrorExitCodes:
         assert done.stderr.startswith("error:")
         assert "search_budget" in done.stderr
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--workers", "0"], "workers"),
+            (["--queue-depth", "0"], "queue_depth"),
+            (["--port", "70000"], "port"),
+        ],
+        ids=["workers", "queue-depth", "port"],
+    )
+    def test_serve_bad_config_fails_at_boot(self, tmp_path, flags, field):
+        # --workers 0 used to boot and hang every search, --queue-depth
+        # 0 shed them all, and --port 70000 died in bind().
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--unix", str(tmp_path / "daemon.sock"), "--cold", *flags,
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert field in lines[0]
+
     def test_overflow_allowed_with_flag(self, overflow_spec_file, capsys):
         code = main(
             ["evaluate", overflow_spec_file, "--no-capacity-check", "--cold"]

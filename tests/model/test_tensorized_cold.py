@@ -1,13 +1,15 @@
 """Tensorized cold-search equivalence and fan-out regression tests.
 
-The cold search path is three stacked fast paths — the vectorized
-capacity prefilter, the batched dense nest analysis, and the
-zero-pickle parallel fan-out — each keeping a scalar/serial oracle it
-must match **bit for bit**. This suite pins the equivalences the cold
-bench (``benchmarks/bench_perf_engine.py::test_search_cold_smoke``)
+The cold search path runs every drawn candidate through the scalar
+capacity prefilter (:meth:`Evaluator._capacity_overflow`), then its
+survivors through two fast paths — the batched dense nest analysis and
+the zero-pickle parallel fan-out — each keeping a scalar/serial oracle
+it must match **bit for bit**. This suite pins the equivalences the
+cold bench (``benchmarks/bench_perf_engine.py::test_search_cold_smoke``)
 relies on, across designs, workloads, knob combinations, and caching
-modes, and guards the fan-out protocol against regressing to
-per-chunk design pickling.
+modes, checks that the blocked scan prefilters and feeds witnesses
+back to its mapper, and guards the fan-out protocol against regressing
+to per-chunk design pickling.
 """
 
 from __future__ import annotations
@@ -116,48 +118,40 @@ def assert_results_equal(a, b) -> None:
         assert record.writes == other.writes
 
 
-def _block_reasons(design, workload, mappings):
-    """The stacked prefilter's verdicts, each lazy reject upgraded to
-    its full ``OverflowReason``."""
-    return [
-        reject.reason()
-        if isinstance(reject, engine_module._PrefilterReject)
-        else reject
-        for reject in Evaluator()._prefilter_block(design, workload, mappings)
-    ]
-
-
-@pytest.mark.parametrize("case", CASES)
-class TestPrefilterBlockEquivalence:
-    def test_vectorized_matches_scalar_oracle(self, case):
-        design, workload = CASES[case]()
-        mappings = _sample(design, workload)
-        fast = _block_reasons(design, workload, mappings)
-        slow = [
-            Evaluator()._capacity_overflow(design, workload, mapping)
-            for mapping in mappings
-        ]
-        assert len(fast) == len(slow) == len(mappings)
-        for a, b in zip(fast, slow):
-            if b is None:
-                assert a is None
-                continue
-            # Full witness equality, not just the reject decision: the
-            # mapper prunes subtrees from these exact extents/bounds.
-            assert a is not None
-            assert a.level == b.level
-            assert a.dim_extents == b.dim_extents
-            assert a.used_words == b.used_words
-            assert a.capacity_words == b.capacity_words
-            assert a.monotone == b.monotone
-
-
-def test_prefilter_equivalence_covers_rejections():
+def test_scan_prefilters_and_registers_witnesses():
+    """The blocked scan rejects overflowing draws before evaluation and
+    registers the scalar oracle's monotone witnesses with its mapper;
+    with the prefilter off it rejects nothing and registers nothing."""
     design, workload = _overflow_case()
     mappings = _sample(design, workload)
-    rejects = _block_reasons(design, workload, mappings)
-    assert any(r is not None for r in rejects)
-    assert any(r is None for r in rejects)
+    evaluator = Evaluator()
+    oracle_witnesses = set()
+    for mapping in mappings:
+        reason = evaluator._capacity_overflow(design, workload, mapping)
+        if reason is not None and reason.monotone:
+            extents = {d: e for d, e in reason.dim_extents.items() if e > 1}
+            oracle_witnesses.add((reason.level, frozenset(extents.items())))
+    assert oracle_witnesses, "case produced no monotone overflow"
+
+    def scan(prefilter):
+        mapper = Mapper(workload.einsum, design.arch, design.constraints)
+        state = evaluator._scan(
+            design, workload, mappings, None, mapper=mapper, batch_size=8,
+            prefilter=prefilter,
+        )
+        return state, mapper
+
+    state, mapper = scan(None)
+    assert state.rejected > 0
+    assert state.evaluated > 0
+    assert mapper.overflow_witness_count > 0
+    for level, witnesses in mapper.export_witnesses().items():
+        for witness in witnesses:
+            assert (level, frozenset(witness.items())) in oracle_witnesses
+
+    state, mapper = scan(False)
+    assert state.rejected == 0
+    assert mapper.overflow_witness_count == 0
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -180,14 +174,11 @@ class TestBatchedDenseEquivalence:
 
 
 KNOB_GRID = [
-    dict(prefilter_vectorized=True, dense_vectorized=True),
-    dict(prefilter_vectorized=False, dense_vectorized=True),
-    dict(prefilter_vectorized=True, dense_vectorized=False),
-    dict(prefilter_vectorized=True, dense_vectorized=True,
-         sparse_vectorized=False),
-    dict(prefilter_vectorized=True, dense_vectorized=True, cache=None),
-    dict(prefilter_vectorized=False, dense_vectorized=False,
-         sparse_vectorized=False, cache=None),
+    dict(dense_vectorized=True),
+    dict(dense_vectorized=False),
+    dict(dense_vectorized=True, sparse_vectorized=False),
+    dict(dense_vectorized=True, cache=None),
+    dict(dense_vectorized=False, sparse_vectorized=False, cache=None),
 ]
 
 
@@ -198,11 +189,7 @@ KNOB_GRID = [
 class TestColdSearchBitIdentity:
     def test_winner_matches_full_scalar_oracle(self, case, knobs):
         design, workload = CASES[case]()
-        oracle = Evaluator(
-            search_budget=24,
-            prefilter_vectorized=False,
-            dense_vectorized=False,
-        )
+        oracle = Evaluator(search_budget=24, dense_vectorized=False)
         fast = Evaluator(search_budget=24, **knobs)
         assert_results_equal(
             fast._search_full(design, workload, batch_size=8).best_result,

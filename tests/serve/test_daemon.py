@@ -289,6 +289,15 @@ class TestErrorRoundTrips:
         exc = self._compare(job, remote)
         assert isinstance(exc, SpecError)
 
+    @pytest.mark.parametrize("knob", ["batch_size", "parallel", "shards"])
+    def test_bad_search_knob_from_the_wire(self, remote, knob):
+        # The daemon runs wire search jobs through the Session's one
+        # knob check, so a negative knob fails as it does in-process.
+        design, workload = load_design(FULL_SPEC)
+        job = SearchJob(design, workload, **{knob: -3})
+        exc = self._compare(job, remote)
+        assert isinstance(exc, SpecError) and knob in str(exc)
+
     def test_result_reraises_like_in_process(self, remote):
         design, workload = load_design(_overflow_spec())
         handle = remote.submit(EvaluateJob(design, workload))
@@ -347,6 +356,87 @@ class TestAdmissionControl:
             assert "retry" in str(shed[0])
         finally:
             d.stop()
+
+
+class TestServeConfig:
+    """Settings that would stall the worker pool, shed every search or
+    crash in ``bind()`` fail at construction with a SpecError naming
+    the field."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("workers", 0),
+            ("workers", True),
+            ("workers", 2.0),
+            ("batch_max", 0),
+            ("batch_max", -4),
+            ("queue_depth", 0),
+            ("queue_depth", "8"),
+            ("port", 70000),
+            ("port", -1),
+            ("port", "8000"),
+            ("batch_window_ms", -1.0),
+            ("batch_window_ms", float("nan")),
+            ("heartbeat_s", float("inf")),
+            ("heartbeat_s", "5"),
+            ("default_deadline_ms", 0),
+            ("default_deadline_ms", float("inf")),
+            ("default_deadline_ms", True),
+        ],
+        ids=repr,
+    )
+    def test_bad_field_is_refused(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        config = ServeConfig(
+            port=0,
+            workers=1,
+            batch_max=1,
+            queue_depth=1,
+            batch_window_ms=0,
+            heartbeat_s=0,
+            default_deadline_ms=0.5,
+        )
+        assert (config.port, config.workers, config.heartbeat_s) == (0, 1, 0)
+        assert ServeConfig(port=65535).port == 65535
+
+
+class TestAddresses:
+    @pytest.mark.parametrize(
+        "address",
+        [
+            "tcp://127.0.0.1",
+            "tcp://:8000",
+            "tcp://127.0.0.1:",
+            "tcp://127.0.0.1:0",
+            "tcp://127.0.0.1:x",
+            "127.0.0.1:70000",
+            ("127.0.0.1", "x"),
+            ("127.0.0.1", 70000),
+            ("127.0.0.1", 0),
+            ("127.0.0.1", True),
+            ("127.0.0.1", 8000.0),
+            ("", 8000),
+        ],
+        ids=repr,
+    )
+    def test_malformed_tcp_address_is_refused(self, address):
+        with pytest.raises(SpecError, match="TCP address") as excinfo:
+            connect(address)
+        assert repr(address) in str(excinfo.value)
+
+    def test_well_formed_addresses_parse(self):
+        parse = client_module._parse_address
+        assert parse("tcp://127.0.0.1:8000") == ("tcp", "127.0.0.1", 8000)
+        assert parse("localhost:65535") == ("tcp", "localhost", 65535)
+        assert parse(("127.0.0.1", 1)) == ("tcp", "127.0.0.1", 1)
+        assert parse(("127.0.0.1", "8000")) == ("tcp", "127.0.0.1", 8000)
+        assert parse("unix://run/d.sock") == ("unix", "run/d.sock", None)
+        assert parse("run/d.sock") == ("unix", "run/d.sock", None)
+        assert parse("d.sock") == ("unix", "d.sock", None)
 
 
 class TestReconnect:
