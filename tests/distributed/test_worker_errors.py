@@ -52,9 +52,6 @@ class _FailingSession:
     def submit(self, job, on_progress=None):
         raise RuntimeError(f"submit failed on {self.address}")
 
-    def notify(self, *_args, **_kwargs):
-        pass
-
     def close(self):
         pass
 
